@@ -18,9 +18,8 @@ Two modes:
   walk's best per-trial engine.  Fleet sections additionally time the
   *numpy* and *native* (fused C kernel) stepwise paths separately —
   ``native_speedup`` is native-over-numpy for the same fleet, null when
-  the extension is not built or the walk/shape never enters the
-  stepwise kernel (regular-graph SRW fleets use the prefiltered block
-  kernel).  Written to ``benchmarks/out/BENCH_engine.json`` and appended
+  the extension is not built.  Written to
+  ``benchmarks/out/BENCH_engine.json`` and appended
   (one JSON line per run) to ``benchmarks/out/BENCH_engine_history.jsonl``
   so the perf trajectory accumulates across PRs — see
   ``benchmarks/README.md`` for how to read it.
@@ -78,11 +77,9 @@ JSON_CHUNK = 400_000
 JSON_ROUNDS = 5
 FLEET_SIZES = (32, 64, 128)
 #: Fleet sections measured standalone: section -> (walk, graph kind,
-#: fleet sizes).  The SRW block kernel saturates early; the stepwise
-#: E-/V-process kernels keep gaining with width, so their sections sweep
-#: to the default 128.  ``srw_irregular`` runs on a mixed-degree graph so
-#: the SRW exercises the *stepwise* kernel (and with it the native fused
-#: path) instead of the regular-graph block kernel.
+#: fleet sizes).  The stepwise kernels keep gaining with width, so the
+#: regular-graph sections sweep to the default 128.  ``srw_irregular``
+#: runs the same SRW fleet on a mixed-degree graph.
 FLEET_SECTIONS = {
     "srw": ("srw", "regular", FLEET_SIZES),
     "eprocess": ("eprocess", "regular", FLEET_SIZES),
@@ -271,12 +268,7 @@ def _measure_fleet(graph, walk: str, fleet_size: int, rounds: int) -> dict:
     """
     per_trial = NAMED_WALK_FACTORIES[walk]["fleet"]
     make_fleet = FLEET_ENGINES[walk]
-    # Regular-graph SRW fleets run the prefiltered block kernel, which has
-    # no native variant — timing "native" there would just re-time the
-    # block kernel and publish noise as a ratio.  Only the stepwise
-    # kernels (E-/V-process anywhere, SRW on irregular lanes) report one.
-    stepwise = walk != "srw" or not graph.is_regular()
-    use_native = native.available() and stepwise
+    use_native = native.available()
     starts = [random.Random(100 + k).randrange(graph.n) for k in range(fleet_size)]
 
     def timed_fleet(native_pref):
@@ -504,7 +496,7 @@ def main(argv=None) -> int:
             "median of per-round ratios; fleet side = native fused kernel "
             "when built), and 'native_speedup' compares the same fleet's "
             "native and numpy stepwise paths (null when the extension is "
-            "missing or the shape never enters the stepwise kernel)"
+            "missing)"
         ),
     }
     report["speedup"] = report["engines"]["srw"]["steady"]["speedup"]

@@ -1,9 +1,9 @@
 """R6 shared-immutability: arrays crossing a sharing boundary stay frozen.
 
 The fleet engines step K lanes against *one* set of graph-derived tiles —
-CSR arrays, lane-globalized index tiles, incidence tables, packed bitmask
-tables — cached on the graph's ``scratch_cache()`` (or in module-level
-table registries) and shared by every fleet, and eventually by every
+CSR arrays, padded incidence tables, packed bitmask tables — cached on
+the graph's ``scratch_cache()`` (or in module-level table registries)
+and shared by every fleet, and eventually by every
 *thread* once the fused kernel drops the GIL.  The bit-identical-replay
 contract survives that sharing only if the shared tiles are provably
 read-only: frozen with ``setflags(write=False)`` at creation, and never
@@ -20,10 +20,10 @@ Two checks, per function, with alias tracking through assignments:
 * **no mutation through a shared alias** — a name bound from a
   sharing-boundary accessor (``csr_arrays()``/``csr_offsets``/
   ``csr_edge_ids``/``csr_neighbors``/``incidence_table()``/
-  ``_globalized()``/``_scaled_neighbors()``/``_packed_tables()``, a cache
-  read, a slice view or alias of any of those) must not be the target of
-  an indexed store, an augmented assignment, a mutating method call
-  (``sort``/``fill``/``put``/...), or a numpy ``out=`` argument.
+  ``_packed_tables()``, a cache read, a slice view or alias of any of
+  those) must not be the target of an indexed store, an augmented
+  assignment, a mutating method call (``sort``/``fill``/``put``/...), or
+  a numpy ``out=`` argument.
   ``setflags(write=True)`` is flagged on *any* name: un-freezing is never
   a per-lane operation.
 
@@ -54,8 +54,6 @@ _SHARED_ACCESSORS = frozenset(
         "csr_edge_ids",
         "csr_neighbors",
         "incidence_table",
-        "_globalized",
-        "_scaled_neighbors",
         "_packed_tables",
     }
 )

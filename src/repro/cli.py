@@ -743,7 +743,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["auto", "on", "off"],
             help="fused C kernel for the stepwise fleet kernels under "
             "--engine fleet: auto uses it when built (REPRO_NATIVE=0 "
-            "opts out), on requires it, off forces the numpy path "
+            "opts out; without it SRW runs per trial on the array engine), "
+            "on requires it, off forces the numpy path "
             "(identical results either way)",
         )
 

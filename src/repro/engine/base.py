@@ -230,7 +230,7 @@ class VisitedSet:
     Two access styles, matching the two kinds of hot loop:
 
     * vectorized (``test_many``/``set_many``/``fresh_indices``) on int64
-      numpy index arrays — the fleet block kernel;
+      numpy index arrays — the fleet's oracle block kernel;
     * scalar via :meth:`checkout_words`/:meth:`checkin_words`: the caller
       borrows the words as a plain Python list (CPython int bit-ops beat
       numpy scalar indexing several-fold in per-step loops), mutates, and

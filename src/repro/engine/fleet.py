@@ -7,51 +7,50 @@ operations.  The fleet engines turn the per-step cost into a per-*fleet*
 cost — K independent trials advance with a few vectorized operations per
 step — so the interpreter overhead amortizes across the whole fleet.
 
-Two kernel families share this module's base machinery:
-
-* **Prefiltered block kernels** (:class:`FleetSRW` on regular graphs).
-  On a regular graph the SRW's RNG consumption is *state-independent*:
-  ``randrange(d)`` consumes tempered Mersenne-Twister words until one
-  passes the rejection filter, and the filter depends only on the word
-  values, never on the walk's position.  Each lane's entire draw sequence
-  is prefiltered vectorized from its own word stream (:class:`_LaneDraws`),
-  whole blocks of trajectory are computed ahead of the bookkeeping, and
-  after a lane covers its ``random.Random`` is rewound to exactly the
-  words the reference walk would have consumed.
-
-* **Stepwise kernels** (irregular-graph :class:`FleetSRW`, and the
-  E-/V-process fleets in :mod:`repro.engine.fleet_unvisited`).  When the
-  draw modulus depends on walk state — the degree of the current vertex
-  on an irregular graph, or the unvisited-edge/neighbour count of the
-  E-/V-process — word roles cannot be precomputed per lane.  Instead the
-  fleet advances all lanes one lockstep step at a time: a per-degree
-  word-role prefilter (shift/limit tables indexed by each lane's current
-  modulus) turns the per-lane rejection loop of CPython's ``_randbelow``
-  into two or three vectorized operations over the whole fleet, with the
-  rare rejected lanes retried in a shrinking index set
-  (:meth:`_WordBank.draw`).  Word consumption is accounted exactly per
-  lane, so a lane's generator can be placed at any instant's end-state.
+Every fleet over materialized graphs — :class:`FleetSRW` on regular and
+irregular lanes alike, and the E-/V-process fleets in
+:mod:`repro.engine.fleet_unvisited` — runs one **stepwise lockstep
+driver** (:class:`_StepwiseFleet`).  The draw modulus may depend on walk
+state — the degree of the current vertex on an irregular graph, or the
+unvisited-edge/neighbour count of the E-/V-process — so word roles are
+resolved one lockstep step at a time: a per-degree word-role prefilter
+(shift tables indexed by each lane's current modulus) turns the
+per-lane rejection loop
+of CPython's ``_randbelow`` into two or three vectorized operations over
+the whole fleet, with the rare rejected lanes retried scalar
+(:meth:`_WordBank.draw`).  Word consumption is accounted exactly per
+lane, so a lane's generator can be placed at any instant's end-state.
 
 Lanes step in lockstep; a lane leaves the fleet the instant it covers
 (its RNG synced to its cover instant), and when only a handful of
 straggler lanes remain they are transplanted onto per-trial scalar
 engines which finish them bit-identically.
 
-The stepwise kernels pay their numpy dispatches per lockstep step, so
-they additionally have a **native fused path**: when the optional C
-extension (:mod:`repro.engine.native`) is built, whole blocks of
-lockstep steps run as one C call over the same word rows, CSR tiles and
-bitmask tables — bit-identical to the numpy path by contract, selected
-per fleet at runtime (``native=`` preference, ``REPRO_NATIVE=0``
-opt-out, graceful fallback when the build is unavailable).
+The driver pays its numpy dispatches per lockstep step, so it has a
+**native fused path**: when the optional C extension
+(:mod:`repro.engine.native`) is built, whole blocks of lockstep steps run
+as one C call over the same word rows, CSR tiles and bitmask tables —
+bit-identical to the numpy path by contract, selected per fleet at
+runtime (``native=`` preference, ``REPRO_NATIVE=0`` opt-out, graceful
+fallback when the build is unavailable).
+
+Implicit neighbor-oracle lanes (SRW only) have no CSR tiles for the
+driver to gather from; they run the **oracle block kernel** instead
+(:meth:`FleetSRW._run_oracle`).  An implicit graph is regular, so its
+SRW's RNG consumption is state-independent — ``randrange(d)`` accepts or
+rejects a word by its value alone — and each lane's whole draw sequence
+is prefiltered up front (:class:`_LaneDraws`), trajectory blocks are
+resolved through the vectorized oracle, and a covered lane's
+``random.Random`` is rewound to exactly the words its reference walk
+consumed.
 
 Graphs may be one shared :class:`~repro.graphs.graph.Graph` (fixed
-workloads; the tiled index arrays are cached in ``scratch_cache()``) or K
-structurally distinct graphs of one shared ``(n, m)`` shape (factory
-workloads, e.g. a fresh random graph per trial): lane k's vertex ``v``
-becomes global id ``k*n + v`` and the concatenated incidence arrays are
-globalized the same way, so the inner gathers are identical in both
-cases.
+workloads; the padded incidence arrays are cached in ``scratch_cache()``)
+or K structurally distinct graphs of one shared ``(n, m)`` shape (factory
+workloads, e.g. a fresh random graph per trial): the per-lane incidence
+arrays are concatenated lane-major, and lane k's vertex ``v`` / edge
+``e`` keep their visitation state at ``k*n + v`` / ``k*m + e``, so the
+inner gathers are identical in both cases.
 """
 
 from __future__ import annotations
@@ -83,17 +82,16 @@ __all__ = [
 #: Trials advanced together per fleet; the runner's batch size for
 #: ``engine="fleet"``.  A fleet step costs roughly a fixed number of numpy
 #: dispatches however many lanes ride it, so wider fleets amortize better.
-#: The SRW block kernel is already saturated by 64 lanes (~3x aggregate
-#: over per-trial ``ArraySRW`` at 64 and 128 alike on the 10k-vertex
-#: benchmark graph), but the stepwise E-/V-process kernels pay their
-#: dispatches *per lockstep step* and keep gaining well past it (fleet
-#: E-process vs per-trial ``ArrayEdgeProcess``, same graph: ~2.1x at 64,
-#: ~3x at 128 on vertex cover) — 128 serves both while one batch's lane
-#: state stays a few tens of MB.
+#: The stepwise kernels pay their dispatches *per lockstep step* and keep
+#: gaining well past 64 lanes (fleet E-process vs per-trial
+#: ``ArrayEdgeProcess``, 10k-vertex benchmark graph: ~2.1x at 64, ~3x at
+#: 128 on vertex cover) while one batch's lane state stays a few tens of
+#: MB.
 DEFAULT_FLEET_SIZE = 128
 
-#: Steps per kernel block: trajectories are computed (and bookkeeping
-#: batched) in pieces of this size.
+#: Steps per kernel block: the most lockstep steps one native call (or
+#: one oracle trajectory block) advances before the driver's bookkeeping
+#: runs.
 DEFAULT_BLOCK_STEPS = 2048
 
 #: When this few lanes remain, the fleet hands them to per-trial scalar
@@ -139,8 +137,9 @@ def fleet_supported(
     there are no loops or parallel edges).
 
     Implicit neighbor-oracle lanes (:mod:`repro.graphs.implicit`) are
-    accepted for ``srw`` only — the block kernel resolves whole lane rows
-    through the vectorized oracle — and must all share one implicit graph;
+    accepted for ``srw`` only — the oracle block kernel resolves whole
+    lane rows through the vectorized oracle — and must all share one
+    implicit graph;
     the E-/V-process lockstep kernels need per-edge CSR state the oracle
     cannot provide, so those fleets refuse with a reason naming the walk
     and backend (the per-trial oracle engines still serve them).
@@ -160,7 +159,7 @@ def fleet_supported(
     if not graphs:
         return False, "empty fleet"
     if any(is_implicit(g) for g in graphs):
-        # Implicit neighbor-oracle lanes: the SRW block kernel only needs
+        # Implicit neighbor-oracle lanes: the SRW oracle kernel only needs
         # vectorized kth_neighbor evaluation, which the oracle provides;
         # the E-/V-process lockstep kernels read per-edge CSR tiles and
         # dedup tables the oracle cannot supply.
@@ -253,8 +252,9 @@ class _LaneDraws:
     steps ahead, that is the difference between cache-resident state and
     a page-fault storm.
 
-    Only valid for constant-modulus draw sequences (regular-graph SRW
-    lanes); the state-dependent kernels use :class:`_WordBank` instead.
+    Only valid for constant-modulus draw sequences (the SRW on an
+    implicit, hence regular, graph); the stepwise driver uses
+    :class:`_WordBank` instead.
     """
 
     __slots__ = ("rng", "mt", "base", "pulls", "moves", "count", "taken", "factor", "shift", "lim", "d", "_tel")
@@ -527,9 +527,9 @@ class FleetWalkBase:
     """Shared lane machinery for the lockstep fleet engines.
 
     Handles lane validation (:func:`fleet_supported` for the subclass's
-    :attr:`walk_name`), start-vertex checks, lane-globalized CSR tiles
-    (cached per shared graph), and the post-run introspection surface
-    (:attr:`cover_steps`, :attr:`positions`).
+    :attr:`walk_name`), start-vertex checks, the stepwise kernels'
+    incidence arrays (cached per shared graph), and the post-run
+    introspection surface (:attr:`cover_steps`, :attr:`positions`).
 
     Parameters
     ----------
@@ -550,10 +550,10 @@ class FleetWalkBase:
         otherwise; ``False`` always steps the numpy path; ``True``
         requires the kernel and raises :class:`~repro.errors.ReproError`
         if it cannot be loaded (benchmarks use this so a "native" number
-        can never silently be numpy).  The regular-graph SRW block kernel
-        is not stepwise and ignores the preference.  Either way every
-        number is identical — the kernel replays the numpy path bit for
-        bit.
+        can never silently be numpy).  The implicit-graph SRW oracle
+        kernel is not stepwise and ignores the preference.  Either way
+        every number is identical — the kernel replays the numpy path bit
+        for bit.
     """
 
     walk_name = "srw"
@@ -611,40 +611,6 @@ class FleetWalkBase:
             if not g.is_regular() or g.degrees()[0] != d0:
                 return 0
         return d0
-
-    def _globalized(self, attr: str, stride: int, pad: int = 0):
-        """Concatenated per-lane CSR array with lane-globalized values
-        (``attr`` values offset by ``k * stride`` for lane k; lane k's
-        entries live at ``[k*2m : (k+1)*2m]``), optionally padded with
-        ``pad`` trailing zeros so fixed-width ``(A, dmax)`` row gathers
-        never index out of bounds.  Shared-graph fleets cache the tiled
-        result in the graph's ``scratch_cache()``.
-        """
-        import numpy as np
-
-        if self._lanes_shared():
-            cache = self.graphs[0].scratch_cache()
-            key = ("fleet", attr, self.K, pad)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-            base = getattr(self.graphs[0], attr)
-            out = (
-                base[None, :] + (np.arange(self.K, dtype=np.int64) * stride)[:, None]
-            ).reshape(-1)
-            if pad:
-                out = np.concatenate([out, np.zeros(pad, dtype=np.int64)])
-            # Frozen at creation: the cached tile is shared by every fleet
-            # over this graph (and every thread once the kernel drops the
-            # GIL) — all mutation happens on per-fleet state instead.
-            out.setflags(write=False)
-            cache[key] = out
-            return out
-        out = np.concatenate(
-            [getattr(g, attr) + k * stride for k, g in enumerate(self.graphs)]
-            + ([np.zeros(pad, dtype=np.int64)] if pad else [])
-        )
-        return out
 
     def _incidence_context(self, dmax: int) -> None:
         """Build the stepwise kernels' incidence arrays (*local* values).
@@ -709,7 +675,7 @@ class FleetWalkBase:
 
 
 class _StepwiseFleet(FleetWalkBase):
-    """Driver for the state-dependent lockstep kernels.
+    """Driver for every lockstep kernel on materialized graphs.
 
     Subclasses implement the per-step hook :meth:`_step` (advance every
     active lane one step; return a bool cover mask or None) plus the
@@ -1085,12 +1051,13 @@ class _StepwiseFleet(FleetWalkBase):
 class FleetSRW(_StepwiseFleet):
     """K lockstep SRW cover trials; bit-identical to K sequential walks.
 
-    Regular-graph fleets run the prefiltered block kernel (whole
-    trajectory blocks per numpy gather, draws prefiltered per lane);
-    irregular fleets run the stepwise kernel (per-degree word prefilter,
-    one lockstep step at a time).  Either way every lane is bit-identical
-    to a sequential :class:`~repro.walks.srw.SimpleRandomWalk` of the
-    same seed, RNG end-state included.
+    Materialized lanes, regular or not, run the stepwise driver (one
+    lockstep step at a time, native fused blocks when built); implicit
+    neighbor-oracle lanes run the oracle block kernel (whole trajectory
+    blocks per oracle call, draws prefiltered per lane).  Either way
+    every lane is bit-identical to a sequential
+    :class:`~repro.walks.srw.SimpleRandomWalk` of the same seed, RNG
+    end-state included.
 
     After a run, :attr:`cover_steps` holds per-lane cover times,
     :meth:`first_visit_time` the per-lane first-visit tables (vertex or
@@ -1110,48 +1077,12 @@ class FleetSRW(_StepwiseFleet):
         native: Optional[bool] = None,
     ):
         super().__init__(graphs, starts, rngs, block_steps, native=native)
-        #: common degree of an all-regular fleet (0 when any lane is
-        #: irregular — those fleets run the stepwise kernel).
-        self.d = self._common_degree()
         #: implicit neighbor-oracle lanes (always regular, one shared
-        #: graph — fleet_supported enforces both): the block kernel
-        #: resolves rows through the vectorized oracle instead of CSR.
+        #: graph — fleet_supported enforces both) have no CSR tiles for
+        #: the stepwise driver: the oracle block kernel serves them.
         self._oracle = is_implicit(self.graphs[0])
         self._fv = []  # type: ignore[var-annotated]
         self._fv_stride = 0
-
-    # -- regular-graph fast path ---------------------------------------------
-
-    def _scaled_neighbors(self):
-        """Globalized neighbour array pre-multiplied by the degree.
-
-        With values pre-scaled, the inner kernel's gather chain is two
-        numpy calls per step: ``idx = cur_scaled + move`` and
-        ``cur_scaled = nbrs_scaled[idx]`` — the division back to vertex
-        ids happens once per block, vectorized.  Built directly (lane k's
-        entry is ``(nbr + k*n) * d = nbr*d + k*n*d``) so no intermediate
-        unscaled tile gets pinned in the cache.
-        """
-        import numpy as np
-
-        stride = self.n * self.d
-        if self._lanes_shared():
-            cache = self.graphs[0].scratch_cache()
-            key = ("fleet", "scaled_neighbors", self.K, self.d)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-            base = self.graphs[0].csr_neighbors * self.d
-            out = (
-                base[None, :] + (np.arange(self.K, dtype=np.int64) * stride)[:, None]
-            ).reshape(-1)
-            # Frozen at creation: shared by every fleet/thread on this graph.
-            out.setflags(write=False)
-            cache[key] = out
-            return out
-        return np.concatenate(
-            [g.csr_neighbors * self.d + k * stride for k, g in enumerate(self.graphs)]
-        )
 
     def run_until_cover(
         self,
@@ -1161,9 +1092,6 @@ class FleetSRW(_StepwiseFleet):
     ) -> List[int]:
         if self._oracle:
             return self._run_oracle(target, max_steps, labels)
-        if self.d:
-            return self._run_regular(target, max_steps, labels)
-        # Irregular lanes: the stepwise kernel with per-degree prefilters.
         return super().run_until_cover(target, max_steps, labels)
 
     def _run_oracle(
@@ -1174,11 +1102,16 @@ class FleetSRW(_StepwiseFleet):
     ) -> List[int]:
         """The block kernel against an implicit graph's vectorized oracle.
 
-        Same structure and draw accounting as :meth:`_run_regular` (the
-        per-lane :class:`_LaneDraws` prefilter streams are graph-agnostic),
-        but each trajectory row is resolved by one
-        ``kth_neighbors(lane vertices, lane moves)`` oracle call, and
-        visitation lives in a packed :class:`VisitedSet` (K·n *bits*) —
+        Per block of ``T`` steps the kernel computes every active lane's
+        trajectory from its prefiltered :class:`_LaneDraws` stream — each
+        trajectory row is one ``kth_neighbors(lane vertices, lane moves)``
+        oracle call — then does visitation bookkeeping on the whole
+        ``(T, A)`` block at once: a vectorized "which visits are first
+        visits" pass, with only the fresh entries touched scalar, in time
+        order.  A lane that covers mid-block is rewound to its cover
+        instant (position and RNG; the overshoot only revisits covered
+        ids, so the bookkeeping needs no undo) and leaves the fleet.
+        Visitation lives in a packed :class:`VisitedSet` (K·n *bits*) —
         the same bitset the per-trial oracle engines use.  Edge runs
         identify edges by canonical dart (``edge_slots``), so ``full`` is
         ``m`` while the id space is the ``n·d`` dart space; first-visit
@@ -1192,8 +1125,8 @@ class FleetSRW(_StepwiseFleet):
         if target not in ("vertices", "edges"):
             raise ReproError(f"target must be 'vertices' or 'edges', got {target!r}")
         tel = get_telemetry()
-        K, n, m, d = self.K, self.n, self.m, self.d
         graph = self.graphs[0]
+        K, n, m, d = self.K, self.n, self.m, graph.max_degree
         names = list(labels) if labels is not None else list(range(K))
         budget = max_steps if max_steps is not None else default_step_budget(graph)
         by_vertices = target == "vertices"
@@ -1326,245 +1259,7 @@ class FleetSRW(_StepwiseFleet):
         self._pos = [int(v) for v in cur_v]
         return [int(c) for c in cover]  # type: ignore[arg-type]
 
-    def _run_regular(
-        self,
-        target: str,
-        max_steps: Optional[int],
-        labels: Optional[Sequence[object]],
-    ) -> List[int]:
-        """The prefiltered block kernel (regular graphs).
-
-        Per block of ``T`` steps the kernel computes every active lane's
-        trajectory (one gather per step over the lanes), then does
-        visitation bookkeeping on the whole ``(T, A)`` block at once: a
-        vectorized "which visits are first visits" gather, with only the
-        fresh entries — a set that empties out fast — touched scalar, in
-        time order.  A lane that covers mid-block is rewound to its cover
-        instant (position and RNG; the overshoot trajectory only revisits
-        covered ids, so block bookkeeping needs no undo) and leaves the
-        fleet.
-        """
-        import numpy as np
-
-        if target not in ("vertices", "edges"):
-            raise ReproError(f"target must be 'vertices' or 'edges', got {target!r}")
-        tel = get_telemetry()
-        K, n, m, d = self.K, self.n, self.m, self.d
-        names = list(labels) if labels is not None else list(range(K))
-        budget = (
-            max_steps if max_steps is not None else default_step_budget(self.graphs[0])
-        )
-        by_vertices = target == "vertices"
-        full = n if by_vertices else m
-        stride = n if by_vertices else m
-        nbrs_s = self._scaled_neighbors()  # globalized neighbour id * d
-        eids_g = None if by_vertices else self._globalized("csr_edge_ids", m)
-        pow2 = d & (d - 1) == 0
-        lsh = d.bit_length() - 1
-
-        # First-visit state over globalized target ids (vertices or edges).
-        visited = bytearray(K * stride)
-        vis_np = np.frombuffer(visited, dtype=np.uint8)
-        fv = [-1] * (K * stride)
-        counts = [0] * K
-        cover: List[Optional[int]] = [None] * K
-        cur_g = np.array([k * n + s for k, s in enumerate(self.starts)], dtype=np.int64)
-        if by_vertices:
-            for k, s in enumerate(self.starts):
-                visited[k * n + s] = 1
-                fv[k * n + s] = 0
-                counts[k] = 1
-
-        lanes: List[int] = []
-        draws: List[Optional[_LaneDraws]] = [None] * K
-        for k in range(K):
-            if counts[k] == full:  # n == 1 (or m == 0): covered at time 0
-                cover[k] = 0
-            else:
-                draws[k] = _LaneDraws(self.rngs[k], d)
-                lanes.append(k)
-
-        if tel.enabled and lanes:
-            tel.count("fleet.fleets")
-            tel.count("fleet.lanes", len(lanes))
-            tel.count("fleet.block_fleets")
-        lane_steps = 0
-        steps = 0
-        block = self.block_steps
-        try:
-            while lanes:
-                if len(lanes) <= TAIL_LANES:
-                    if tel.enabled:
-                        tel.count("fleet.tail_handoffs")
-                        tel.count("fleet.tail_lanes", len(lanes))
-                        tel.gauge("fleet.tail_handoff_step", steps)
-                    self._finish_scalar(
-                        lanes, draws, steps, budget, target, cur_g,
-                        visited, fv, counts, cover,
-                    )
-                    lanes = []
-                    break
-                if steps >= budget:
-                    k = lanes[0]
-                    raise CoverTimeout(
-                        f"fleet lane {names[k]!r} did not cover all {target} "
-                        f"within {budget} steps ({full - counts[k]} left)",
-                        steps=steps,
-                        remaining=full - counts[k],
-                    )
-                T = min(block, budget - steps)
-                A = len(lanes)
-                lanes_np = np.array(lanes, dtype=np.int64)
-                M = np.empty((T, A), dtype=np.int64)
-                for i, k in enumerate(lanes):
-                    lane = draws[k]
-                    # Look ahead several blocks per pull so the MT state
-                    # snapshots and prefilter passes amortize.
-                    if lane.count < steps + T:
-                        lane.ensure(steps + 8 * block)
-                    M[:, i] = lane.moves[steps : steps + T]
-                straj = np.empty((T, A), dtype=np.int64)  # scaled vertex ids
-                keys = None if by_vertices else np.empty((T, A), dtype=np.int64)
-                idx = np.empty(A, dtype=np.int64)
-                cur = cur_g[lanes_np] * d
-                add = np.add
-                take = nbrs_s.take
-                if keys is None:
-                    # Iterating the matrices yields their row views straight
-                    # from C — two numpy calls per fleet step total.
-                    for mrow, srow in zip(M, straj):
-                        add(cur, mrow, out=idx)
-                        take(idx, out=srow)
-                        cur = srow
-                else:
-                    etake = eids_g.take
-                    for mrow, srow, krow in zip(M, straj, keys):
-                        add(cur, mrow, out=idx)
-                        etake(idx, out=krow)
-                        take(idx, out=srow)
-                        cur = srow
-                # One vectorized un-scaling per block recovers vertex ids.
-                vtraj = (straj >> lsh) if pow2 else (straj // d)
-                cur_g[lanes_np] = vtraj[T - 1]
-                # Block bookkeeping: fresh first visits only, in time order
-                # (C-order ravel of the time-major matrix is time order).
-                flat = (vtraj if by_vertices else keys).reshape(-1)
-                fresh = (vis_np[flat] == 0).nonzero()[0]
-                if fresh.size > 512:
-                    # Early phase: the block floods with first visits (and
-                    # within-block revisits of them) — dedup vectorized to
-                    # each id's first occurrence before going scalar.
-                    _, first_occ = np.unique(flat[fresh], return_index=True)
-                    fresh = fresh[np.sort(first_occ)]
-                if fresh.size:
-                    ids = flat[fresh].tolist()
-                    for p, gid in zip(fresh.tolist(), ids):
-                        if visited[gid]:
-                            continue  # revisit within this block
-                        visited[gid] = 1
-                        t = p // A
-                        k = lanes[p - t * A]
-                        step_no = steps + t + 1
-                        fv[gid] = step_no
-                        c = counts[k] + 1
-                        counts[k] = c
-                        if c == full:
-                            cover[k] = step_no
-                steps += T
-                if tel.enabled:
-                    lane_steps += T * A
-                    tel.count("fleet.blocks")
-                    tel.count("fleet.block_steps", T)
-                    tel.count("fleet.lane_steps", T * A)
-                if any(cover[k] is not None for k in lanes):
-                    # Rewind finished lanes to their cover instant: position
-                    # and RNG.  The overshoot trajectory needs no undo — a
-                    # covered lane can only revisit covered ids.
-                    for i, k in enumerate(lanes):
-                        if cover[k] is None:
-                            continue
-                        t_cov = cover[k] - (steps - T) - 1
-                        cur_g[k] = vtraj[t_cov, i]
-                        draws[k].sync(cover[k])
-                        if tel.enabled:
-                            tel.count("fleet.lane_retirements")
-                    lanes = [k for k in lanes if cover[k] is None]
-                if tel.enabled:
-                    tel.progress(
-                        step=lane_steps,
-                        done=K - len(lanes),
-                        total=K,
-                        unit="lanes",
-                        label="fleet srw",
-                    )
-        finally:
-            # Lanes still live on an abnormal exit (budget timeout): their
-            # reference twins would have consumed exactly `steps` draws
-            # (already buffered — every completed block ensured them).
-            for k in lanes:
-                if draws[k] is not None:
-                    draws[k].sync(steps)
-        self.cover_steps = cover
-        self._fv_stride = stride
-        self._fv = fv
-        self._pos = [int(cur_g[k]) - k * n for k in range(K)]
-        return [int(c) for c in cover]  # type: ignore[arg-type]
-
-    def _finish_scalar(
-        self, lanes, draws, steps, budget, target, cur_g, visited, fv, counts, cover
-    ) -> None:
-        """Finish straggler lanes on per-trial :class:`ArraySRW` engines.
-
-        Each lane's exact mid-run state — position, step count, visitation
-        table, and an RNG advanced past exactly ``steps`` draws — is
-        transplanted into a scalar walk, which continues bit-identically
-        (the array engine's own parity contract) to its cover instant.
-        """
-        from repro.engine.srw import ArraySRW
-
-        n, m = self.n, self.m
-        by_vertices = target == "vertices"
-        stride = n if by_vertices else m
-        for k in list(lanes):
-            draws[k].sync(steps)
-            # The lane's generator is live from here on: drop its draw
-            # stream so the abnormal-exit sync in the driver cannot rewind
-            # what the scalar engine consumes (a timeout mid-hand-off
-            # leaves this lane at the engine's own — reference-accurate —
-            # end-state, and only the not-yet-started lanes at `steps`).
-            draws[k] = None
-            walk = ArraySRW(
-                self.graphs[k],
-                self.starts[k],
-                rng=self.rngs[k],
-                track_edges=not by_vertices,
-            )
-            walk.current = int(cur_g[k]) - k * n
-            walk.steps = steps
-            lo = k * stride
-            if by_vertices:
-                walk.visited_vertices = bytearray(visited[lo : lo + stride])
-                walk.num_visited_vertices = counts[k]
-                walk.first_visit_time = fv[lo : lo + stride]
-                cover[k] = walk.run_until_vertex_cover(max_steps=budget)
-                fv[lo : lo + stride] = walk.first_visit_time
-                visited[lo : lo + stride] = walk.visited_vertices
-            else:
-                walk.visited_edges = bytearray(visited[lo : lo + stride])
-                walk.num_visited_edges = counts[k]
-                walk.first_edge_visit_time = fv[lo : lo + stride]
-                # The fleet does not track vertex visitation on edge runs,
-                # and edge cover needs none of it: mark everything visited
-                # so the kernel's vertex bookkeeping stays inert.
-                walk.visited_vertices = bytearray(b"\x01") * n
-                walk.num_visited_vertices = n
-                cover[k] = walk.run_until_edge_cover(max_steps=budget)
-                fv[lo : lo + stride] = walk.first_edge_visit_time
-                visited[lo : lo + stride] = walk.visited_edges
-            cur_g[k] = walk.current + k * n
-            lanes.remove(k)
-
-    # -- stepwise (irregular-graph) kernel -----------------------------------
+    # -- stepwise driver hooks ------------------------------------------------
 
     def _prepare(self, target: str, budget: int) -> List[int]:
         import numpy as np
@@ -1574,9 +1269,11 @@ class FleetSRW(_StepwiseFleet):
         stride = m if self._by_edges else n
         self._full = m if self._by_edges else n
         self._stride = stride
-        self._d = 0  # the stepwise path only runs for irregular lanes
-        self._incidence_context(max(g.max_degree for g in self.graphs))
-        self._shift = self._shift_table(max(g.max_degree for g in self.graphs))
+        # Per-lane degree rows for every graph, regular or not.
+        self._d = 0
+        dmax = max(g.max_degree for g in self.graphs)
+        self._incidence_context(dmax)
+        self._shift = self._shift_table(dmax)
         self._visited = np.zeros(K * stride, dtype=np.uint8)
         self._fvn = np.full(K * stride, -1, dtype=np.int64)
         at_zero: List[int] = []

@@ -1,6 +1,6 @@
 """Loader for the fused lockstep kernel (optional C extension).
 
-The stepwise fleet kernels (irregular SRW, E-process, V-process) pay a
+The stepwise fleet kernels (SRW, E-process, V-process) pay a
 fixed number of numpy dispatches *per lockstep step*; the C extension in
 ``_fused.c`` collapses a whole block of steps into one call.  This module
 owns finding and validating that extension:

@@ -1,9 +1,9 @@
 /* Fused lockstep block kernel for the stepwise fleet engines.
  *
- * One call advances every active lane of a `_StepwiseFleet` (the
- * irregular-graph SRW fleet, the E-process fleet, or the V-process
- * fleet) up to T lockstep steps, replacing the ~40 numpy dispatches the
- * pure-python kernel pays per step with one tight C loop per block.
+ * One call advances every active lane of a `_StepwiseFleet` (the SRW
+ * fleet, the E-process fleet, or the V-process fleet) up to T lockstep
+ * steps, replacing the ~40 numpy dispatches the pure-python kernel pays
+ * per step with one tight C loop per block.
  *
  * The contract is bit-identical replay of the numpy path (and therefore
  * of the per-trial reference walks): the same Mersenne-Twister words are

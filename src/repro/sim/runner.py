@@ -259,6 +259,24 @@ def _run_trial(spec: _TrialSpec) -> TrialOutcome:
     )
 
 
+def _srw_per_trial(walk: Optional[str], graphs: Sequence[Graph], native_pref: Optional[bool]) -> bool:
+    """Whether an auto-selected SRW batch should step trial by trial.
+
+    Without the fused kernel the numpy SRW fleet on materialized graphs
+    runs at or below the speed of per-trial ``ArraySRW``
+    (``benchmarks/out/BENCH_engine.json``), so with ``fleet_native=None``
+    the batch runs each trial on that bit-identical twin instead.  An
+    explicit ``fleet_native=False`` still steps the numpy fleet, and the
+    implicit-graph SRW fleet is unaffected (it has no native path).
+    """
+    if walk != "srw" or native_pref is not None:
+        return False
+    from repro.engine import native
+    from repro.graphs.implicit import is_implicit
+
+    return not is_implicit(graphs[0]) and not native.available()
+
+
 def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialOutcome]:
     """Run a batch of trials as one lockstep fleet.
 
@@ -269,7 +287,9 @@ def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialO
     an explicit :class:`ReproError` carrying ``fleet_supported``'s reason
     — which names the offending lane and its trial — never a silent
     change of stepping strategy: the caller asked for fleets and should
-    decide (``engine="array"`` gives identical numbers per trial).
+    decide (``engine="array"`` gives identical numbers per trial).  The
+    one throughput substitution is :func:`_srw_per_trial`'s, counted as
+    ``runner.srw_array_batches``.
     """
     from repro.engine import FLEET_ENGINES
     from repro.engine.fleet import fleet_supported
@@ -309,10 +329,20 @@ def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialO
                 f"cannot step as a fleet: {reason}. Use {alternatives} for "
                 "identical per-trial results."
             )
-        fleet = FLEET_ENGINES[walk](graphs, starts, rngs, native=template.fleet_native)
-        cover = fleet.run_until_cover(
-            target=template.target, max_steps=template.max_steps, labels=list(trials)
-        )
+        per_trial = _srw_per_trial(walk, graphs, template.fleet_native)
+        if per_trial:
+            cover = []
+            for graph, start_vertex, walk_rng in zip(graphs, starts, rngs):
+                one = template.walk_factory(graph, start_vertex, walk_rng)
+                if template.target == "vertices":
+                    cover.append(one.run_until_vertex_cover(template.max_steps))
+                else:
+                    cover.append(one.run_until_edge_cover(template.max_steps))
+        else:
+            fleet = FLEET_ENGINES[walk](graphs, starts, rngs, native=template.fleet_native)
+            cover = fleet.run_until_cover(
+                target=template.target, max_steps=template.max_steps, labels=list(trials)
+            )
     wall = (time.perf_counter() - t0) / len(trials)  # repro: allow[R2] reported wall time, result-inert
     rss = peak_rss_bytes()
     tel = get_telemetry()
@@ -321,6 +351,8 @@ def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialO
         tel.count("runner.trials", len(trials))
         tel.count("runner.steps", total)
         tel.count("runner.fleet_batches")
+        if per_trial:
+            tel.count("runner.srw_array_batches")
         tel.time_add("runner.trial_seconds", wall * len(trials))
         tel.event(
             "fleet_batch",
@@ -562,7 +594,9 @@ def run_trials(
     batch completes) — still one call per trial.  ``fleet_native``
     selects the fleets' fused C kernel (None auto-detects, False forces
     the numpy path, True requires the kernel) — a throughput switch only,
-    the numbers are bit-identical either way.
+    the numbers are bit-identical either way.  Auto-detected SRW batches
+    on materialized graphs run trial by trial on ``ArraySRW`` when the
+    kernel is unavailable, since the numpy SRW fleet is no faster.
 
     Supervision knobs (see the module docstring for the failure model):
     ``retries`` bounds both per-item retry budgets and consecutive pool

@@ -64,7 +64,8 @@ class TestFleetSRWParity:
 
     def test_distinct_same_shape_graphs_per_lane(self):
         # The factory-workload shape: a fresh random regular graph per
-        # trial, all same (n, d) — lanes are globalized side by side.
+        # trial, all same (n, d) — lanes' incidence rows are tiled side
+        # by side.
         K = 7
         graphs = [random_connected_regular_graph(80, 4, random.Random(50 + k)) for k in range(K)]
         starts = [k % 80 for k in range(K)]
@@ -75,6 +76,26 @@ class TestFleetSRWParity:
         for k in range(K):
             walk = SimpleRandomWalk(graphs[k], starts[k], rng=twins[k], track_edges=True)
             assert cover[k] == walk.run_until_vertex_cover()
+            assert rngs[k].getstate() == twins[k].getstate()
+
+    @pytest.mark.parametrize("target", ["vertices", "edges"])
+    def test_regular_multigraph_rows(self, target):
+        # A loop fills two incidence slots and parallel edges repeat a
+        # neighbour; the SRW draws over slots, so both weigh twice.
+        n = 14
+        edges = [(v, (v + 1) % n) for v in range(n)] + [(v, v) for v in range(n)]
+        edges += [(v, v + 1) for v in range(0, n, 2)]
+        graph = Graph(n, edges)
+        assert graph.is_regular() and graph.degrees()[0] == 5
+        K = 9
+        rngs = [random.Random(70 + k) for k in range(K)]
+        twins = [random.Random(70 + k) for k in range(K)]
+        fleet = FleetSRW([graph] * K, [k % n for k in range(K)], rngs)
+        cover = fleet.run_until_cover(target)
+        for k in range(K):
+            walk = SimpleRandomWalk(graph, k % n, rng=twins[k], track_edges=True)
+            run = walk.run_until_vertex_cover if target == "vertices" else walk.run_until_edge_cover
+            assert cover[k] == run()
             assert rngs[k].getstate() == twins[k].getstate()
 
     def test_odd_degree_modulus(self):
@@ -216,6 +237,28 @@ class TestFleetRunnerSurface:
             graph, "srw", trials=4, root_seed=3, engine="fleet"
         )
         assert fleet.cover_times == reference.cover_times
+
+    def test_srw_batches_run_per_trial_without_native_kernel(self, monkeypatch):
+        # Without the fused kernel, auto-selected SRW batches run on
+        # per-trial ArraySRW (faster than the numpy SRW fleet); an
+        # explicit fleet_native=False still steps the numpy fleet.
+        from repro.engine import native
+        from repro.telemetry import Telemetry, session
+
+        monkeypatch.setattr(native, "available", lambda: False)
+        graph = _regular(n=60)
+        reference = cover_time_trials(graph, "srw", trials=6, root_seed=5)
+        for fleet_native, counter in ((None, "runner.srw_array_batches"), (False, "fleet.numpy_fleets")):
+            tel = Telemetry()
+            with session(tel):
+                run = cover_time_trials(
+                    graph, "srw", trials=6, root_seed=5, engine="fleet",
+                    fleet_size=3, fleet_native=fleet_native,
+                )
+            assert run.cover_times == reference.cover_times
+            assert tel.counters[counter] == 2
+            other = {"runner.srw_array_batches", "fleet.numpy_fleets"} - {counter}
+            assert not other & set(tel.counters)
 
     def test_ineligible_batch_raises_naming_lane_and_trial(self):
         # A workload factory whose graphs disagree on (n, m) cannot fleet;

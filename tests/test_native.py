@@ -27,6 +27,7 @@ from repro.errors import CoverTimeout, ReproError
 from repro.graphs.generators import complete_graph, lollipop_graph
 from repro.graphs.random_regular import random_connected_regular_graph
 from repro.sim.runner import run_trials
+from repro.telemetry import Telemetry, session
 from repro.walks.choice import UnvisitedVertexWalk
 from repro.walks.srw import SimpleRandomWalk
 
@@ -58,9 +59,7 @@ def _graph(shape: str):
         # 17-regular: regular but past PACKED_DEGREE_MAX, so the E-/V-
         # process fleets run the general candidate scan with d fixed.
         return complete_graph(18)
-    # Clique + pendant path: degrees 1..6, the per-degree prefilter path
-    # (and the SRW fleet's only stepwise shape — regular SRW fleets use
-    # the prefiltered block kernel, which has no native variant).
+    # Clique + pendant path: degrees 1..6, the per-degree prefilter path.
     return lollipop_graph(6, 9)
 
 
@@ -168,6 +167,31 @@ class TestNativeVsNumpyParity:
         num = _make_fleet(walk, [graph] * K, starts, p_rngs, False)
         with pytest.raises(CoverTimeout):
             num.run_until_cover("edges", max_steps=budget)
+        for k in range(K):
+            assert n_rngs[k].getstate() == p_rngs[k].getstate()
+
+    @pytest.mark.parametrize("target", ["vertices", "edges"])
+    def test_regular_srw_fleet_runs_the_fused_kernel(self, target):
+        # Regular SRW lanes share the stepwise driver with every other
+        # materialized fleet, so the fused kernel runs them — including a
+        # mid-run budget timeout — bit-identical to the numpy path.
+        graph = _graph("regular")
+        K = 8  # above the tail hand-off, so the timeout hits the kernel
+        starts, n_rngs, p_rngs = _lanes(graph, K, 6000)
+        tel = Telemetry()
+        with session(tel):
+            nat = FleetSRW([graph] * K, starts, n_rngs)
+            cover = nat.run_until_cover(target)
+        assert tel.counters["fleet.native_fleets"] == 1
+        assert "fleet.numpy_fleets" not in tel.counters
+        num = FleetSRW([graph] * K, starts, p_rngs, native=False)
+        assert num.run_until_cover(target) == cover
+        assert _snapshot("srw", nat, K) == _snapshot("srw", num, K)
+        budget = min(cover) - 1
+        for native_pref, rngs in ((True, n_rngs), (False, p_rngs)):
+            fleet = FleetSRW([graph] * K, starts, rngs, native=native_pref)
+            with pytest.raises(CoverTimeout):
+                fleet.run_until_cover(target, max_steps=budget)
         for k in range(K):
             assert n_rngs[k].getstate() == p_rngs[k].getstate()
 

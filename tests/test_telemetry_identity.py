@@ -37,7 +37,7 @@ def _run_fleet(walk_name, graph, K, seed):
 
 @pytest.fixture(scope="module")
 def regular_graph():
-    # 6-regular: SRW fleets take the prefiltered block kernel.
+    # 6-regular: E-/V-process fleets take the packed 2^d tables.
     return hypercube_graph(6)
 
 
