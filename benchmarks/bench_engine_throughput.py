@@ -55,6 +55,9 @@ from repro.engine import (
     ArraySRW,
     FLEET_ENGINES,
     NAMED_WALK_FACTORIES,
+    FleetEdgeProcess,
+    FleetSRW,
+    FleetVProcess,
     native,
 )
 from repro.graphs.random_regular import (
@@ -247,14 +250,33 @@ def _median(values):
     return ordered[len(ordered) // 2]
 
 
+def _fleet(walk: str, graphs, starts, rngs, native_pref):
+    """The lockstep fleet the runner builds for ``walk``
+    (:data:`FLEET_ENGINES`), with the numpy/native kernel choice forced."""
+    if walk == "eprocess":
+        return FleetEdgeProcess(
+            graphs, starts, rngs, record_phases=False, native=native_pref
+        )
+    return {"srw": FleetSRW, "vprocess": FleetVProcess}[walk](
+        graphs, starts, rngs, native=native_pref
+    )
+
+
+def _per_trial_twin(walk: str):
+    """The per-trial walk each fleet lane is bit-identical to: the array
+    twin where one exists, else the reference walk (vprocess)."""
+    variants = NAMED_WALK_FACTORIES[walk]
+    return variants.get("array", variants["reference"])
+
+
 def _measure_fleet(graph, walk: str, fleet_size: int, rounds: int) -> dict:
     """Aggregate cover throughput: one lockstep ``walk`` fleet vs. the
     same trials on the walk's best per-trial engine (total vertex-cover
     steps / wall seconds, both sides), with the fleet's numpy and native
     stepwise paths timed separately.
 
-    The per-trial comparator is the walk's ``"fleet"`` registry entry —
-    exactly the per-trial twin each fleet lane is bit-identical to
+    The per-trial comparator is :func:`_per_trial_twin` — exactly the
+    per-trial walk each fleet lane is bit-identical to
     (``ArraySRW``/``ArrayEdgeProcess`` for srw/eprocess, the reference
     walk for vprocess, which has no array twin).
 
@@ -266,15 +288,14 @@ def _measure_fleet(graph, walk: str, fleet_size: int, rounds: int) -> dict:
     compares the native and numpy paths of the *same* fleet (null when
     the extension is missing).
     """
-    per_trial = NAMED_WALK_FACTORIES[walk]["fleet"]
-    make_fleet = FLEET_ENGINES[walk]
+    per_trial = _per_trial_twin(walk)
     use_native = native.available()
     starts = [random.Random(100 + k).randrange(graph.n) for k in range(fleet_size)]
 
     def timed_fleet(native_pref):
         rngs = [random.Random(1000 + k) for k in range(fleet_size)]
         t0 = time.perf_counter()
-        fleet = make_fleet([graph] * fleet_size, starts, rngs, native=native_pref)
+        fleet = _fleet(walk, [graph] * fleet_size, starts, rngs, native_pref)
         cover = fleet.run_until_cover("vertices")
         return sum(cover), sum(cover) / (time.perf_counter() - t0)
 
@@ -315,7 +336,7 @@ def _measure_fleet(graph, walk: str, fleet_size: int, rounds: int) -> dict:
 
 #: (name, reference seed-suffix) for the four reference/array pairs; the
 #: factories come from the engine registry, so the bench measures exactly
-#: what `cover_time_trials(engine=...)` runs.
+#: what `cover_time_trials(policy=ExecutionPolicy(engine=...))` runs.
 _PAIRS = ("srw", "eprocess", "rotor", "rwc2")
 
 
@@ -399,9 +420,7 @@ def run_smoke(n: int) -> int:
                 reference = NAMED_WALK_FACTORIES[walk_name]["reference"]
                 rngs = [random.Random(1000 + k) for k in range(K)]
                 twins = [random.Random(1000 + k) for k in range(K)]
-                fleet = FLEET_ENGINES[walk_name](
-                    [g] * K, starts, rngs, native=pref
-                )
+                fleet = _fleet(walk_name, [g] * K, starts, rngs, pref)
                 cover = fleet.run_until_cover("vertices")
                 bad = False
                 for k in range(K):

@@ -92,6 +92,7 @@ from repro.graphs import (
 from repro.sim import (
     DEFAULT_ROOT_SEED,
     Aggregate,
+    ExecutionPolicy,
     aggregate,
     cover_time_trials,
     fit_linear,
@@ -209,6 +210,7 @@ __all__ = [
     "Aggregate",
     "aggregate",
     "spawn",
+    "ExecutionPolicy",
     "cover_time_trials",
     "fit_linear",
     "fit_nlogn",

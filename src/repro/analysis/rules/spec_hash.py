@@ -1,9 +1,11 @@
 """R5 spec-hash: every ``ExperimentSpec`` field carries a hash decision.
 
 The experiment store keys results by a content hash over exactly the
-result-determining spec fields; execution knobs (``trials``, ``engine``)
-are deliberately excluded so top-ups and engine switches share buckets.
-That partition is load-bearing: a new field that silently stays *out* of
+result-determining spec fields; ``trials`` is deliberately excluded so
+top-ups share buckets.  (How trials run — engine, workers, fleet size —
+is not a spec field at all: it lives in
+:class:`~repro.sim.policy.ExecutionPolicy`, whose type keeps it out of
+``identity()``.)  The partition is load-bearing: a new field that silently stays *out* of
 the hash aliases distinct experiments onto one bucket (wrong cached
 results); one that silently goes *in* splits buckets that should share
 (warm re-runs recompute everything).

@@ -34,6 +34,7 @@ from repro.core.eprocess import EdgeProcess
 from repro.core.components import isolated_blue_stars
 from repro.core.goodness import ell_goodness_exact
 from repro.core.stars import expected_isolated_stars
+from repro.engine import DEFAULT_FLEET_SIZE, resolve_walk_factory
 from repro.errors import ReproError
 from repro.experiments import (
     ExperimentSpec,
@@ -51,6 +52,7 @@ from repro.experiments import (
 from repro.graphs import Graph, random_connected_regular_graph
 from repro.graphs.properties import girth
 from repro.sim.fitting import fit_normalized_profile, select_growth_model
+from repro.sim.policy import ExecutionPolicy
 from repro.sim.results import Series, aggregate
 from repro.sim.rng import DEFAULT_ROOT_SEED, spawn
 from repro.sim.runner import cover_time_trials
@@ -116,12 +118,30 @@ def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=int, default=13, help="LPS q (size ~ q^3)")
 
 
-def _native_pref(args: argparse.Namespace) -> "bool | None":
-    """Map the --native choice onto the runner's fleet_native tristate."""
-    return {"auto": None, "on": True, "off": False}[getattr(args, "native", "auto")]
-
-
-def _add_robustness_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_policy_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags :func:`_execution_policy` reads: how trials run, never
+    what they return (every value gives identical results)."""
+    parser.add_argument(
+        "--engine",
+        default="reference",
+        choices=["reference", "array", "fleet"],
+        help="walk engine: reference per-step classes, the chunked "
+        "flat-array fast path, or lockstep fleet stepping of whole "
+        "trial batches (srw/eprocess/vprocess)",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="processes to spread trials over",
+    )
+    parser.add_argument(
+        "--fleet-size",
+        type=int,
+        default=DEFAULT_FLEET_SIZE,
+        metavar="K",
+        help="trials per lockstep fleet under --engine fleet (default: %(default)s)",
+    )
     parser.add_argument(
         "--retries",
         type=int,
@@ -129,8 +149,7 @@ def _add_robustness_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="transient-failure budget: worker crashes (per pool), trial "
         "timeouts / write errors (per trial), and store checkpoint "
-        "OSErrors each retry up to N times before failing (default: 2; "
-        "retried trials are bit-identical to uninterrupted ones)",
+        "OSErrors each retry up to N times before failing (default: 2)",
     )
     parser.add_argument(
         "--trial-timeout",
@@ -212,7 +231,6 @@ def _telemetry_session(
             engine=getattr(args, "engine", None),
             walk=walk if walk is not None else getattr(args, "walk", None),
             backend=getattr(args, "family", None),
-            native=getattr(args, "native", None),
             status=status,
         )
         if writer is not None:
@@ -224,18 +242,37 @@ def _telemetry_session(
             print(f"manifest: {saved}", file=sys.stderr, flush=True)
 
 
+def _execution_policy(args: argparse.Namespace, walk: str) -> ExecutionPolicy:
+    """The run's :class:`ExecutionPolicy` from its flags, checked up front.
+
+    Commands call this before building any graph or diffing any store, so
+    a bad flag — or a walk without the requested engine — exits 2 having
+    done no work.
+    """
+    policy = ExecutionPolicy(
+        engine=args.engine,
+        workers=args.workers,
+        fleet_size=args.fleet_size,
+        retries=args.retries,
+        trial_timeout=args.trial_timeout,
+        on_worker_crash=args.on_worker_crash,
+    )
+    resolve_walk_factory(walk, policy.engine)
+    return policy
+
+
 def _store_durability(args: argparse.Namespace) -> str:
     return "fsync" if getattr(args, "durable", False) else "standard"
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
+    policy = _execution_policy(args, "eprocess")
     degrees = sorted(set(args.degrees))
     sweep_spec = SweepSpec.figure1(
         sizes=args.sizes,
         degrees=degrees,
         trials=args.trials,
         root_seed=args.seed,
-        engine=args.engine,
     )
     store = (
         ResultStore(args.store, durability=_store_durability(args))
@@ -245,15 +282,7 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
     with _telemetry_session(args, "figure1", walk="eprocess") as tctx:
         tctx["store"] = store
         result = run_sweep(
-            sweep_spec,
-            store=store,
-            workers=args.workers,
-            progress=print_progress,
-            fleet_size=args.fleet_size,
-            fleet_native=_native_pref(args),
-            retries=args.retries,
-            trial_timeout=args.trial_timeout,
-            on_worker_crash=args.on_worker_crash,
+            sweep_spec, store=store, policy=policy, progress=print_progress
         )
     runs = [(p.spec, p.run) for p in result.points]
     series: List[Series] = regular_degree_series(runs, normalize_by_n=True)
@@ -307,7 +336,6 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
             trials=args.trials,
             root_seed=args.seed,
             target=args.target,
-            engine=args.engine,
         )
     if args.family == "lps":
         params_list = [{"p": args.p, "q": args.q}]
@@ -330,7 +358,6 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
                 target=args.target,
                 trials=args.trials,
                 root_seed=args.seed,
-                engine=args.engine,
             )
             for params in params_list
         ],
@@ -338,6 +365,7 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    policy = _execution_policy(args, args.walk)
     sweep_spec = _sweep_spec_from_args(args)
     store = ResultStore(args.store, durability=_store_durability(args))
     try:
@@ -346,14 +374,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             result = run_sweep(
                 sweep_spec,
                 store=store,
-                workers=args.workers,
+                policy=policy,
                 use_cache=not args.force,
                 progress=print_progress,
-                fleet_size=args.fleet_size,
-                fleet_native=_native_pref(args),
-                retries=args.retries,
-                trial_timeout=args.trial_timeout,
-                on_worker_crash=args.on_worker_crash,
             )
     except KeyboardInterrupt:
         print(
@@ -452,9 +475,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
 def _cmd_cover(args: argparse.Namespace) -> int:
     if args.walk not in WALKS:
         raise ReproError(f"unknown walk {args.walk!r}; choose from {sorted(WALKS)}")
-    engine = getattr(args, "engine", "reference")
-    workers = getattr(args, "workers", 1)
-    start = getattr(args, "start", "random")
+    policy = _execution_policy(args, args.walk)
+    start = args.start
     params = _family_params(args)
     if start != "random":
         # Validate analytically, before any graph exists: a bad --start on
@@ -469,9 +491,6 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             )
     build_rng = spawn(args.seed, "cli-cover-graph")
     graph = _build_family_graph(args, build_rng)
-    # Walks go by name: the runner resolves the engine from the registry
-    # and raises the explicit no-such-engine error for walks without the
-    # requested twin (never a silent reference fallback).
     with _telemetry_session(args, "cover"):
         run = cover_time_trials(
             workload=graph,
@@ -481,13 +500,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             target=args.target,
             start=start,
             label=f"cli-cover-{args.walk}",
-            engine=engine,
-            workers=workers,
-            fleet_size=getattr(args, "fleet_size", None),
-            fleet_native=_native_pref(args),
-            retries=args.retries,
-            trial_timeout=args.trial_timeout,
-            on_worker_crash=args.on_worker_crash,
+            policy=policy,
         )
     denom = graph.n if args.target == "vertices" else graph.m
     print(
@@ -712,49 +725,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _add_engine_arguments(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--engine",
-            default="reference",
-            choices=["reference", "array", "fleet"],
-            help="walk engine: reference per-step classes, the chunked "
-            "flat-array fast path, or lockstep fleet stepping of whole "
-            "trial batches (srw/eprocess/vprocess; identical results, "
-            "rising throughput)",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="processes to spread trials over (results are identical "
-            "for any worker count)",
-        )
-        p.add_argument(
-            "--fleet-size",
-            type=int,
-            default=None,
-            metavar="K",
-            help="trials per lockstep fleet under --engine fleet "
-            "(default 128; identical results for any K)",
-        )
-        p.add_argument(
-            "--native",
-            default="auto",
-            choices=["auto", "on", "off"],
-            help="fused C kernel for the stepwise fleet kernels under "
-            "--engine fleet: auto uses it when built (REPRO_NATIVE=0 "
-            "opts out; without it SRW runs per trial on the array engine), "
-            "on requires it, off forces the numpy path "
-            "(identical results either way)",
-        )
-
     fig1 = sub.add_parser("figure1", help="regenerate Figure 1 at a chosen scale")
     fig1.add_argument("--sizes", type=int, nargs="+", default=[1000, 2000, 4000, 8000])
     fig1.add_argument("--degrees", type=int, nargs="+", default=[3, 4, 5, 6, 7])
     fig1.add_argument("--trials", type=int, default=5)
     fig1.add_argument("--seed", type=int, default=DEFAULT_ROOT_SEED)
-    _add_engine_arguments(fig1)
-    _add_robustness_arguments(fig1)
+    _add_policy_arguments(fig1)
     _add_telemetry_arguments(fig1)
     fig1.add_argument(
         "--store",
@@ -799,8 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a sweep against the experiment store (only missing trials)",
     )
     _add_sweep_grid_arguments(swp)
-    _add_engine_arguments(swp)
-    _add_robustness_arguments(swp)
+    _add_policy_arguments(swp)
     _add_telemetry_arguments(swp)
     swp.add_argument(
         "--durable",
@@ -826,7 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rebuild a sweep's table purely from the store (runs nothing)",
     )
     _add_sweep_grid_arguments(rep)
-    rep.add_argument("--engine", default="reference", help=argparse.SUPPRESS)
     rep.set_defaults(fn=_cmd_report)
 
     st = sub.add_parser("store", help="inspect or compact an experiment store")
@@ -852,8 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trial (default: random)",
     )
     cover.add_argument("--seed", type=int, default=DEFAULT_ROOT_SEED)
-    _add_engine_arguments(cover)
-    _add_robustness_arguments(cover)
+    _add_policy_arguments(cover)
     _add_telemetry_arguments(cover)
     cover.set_defaults(fn=_cmd_cover)
 

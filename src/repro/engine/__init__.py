@@ -20,22 +20,21 @@ Three engines exist:
   :class:`~repro.engine.fleet_unvisited.FleetVProcess`): the runner
   batches trials through the walk's entry in :data:`FLEET_ENGINES`;
   batches that fail :func:`~repro.engine.fleet.fleet_supported` raise
-  :class:`~repro.errors.ReproError` naming the offending lane.  The
-  registry's ``"fleet"`` factory is the walk's best per-trial twin —
-  never stepped by the fleet path, it documents (and pins, for the
-  bit-identity suites) which per-trial walk a fleet lane must match.
+  :class:`~repro.errors.ReproError` naming the offending lane.  A walk
+  can fleet exactly when it has an entry there.
 
-The registry at the bottom is the single source of truth for every walk
-the CLI and experiment specs can name — one entry per walk, mapping each
-supported engine to a module-level factory (picklable for the
-multiprocessing runner).  Walks without a fast twin simply have only the
-``"reference"`` entry; asking for a missing engine is an explicit
+The registries at the bottom are the single source of truth for every
+walk the CLI and experiment specs can name: :data:`NAMED_WALK_FACTORIES`
+maps each walk's per-trial engines to module-level factories (picklable
+for the multiprocessing runner), :data:`FLEET_ENGINES` its lockstep
+class.  Walks without a fast twin simply have only the ``"reference"``
+entry; asking for a missing engine is an explicit
 :class:`~repro.errors.ReproError`, never a silent reference fallback.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Union
+from typing import Callable, Dict, List, Union
 
 from repro.core.eprocess import EdgeProcess
 from repro.engine.base import DEFAULT_CHUNK_SIZE, ArrayWalkEngine, MTWordStream
@@ -152,47 +151,42 @@ def _oldest_first_reference(graph, start, rng):
     return OldestFirstWalk(graph, start, rng=rng, track_edges=True)
 
 
-#: Every nameable walk, mapping each supported engine to its factory.
+#: Every nameable walk, mapping each per-trial engine to its factory.
 #: All variants of a name take ``(graph, start, rng)``, track edges (so
 #: either cover target works), and consume randomness identically —
 #: switching engines changes throughput, never numbers.
 NAMED_WALK_FACTORIES: Dict[str, Dict[str, Callable]] = {
-    "srw": {"reference": _srw_reference, "array": _srw_array, "fleet": _srw_array},
-    "eprocess": {
-        "reference": _eprocess_reference,
-        "array": _eprocess_array,
-        "fleet": _eprocess_array,
-    },
+    "srw": {"reference": _srw_reference, "array": _srw_array},
+    "eprocess": {"reference": _eprocess_reference, "array": _eprocess_array},
     "rotor": {"reference": _rotor_reference, "array": _rotor_array},
     "rwc2": {"reference": _rwc2_reference, "array": _rwc2_array},
-    "vprocess": {"reference": _vprocess_reference, "fleet": _vprocess_reference},
+    "vprocess": {"reference": _vprocess_reference},
     "least-used": {"reference": _least_used_reference},
     "oldest-first": {"reference": _oldest_first_reference},
 }
 
 
-def _fleet_srw(graphs, starts, rngs, native=None):
-    return FleetSRW(graphs, starts, rngs, native=native)
+def _fleet_srw(graphs, starts, rngs):
+    return FleetSRW(graphs, starts, rngs)
 
 
-def _fleet_eprocess(graphs, starts, rngs, native=None):
+def _fleet_eprocess(graphs, starts, rngs):
     # record_phases=False mirrors the per-trial registry factories: the
     # runner measures cover times, and phase recording never touches the
     # draw stream, so the numbers are identical either way.
-    return FleetEdgeProcess(graphs, starts, rngs, record_phases=False, native=native)
+    return FleetEdgeProcess(graphs, starts, rngs, record_phases=False)
 
 
-def _fleet_vprocess(graphs, starts, rngs, native=None):
-    return FleetVProcess(graphs, starts, rngs, native=native)
+def _fleet_vprocess(graphs, starts, rngs):
+    return FleetVProcess(graphs, starts, rngs)
 
 
 #: Lockstep fleet constructors by walk name — the classes the runner's
-#: ``engine="fleet"`` batches actually step.  Every key must also carry a
-#: ``"fleet"`` entry in :data:`NAMED_WALK_FACTORIES` (and vice versa);
+#: ``engine="fleet"`` batches step, and the only record of which walks
+#: can fleet.  Each takes ``(graphs, starts, rngs)`` and runs the fastest
+#: bit-identical kernel it can observe (the fused C kernel when built;
+#: ``REPRO_NATIVE=0`` opts out);
 #: :func:`repro.engine.fleet.fleet_supported` guards per-batch eligibility.
-#: Each factory takes ``(graphs, starts, rngs, native=None)`` — ``native``
-#: is the stepwise kernels' fused-C preference (None auto / False numpy /
-#: True required), threaded from ``run_trials(fleet_native=...)``.
 FLEET_ENGINES: Dict[str, Callable] = {
     "srw": _fleet_srw,
     "eprocess": _fleet_eprocess,
@@ -200,14 +194,23 @@ FLEET_ENGINES: Dict[str, Callable] = {
 }
 
 
+def _engines_of(walk: str) -> List[str]:
+    """The engines a named walk runs on, sorted."""
+    return sorted(
+        list(NAMED_WALK_FACTORIES[walk]) + (["fleet"] if walk in FLEET_ENGINES else [])
+    )
+
+
 def resolve_walk_factory(walk: Union[str, Callable], engine: str = "reference") -> Callable:
-    """Resolve a walk name or factory to a concrete walk factory.
+    """Resolve a walk name or factory to what ``engine`` constructs.
 
     ``walk`` may be a name from :data:`NAMED_WALK_FACTORIES` (resolved for
     the requested engine) or an explicit ``f(graph, start, rng)`` factory
     (allowed only with ``engine="reference"`` — a callable already commits
     to a concrete walk class, so asking for a fast engine on top of it
-    would be silently ignored at best).
+    would be silently ignored at best).  Under ``engine="fleet"`` the
+    result is the walk's lockstep constructor from :data:`FLEET_ENGINES`,
+    ``f(graphs, starts, rngs)``.
 
     Requesting an engine a walk does not implement raises
     :class:`~repro.errors.ReproError` naming the walk, its available
@@ -229,12 +232,12 @@ def resolve_walk_factory(walk: Union[str, Callable], engine: str = "reference") 
         raise ReproError(
             f"unknown walk {walk!r}; named walks: {sorted(NAMED_WALK_FACTORIES)}"
         )
-    factory = variants.get(engine)
+    factory = FLEET_ENGINES.get(walk) if engine == "fleet" else variants.get(engine)
     if factory is None:
-        capable = sorted(n for n, v in NAMED_WALK_FACTORIES.items() if engine in v)
+        capable = sorted(n for n in NAMED_WALK_FACTORIES if engine in _engines_of(n))
         raise ReproError(
             f"walk {walk!r} has no {engine!r} engine (available: "
-            f"{sorted(variants)}); walks with a {engine!r} engine: {capable}. "
+            f"{_engines_of(walk)}); walks with a {engine!r} engine: {capable}. "
             "Use engine='reference' for this walk."
         )
     return factory

@@ -54,10 +54,6 @@ __all__ = [
     "ArrayWalkEngine",
     "MTWordStream",
     "VisitedSet",
-    "NeighborBackend",
-    "CSRNeighborBackend",
-    "OracleNeighborBackend",
-    "neighbor_backend",
     "mt_state_to_numpy",
     "mt_state_from_numpy",
     "DEFAULT_CHUNK_SIZE",
@@ -327,68 +323,6 @@ class VisitedSet:
 
     def __len__(self) -> int:
         return self.nbits
-
-
-class NeighborBackend:
-    """The seam the array/fleet kernels resolve neighbors through.
-
-    Two implementations: :class:`CSRNeighborBackend` (a materialized
-    :class:`~repro.graphs.graph.Graph`'s flat arrays — the existing path)
-    and :class:`OracleNeighborBackend` (closed-form evaluation on an
-    :class:`~repro.graphs.implicit.ImplicitGraph`, scalar or on whole
-    index arrays at once).  ``resolve(v, k)`` answers slot ``k`` at ``v``;
-    ``resolve_many`` is the vectorized form the lockstep kernels use.
-    """
-
-    is_oracle = False
-
-    def resolve(self, vertex: int, slot: int) -> int:
-        raise NotImplementedError
-
-    def resolve_many(self, vertices: Any, slots: Any) -> Any:
-        raise NotImplementedError
-
-
-class CSRNeighborBackend(NeighborBackend):
-    """Neighbor resolution from a materialized graph's CSR arrays."""
-
-    def __init__(self, graph: Any) -> None:
-        self.graph = graph
-        offsets, _eids, neighbors = graph.csr_arrays()
-        self._offsets = offsets
-        self._neighbors = neighbors
-        self._off_list = offsets.tolist()
-        self._nbr_list = neighbors.tolist()
-
-    def resolve(self, vertex: int, slot: int) -> int:
-        return self._nbr_list[self._off_list[vertex] + slot]
-
-    def resolve_many(self, vertices: Any, slots: Any) -> Any:
-        return self._neighbors[self._offsets[vertices] + slots]
-
-
-class OracleNeighborBackend(NeighborBackend):
-    """Neighbor resolution by evaluating an implicit graph's oracle."""
-
-    is_oracle = True
-
-    def __init__(self, graph: Any) -> None:
-        self.graph = graph
-
-    def resolve(self, vertex: int, slot: int) -> int:
-        return self.graph.kth_neighbor(vertex, slot)
-
-    def resolve_many(self, vertices: Any, slots: Any) -> Any:
-        return self.graph.kth_neighbors(vertices, slots)
-
-
-def neighbor_backend(graph: Any) -> NeighborBackend:
-    """The right :class:`NeighborBackend` for ``graph``."""
-    from repro.graphs.implicit import is_implicit
-
-    if is_implicit(graph):
-        return OracleNeighborBackend(graph)
-    return CSRNeighborBackend(graph)
 
 
 class ArrayWalkEngine:

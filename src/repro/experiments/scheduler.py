@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import ReproError
 from repro.experiments.spec import ExperimentSpec, SweepSpec
 from repro.experiments.store import ResultStore
+from repro.sim.policy import ExecutionPolicy
 from repro.sim.runner import CoverRun, TrialOutcome, aggregate_outcomes, run_trials
 from repro.telemetry import get_telemetry
 from repro.testing import faults
@@ -55,11 +56,15 @@ _CHECKPOINT_BACKOFF_CAP = 1.0
 
 
 def _checkpoint(
-    store: ResultStore, spec: ExperimentSpec, outcome: TrialOutcome, retries: int
+    store: ResultStore,
+    spec: ExperimentSpec,
+    outcome: TrialOutcome,
+    policy: ExecutionPolicy,
 ) -> None:
     """Persist one trial, riding out transient write failures.
 
-    A checkpoint that cannot be written after ``retries`` attempts fails
+    The record is stamped with ``policy.engine``.  A checkpoint that
+    cannot be written after ``policy.retries`` attempts fails
     the run loudly — continuing would silently recompute the cell on
     every future resume, which on campaign-scale sweeps is worse than
     stopping.  After the successful write comes the
@@ -67,16 +72,17 @@ def _checkpoint(
     and-ack window, where a crash must cost zero records on resume.
     """
     tel = get_telemetry()
+    retries = policy.retries
     attempt = 0
     while True:
         try:
             if tel.enabled:
                 t0 = time.perf_counter()  # repro: allow[R2] checkpoint timing telemetry
-                store.record(spec, outcome)
+                store.record(spec, outcome, policy.engine)
                 tel.time_add("store.checkpoint_seconds", time.perf_counter() - t0)  # repro: allow[R2] checkpoint timing telemetry
                 tel.count("store.checkpoints")
             else:
-                store.record(spec, outcome)
+                store.record(spec, outcome, policy.engine)
             break
         except OSError as exc:
             attempt += 1
@@ -155,14 +161,9 @@ class SweepRunResult:
 def run_point(
     spec: ExperimentSpec,
     store: Optional[ResultStore] = None,
-    workers: int = 1,
+    policy: ExecutionPolicy = ExecutionPolicy(),
     use_cache: bool = True,
     progress: Optional[Progress] = None,
-    fleet_size: Optional[int] = None,
-    fleet_native: Optional[bool] = None,
-    retries: int = 2,
-    trial_timeout: Optional[float] = None,
-    on_worker_crash: str = "retry",
 ) -> PointResult:
     """Run one experiment point, filling only the store's missing trials.
 
@@ -172,15 +173,13 @@ def run_point(
     recomputes everything and records the fresh values in place of any
     the store already held (the repair path for a store suspected stale).
 
-    Under ``spec.engine == "fleet"`` the runner cuts the *missing* cells
-    into fleet-sized lockstep batches — so a partially cached point
-    fleets only its gaps, and the fleet/array/reference engines all land
-    in the same store bucket (the spec hash excludes the engine).
-
-    ``retries``/``trial_timeout``/``on_worker_crash`` parameterise the
-    runner's supervisor (see :func:`repro.sim.runner.run_trials`);
-    ``retries`` also bounds how many transient ``OSError`` a checkpoint
-    write absorbs before the run fails.
+    ``policy`` says how the missing cells run (see
+    :class:`~repro.sim.policy.ExecutionPolicy`).  Under
+    ``policy.engine == "fleet"`` the runner cuts them into fleet-sized
+    lockstep batches — so a partially cached point fleets only its gaps,
+    and every engine lands in the same store bucket (the policy is not
+    part of the spec).  ``policy.retries`` also bounds how many transient
+    ``OSError`` a checkpoint write absorbs before the run fails.
     """
     cached: Dict[int, TrialOutcome] = {}
     if store is not None and use_cache:
@@ -210,7 +209,7 @@ def run_point(
         # Cached cells were excluded from `missing`, so from here every
         # computed trial is a genuinely new cell: plain append.
         def on_result(outcome: TrialOutcome, _spec=spec) -> None:
-            _checkpoint(store, _spec, outcome, retries)
+            _checkpoint(store, _spec, outcome, policy)
 
     fresh = run_trials(
         workload=spec.workload(),
@@ -221,14 +220,8 @@ def run_point(
         start=spec.start,
         max_steps=spec.max_steps,
         label=spec.seed_label,
-        engine=spec.engine,
-        workers=workers,
-        fleet_size=fleet_size,
-        fleet_native=fleet_native,
+        policy=policy,
         on_result=on_result,
-        retries=retries,
-        trial_timeout=trial_timeout,
-        on_worker_crash=on_worker_crash,
     )
     by_trial = dict(cached)
     by_trial.update({outcome.trial: outcome for outcome in fresh})
@@ -244,14 +237,9 @@ def run_point(
 def run_sweep(
     sweep: SweepSpec,
     store: Optional[ResultStore] = None,
-    workers: int = 1,
+    policy: ExecutionPolicy = ExecutionPolicy(),
     use_cache: bool = True,
     progress: Optional[Progress] = None,
-    fleet_size: Optional[int] = None,
-    fleet_native: Optional[bool] = None,
-    retries: int = 2,
-    trial_timeout: Optional[float] = None,
-    on_worker_crash: str = "retry",
 ) -> SweepRunResult:
     """Run a whole sweep through :func:`run_point`, streaming progress.
 
@@ -269,14 +257,9 @@ def run_sweep(
             run_point(
                 spec,
                 store=store,
-                workers=workers,
+                policy=policy,
                 use_cache=use_cache,
                 progress=prefixed,
-                fleet_size=fleet_size,
-                fleet_native=fleet_native,
-                retries=retries,
-                trial_timeout=trial_timeout,
-                on_worker_crash=on_worker_crash,
             )
         )
     result = SweepRunResult(name=sweep.name, points=tuple(points))

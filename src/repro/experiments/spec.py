@@ -7,13 +7,12 @@ hashed, stored next to its results, and rebuilt in a later session.
 
 The hash (:attr:`ExperimentSpec.spec_hash`) covers exactly the fields that
 determine the measured numbers: family + params, walk, target, root seed,
-start policy, and step budget.  It deliberately excludes
-
-* ``trials`` — results are stored per trial, so raising ``trials=5`` to
-  ``trials=20`` later must land in the same bucket (a top-up, not a rerun);
-* ``engine`` — the array engines are bit-identical to the reference walks
-  by construction (see ``tests/test_engine.py``), so an engine switch must
-  reuse cached trials, not invalidate them.
+start policy, and step budget.  It deliberately excludes ``trials``:
+results are stored per trial, so raising ``trials=5`` to ``trials=20``
+later must land in the same bucket (a top-up, not a rerun).  How trials
+run — engine, workers, fleet size — is not part of a spec at all: it is
+the runner's :class:`~repro.sim.policy.ExecutionPolicy`, which changes
+throughput and never numbers, so every engine shares one store bucket.
 
 Trial seeds derive from ``(root_seed, spec.seed_label, kind, trial)``
 through the same seed tree :func:`repro.sim.runner.cover_time_trials`
@@ -41,7 +40,7 @@ from typing import (
     Union,
 )
 
-from repro.engine import ENGINES, NAMED_WALK_FACTORIES
+from repro.engine import NAMED_WALK_FACTORIES
 from repro.errors import ReproError
 from repro.graphs import (
     Graph,
@@ -211,9 +210,9 @@ class ExperimentSpec:
     """One declarative data point: family member x walk x target x seeds.
 
     ``family_params`` accepts a mapping at construction and is normalized
-    to a sorted item tuple (hashable, canonical).  ``trials`` and
-    ``engine`` are execution knobs: they ride along in the spec but are
-    excluded from :attr:`spec_hash` (see module docstring).
+    to a sorted item tuple (hashable, canonical).  ``trials`` rides
+    along in the spec but is excluded from :attr:`spec_hash` (see module
+    docstring).
     """
 
     family: str
@@ -222,17 +221,14 @@ class ExperimentSpec:
     target: str = "vertices"
     trials: int = 5
     root_seed: int = DEFAULT_ROOT_SEED
-    engine: str = "reference"
     start: Union[int, str] = "random"
     max_steps: Optional[int] = None
 
-    #: Execution knobs excluded from :attr:`spec_hash`: a trial top-up or
-    #: an engine switch must land in the same store bucket.  Every other
-    #: field is hashed by :meth:`identity`; the ``R5`` lint rule keeps the
-    #: three-way partition (fields / identity / this list) consistent.
-    HASH_EXCLUDED_FIELDS: ClassVar[FrozenSet[str]] = frozenset(
-        {"trials", "engine"}
-    )
+    #: Fields excluded from :attr:`spec_hash`: a trial top-up must land in
+    #: the same store bucket.  Every other field is hashed by
+    #: :meth:`identity`; the ``R5`` lint rule keeps the three-way partition
+    #: (fields / identity / this list) consistent.
+    HASH_EXCLUDED_FIELDS: ClassVar[FrozenSet[str]] = frozenset({"trials"})
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family_params", _normalize_params(self.family_params))
@@ -254,17 +250,6 @@ class ExperimentSpec:
             raise ReproError(f"target must be 'vertices' or 'edges', got {self.target!r}")
         if self.trials < 1:
             raise ReproError(f"need at least one trial, got {self.trials}")
-        if self.engine not in ENGINES:
-            raise ReproError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.engine not in NAMED_WALK_FACTORIES[self.walk]:
-            capable = sorted(
-                n for n, v in NAMED_WALK_FACTORIES.items() if self.engine in v
-            )
-            raise ReproError(
-                f"walk {self.walk!r} has no {self.engine!r} engine (available: "
-                f"{sorted(NAMED_WALK_FACTORIES[self.walk])}); walks with a "
-                f"{self.engine!r} engine: {capable}"
-            )
         if self.start != "random":
             try:
                 object.__setattr__(self, "start", int(self.start))
@@ -296,8 +281,8 @@ class ExperimentSpec:
         """The result-determining fields, as a JSON-safe dict.
 
         This is the hashed payload: everything that changes the measured
-        cover times is in here, and nothing else (``trials`` and ``engine``
-        are out — see the module docstring).
+        cover times is in here, and nothing else (``trials`` is out — see
+        the module docstring).
         """
         return {
             "family": self.family,
@@ -310,8 +295,8 @@ class ExperimentSpec:
         }
 
     def canonical_json(self) -> str:
-        """Stable JSON of the full spec (identity + execution knobs)."""
-        payload = dict(self.identity(), trials=self.trials, engine=self.engine)
+        """Stable JSON of the full spec (identity + trial count)."""
+        payload = dict(self.identity(), trials=self.trials)
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @property
@@ -350,7 +335,7 @@ class ExperimentSpec:
         """What to hand the runner as ``walk_factory``.
 
         Always the walk *name*: every spec walk lives in the engine
-        registry, so the runner resolves the spec's engine itself (and
+        registry, so the runner resolves the policy's engine itself (and
         names always pickle for the worker pool).
         """
         return self.walk
@@ -358,10 +343,6 @@ class ExperimentSpec:
     def with_trials(self, trials: int) -> "ExperimentSpec":
         """Same point, different trial count (same store bucket)."""
         return replace(self, trials=trials)
-
-    def with_engine(self, engine: str) -> "ExperimentSpec":
-        """Same point, different engine (same store bucket)."""
-        return replace(self, engine=engine)
 
 
 def _adjust_regular_n(n: int, degree: int) -> int:
@@ -423,7 +404,6 @@ class SweepSpec:
         trials: int = 5,
         root_seed: int = DEFAULT_ROOT_SEED,
         target: str = "vertices",
-        engine: str = "reference",
         max_steps: Optional[int] = None,
     ) -> "SweepSpec":
         """The paper's grid: random d-regular graphs over degrees x sizes.
@@ -440,7 +420,6 @@ class SweepSpec:
                 target=target,
                 trials=trials,
                 root_seed=root_seed,
-                engine=engine,
                 max_steps=max_steps,
             )
             for degree in degrees
@@ -455,7 +434,6 @@ class SweepSpec:
         degrees: Sequence[int],
         trials: int = 5,
         root_seed: int = DEFAULT_ROOT_SEED,
-        engine: str = "reference",
     ) -> "SweepSpec":
         """The Figure 1 sweep: E-process vertex cover on d-regular graphs."""
         return cls.regular_grid(
@@ -466,7 +444,6 @@ class SweepSpec:
             trials=trials,
             root_seed=root_seed,
             target="vertices",
-            engine=engine,
         )
 
 

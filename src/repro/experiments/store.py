@@ -329,8 +329,14 @@ class ResultStore:
             # A complete record that only lost its newline: keep it.
             os.pwrite(fd, b"\n", size)
 
-    def record(self, spec: ExperimentSpec, outcome: TrialOutcome) -> TrialRecord:
+    def record(
+        self, spec: ExperimentSpec, outcome: TrialOutcome, engine: str = "reference"
+    ) -> TrialRecord:
         """Append one finished trial (registers the spec on first write).
+
+        ``engine`` is the run's execution-policy engine, stamped on the
+        record as provenance; it never changes the bucket (the spec hash
+        alone picks the shard).
 
         The append happens under the spec's advisory file lock, so any
         number of processes can record into one shard without interleaving
@@ -347,7 +353,7 @@ class ResultStore:
             cover_time=int(outcome.steps),
             extras={k: float(v) for k, v in outcome.extras.items()},
             wall_time=float(outcome.wall_time),
-            engine=spec.engine,
+            engine=engine,
             code_version=self.code_version,
             peak_rss_bytes=int(getattr(outcome, "peak_rss_bytes", 0)),
         )

@@ -21,6 +21,7 @@ from repro.sim.results import (
 from repro.sim.plot import ascii_plot
 from repro.sim.profiles import ExplorationProfile, ProfilePoint, record_profile
 from repro.sim.rng import DEFAULT_ROOT_SEED, child_seed, seed_sequence, spawn
+from repro.sim.policy import ExecutionPolicy
 from repro.sim.runner import CoverRun, cover_time_trials, sweep
 from repro.sim.tables import format_kv_block, format_series_table, format_table
 
@@ -42,6 +43,7 @@ __all__ = [
     "series_from_json",
     "series_to_json",
     "CoverRun",
+    "ExecutionPolicy",
     "cover_time_trials",
     "sweep",
     "FitResult",

@@ -9,12 +9,15 @@ few declarative lines.
 Trials are independent by construction — every trial derives its graph,
 start vertex, and walk noise from ``(root_seed, label, kind, trial)``
 through the seed tree — so the runner can fan them out across a process
-pool (``workers=N``) and the results are bit-identical regardless of
-worker count or scheduling.  Likewise the ``engine`` switch
-("reference", "array", or "fleet", per walk availability in
-:data:`repro.engine.NAMED_WALK_FACTORIES`) changes throughput, never
-numbers — ``engine="fleet"`` additionally regroups trials into lockstep
-batches (``fleet_size`` per fleet, whole batches per pool worker).
+pool and the results are bit-identical regardless of worker count or
+scheduling.  How trials run — engine tier, worker count, fleet size and
+the supervision knobs below — is one frozen
+:class:`~repro.sim.policy.ExecutionPolicy`, passed as ``policy=``: it
+changes throughput, never numbers, and so it never enters an experiment
+spec's identity.  ``engine="fleet"`` regroups trials into lockstep
+batches (``fleet_size`` per fleet, whole batches per pool worker) and
+always takes the fastest bit-identical kernel it can observe (the fused
+C kernel when built; ``REPRO_NATIVE=0`` opts out).
 
 Pooled execution is *supervised*: a worker that dies (OOM kill, segfault,
 ``kill -9``) breaks only its pool generation, not the run — the
@@ -69,6 +72,7 @@ from typing import (
 
 from repro.errors import ReproError, TrialTimeout
 from repro.graphs.graph import Graph
+from repro.sim.policy import ExecutionPolicy
 from repro.sim.results import Aggregate, aggregate
 from repro.sim.rng import spawn
 from repro.telemetry import get_telemetry, peak_rss_bytes
@@ -148,7 +152,7 @@ class _TrialSpec(NamedTuple):
     """Everything one trial needs, picklable for the worker pool."""
 
     workload: Union[Graph, GraphFactory]
-    walk_factory: WalkFactory
+    walk_factory: Callable  # per trial; the lockstep constructor under fleets
     trial: int
     root_seed: int
     label: str
@@ -157,7 +161,6 @@ class _TrialSpec(NamedTuple):
     max_steps: Optional[int]
     extra_metrics: Optional[Callable[[WalkProcess], Dict[str, float]]]
     walk_name: Optional[str] = None  # registry name; set when walks go by name
-    fleet_native: Optional[bool] = None  # fused-kernel preference (fleets)
     trial_timeout: Optional[float] = None  # wall-clock ceiling per trial
 
 
@@ -259,17 +262,16 @@ def _run_trial(spec: _TrialSpec) -> TrialOutcome:
     )
 
 
-def _srw_per_trial(walk: Optional[str], graphs: Sequence[Graph], native_pref: Optional[bool]) -> bool:
-    """Whether an auto-selected SRW batch should step trial by trial.
+def _srw_per_trial(walk: Optional[str], graphs: Sequence[Graph]) -> bool:
+    """Whether an SRW fleet batch should step trial by trial.
 
     Without the fused kernel the numpy SRW fleet on materialized graphs
     runs at or below the speed of per-trial ``ArraySRW``
-    (``benchmarks/out/BENCH_engine.json``), so with ``fleet_native=None``
-    the batch runs each trial on that bit-identical twin instead.  An
-    explicit ``fleet_native=False`` still steps the numpy fleet, and the
-    implicit-graph SRW fleet is unaffected (it has no native path).
+    (``benchmarks/out/BENCH_engine.json``), so the batch runs each trial
+    on that bit-identical twin instead.  The implicit-graph SRW fleet is
+    unaffected (it has no native path).
     """
-    if walk != "srw" or native_pref is not None:
+    if walk != "srw":
         return False
     from repro.engine import native
     from repro.graphs.implicit import is_implicit
@@ -289,9 +291,10 @@ def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialO
     change of stepping strategy: the caller asked for fleets and should
     decide (``engine="array"`` gives identical numbers per trial).  The
     one throughput substitution is :func:`_srw_per_trial`'s, counted as
-    ``runner.srw_array_batches``.
+    ``runner.srw_array_batches``.  ``template.walk_factory`` is the
+    walk's lockstep constructor from :data:`repro.engine.FLEET_ENGINES`.
     """
-    from repro.engine import FLEET_ENGINES
+    from repro.engine import NAMED_WALK_FACTORIES
     from repro.engine.fleet import fleet_supported
 
     t0 = time.perf_counter()  # repro: allow[R2] reported wall time, result-inert
@@ -319,27 +322,26 @@ def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialO
         walk = template.walk_name
         ok, reason = fleet_supported(graphs, rngs, walk=walk, labels=list(trials))
         if not ok:
-            from repro.engine import NAMED_WALK_FACTORIES
-
             alternatives = " or ".join(
-                f"engine={e!r}" for e in NAMED_WALK_FACTORIES[walk] if e != "fleet"
+                f"engine={e!r}" for e in NAMED_WALK_FACTORIES[walk]
             )
             raise ReproError(
                 f"engine='fleet': trial batch {list(trials)} of walk {walk!r} "
                 f"cannot step as a fleet: {reason}. Use {alternatives} for "
                 "identical per-trial results."
             )
-        per_trial = _srw_per_trial(walk, graphs, template.fleet_native)
+        per_trial = _srw_per_trial(walk, graphs)
         if per_trial:
+            twin = NAMED_WALK_FACTORIES["srw"]["array"]
             cover = []
             for graph, start_vertex, walk_rng in zip(graphs, starts, rngs):
-                one = template.walk_factory(graph, start_vertex, walk_rng)
+                one = twin(graph, start_vertex, walk_rng)
                 if template.target == "vertices":
                     cover.append(one.run_until_vertex_cover(template.max_steps))
                 else:
                     cover.append(one.run_until_edge_cover(template.max_steps))
         else:
-            fleet = FLEET_ENGINES[walk](graphs, starts, rngs, native=template.fleet_native)
+            fleet = template.walk_factory(graphs, starts, rngs)
             cover = fleet.run_until_cover(
                 target=template.target, max_steps=template.max_steps, labels=list(trials)
             )
@@ -392,8 +394,6 @@ def _run_pool_fleet(trials: Tuple[int, ...]) -> List[TrialOutcome]:
 _BACKOFF_BASE_SECONDS = 0.05
 _BACKOFF_CAP_SECONDS = 2.0
 
-_CRASH_MODES = ("retry", "inline", "fail")
-
 
 def _backoff_sleep(failures: int) -> None:
     time.sleep(min(_BACKOFF_CAP_SECONDS, _BACKOFF_BASE_SECONDS * (2 ** (failures - 1))))
@@ -404,10 +404,8 @@ def _supervised_run(
     items: List,
     pool_fn: Callable,
     inline_fn: Callable,
-    workers: int,
+    policy: ExecutionPolicy,
     consume: Callable,
-    retries: int,
-    on_worker_crash: str,
     describe: Callable[[object], str],
 ) -> None:
     """Drive work items (trials or fleet batches) to completion, supervised.
@@ -417,13 +415,13 @@ def _supervised_run(
     * **Worker death** (``BrokenProcessPool``: OOM kill, segfault, an
       injected ``worker_kill``).  Items already consumed stay consumed;
       exactly the lost items are requeued into a fresh pool after a
-      capped exponential backoff.  ``on_worker_crash`` decides the
-      policy: ``"retry"`` rebuilds the pool up to ``retries`` times and
+      capped exponential backoff.  ``policy.on_worker_crash`` decides:
+      ``"retry"`` rebuilds the pool up to ``policy.retries`` times and
       then degrades to inline execution, ``"inline"`` degrades
       immediately, ``"fail"`` raises :class:`ReproError` at once.
     * **Retryable item failure** (:class:`TrialTimeout` from the
       wall-clock limit, or ``OSError`` — transient I/O).  The item is
-      retried up to ``retries`` times, then :class:`ReproError` names it.
+      retried up to ``policy.retries`` times, then :class:`ReproError` names it.
     * **Anything else** (validation errors, walk bugs) is deterministic:
       it propagates immediately, exactly as unsupervised execution would.
 
@@ -433,6 +431,8 @@ def _supervised_run(
     invoked in the calling process once per completed item.
     """
     tel = get_telemetry()
+    retries = policy.retries
+    on_worker_crash = policy.on_worker_crash
     attempts: Dict = {}
 
     def note_item_failure(item, exc: BaseException) -> None:
@@ -454,12 +454,12 @@ def _supervised_run(
 
     pending = list(items)
     pool_failures = 0
-    inline_mode = workers <= 1
+    inline_mode = policy.workers <= 1
     while pending and not inline_mode:
         current, pending = pending, []
         consumed = set()
         pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(current)),
+            max_workers=min(policy.workers, len(current)),
             initializer=_init_pool_worker,
             initargs=(template,),
         )
@@ -555,14 +555,8 @@ def run_trials(
     max_steps: Optional[int] = None,
     label: str = "cover",
     extra_metrics: Optional[Callable[[WalkProcess], Dict[str, float]]] = None,
-    engine: str = "reference",
-    workers: int = 1,
-    fleet_size: Optional[int] = None,
-    fleet_native: Optional[bool] = None,
+    policy: ExecutionPolicy = ExecutionPolicy(),
     on_result: Optional[Callable[[TrialOutcome], None]] = None,
-    retries: int = 2,
-    trial_timeout: Optional[float] = None,
-    on_worker_crash: str = "retry",
 ) -> List[TrialOutcome]:
     """Run an explicit set of trials; the per-trial core of the runner.
 
@@ -586,25 +580,14 @@ def run_trials(
         fires exactly once even when supervision re-runs it (only
         unconsumed trials are requeued after a worker crash).
 
-    Under ``engine="fleet"`` the requested indices are cut into batches
-    of ``fleet_size`` (default :data:`repro.engine.DEFAULT_FLEET_SIZE`)
-    and each batch advances as one lockstep fleet; with ``workers > 1``
-    the pool distributes whole batches, so every worker drives a fleet.
-    ``on_result`` then fires per batch (all of a batch's outcomes as the
-    batch completes) — still one call per trial.  ``fleet_native``
-    selects the fleets' fused C kernel (None auto-detects, False forces
-    the numpy path, True requires the kernel) — a throughput switch only,
-    the numbers are bit-identical either way.  Auto-detected SRW batches
-    on materialized graphs run trial by trial on ``ArraySRW`` when the
-    kernel is unavailable, since the numpy SRW fleet is no faster.
-
-    Supervision knobs (see the module docstring for the failure model):
-    ``retries`` bounds both per-item retry budgets and consecutive pool
-    rebuilds; ``trial_timeout`` is a per-trial wall-clock ceiling in
-    seconds (fleet batches pool it: ``fleet_size`` trials get
-    ``fleet_size`` timeouts together); ``on_worker_crash`` is
-    ``"retry"`` / ``"inline"`` / ``"fail"``.  None of them can change
-    results — only whether and where a trial is recomputed.
+    Under ``policy.engine == "fleet"`` the requested indices are cut into
+    batches of ``policy.fleet_size`` and each batch advances as one
+    lockstep fleet; with ``workers > 1`` the pool distributes whole
+    batches, so every worker drives a fleet.  ``on_result`` then fires
+    per batch (all of a batch's outcomes as the batch completes) — still
+    one call per trial.  SRW batches on materialized graphs run trial by
+    trial on ``ArraySRW`` when the fused kernel is unavailable, since the
+    numpy SRW fleet is no faster.
     """
     indices = [int(t) for t in trial_indices]
     if any(t < 0 for t in indices):
@@ -613,41 +596,16 @@ def run_trials(
         raise ReproError("duplicate trial indices")
     if target not in ("vertices", "edges"):
         raise ReproError(f"target must be 'vertices' or 'edges', got {target!r}")
-    if workers < 1:
-        raise ReproError(f"workers must be >= 1, got {workers}")
-    if retries < 0:
-        raise ReproError(f"retries must be >= 0, got {retries}")
-    if trial_timeout is not None and trial_timeout <= 0:
-        raise ReproError(f"trial_timeout must be > 0 seconds, got {trial_timeout}")
-    if on_worker_crash not in _CRASH_MODES:
-        raise ReproError(
-            f"on_worker_crash must be one of {_CRASH_MODES}, got {on_worker_crash!r}"
-        )
-    from repro.engine import DEFAULT_FLEET_SIZE, resolve_walk_factory
+    from repro.engine import resolve_walk_factory
 
-    factory = resolve_walk_factory(walk_factory, engine)
-    fleet = engine == "fleet"
-    if fleet:
-        from repro.engine import FLEET_ENGINES
-
-        if walk_factory not in FLEET_ENGINES:
-            # resolve_walk_factory already rejects walks without a "fleet"
-            # registry entry; this guard is the registration trap for a
-            # future fleet twin whose lockstep class is not wired into
-            # FLEET_ENGINES yet.
-            raise ReproError(
-                f"walk {walk_factory!r} has a 'fleet' registry entry but no "
-                f"lockstep fleet class in FLEET_ENGINES "
-                f"({sorted(FLEET_ENGINES)}); register one before enabling it"
-            )
+    factory = resolve_walk_factory(walk_factory, policy.engine)
+    fleet = policy.engine == "fleet"
     if fleet and extra_metrics is not None:
         raise ReproError(
             "engine='fleet' advances trials in lockstep batches and never "
             "materializes per-trial walk objects, so extra_metrics cannot "
             "be computed; use engine='array' (identical numbers)"
         )
-    if fleet_size is not None and fleet_size < 1:
-        raise ReproError(f"fleet_size must be >= 1, got {fleet_size}")
     fixed_start = _resolve_start(start)
     template = _TrialSpec(
         workload=workload,
@@ -660,16 +618,16 @@ def run_trials(
         max_steps=max_steps,
         extra_metrics=extra_metrics,
         walk_name=walk_factory if isinstance(walk_factory, str) else None,
-        fleet_native=fleet_native,
-        trial_timeout=trial_timeout,
+        trial_timeout=policy.trial_timeout,
     )
     if not indices:
         return []
+    workers = policy.workers
     logger.info(
         "run_trials: %d trial(s), walk=%s engine=%s target=%s workers=%d",
         len(indices),
         walk_factory if isinstance(walk_factory, str) else "<custom>",
-        engine,
+        policy.engine,
         target,
         workers,
     )
@@ -688,7 +646,7 @@ def run_trials(
         )
     by_trial: Dict[int, TrialOutcome] = {}
     if fleet:
-        size = fleet_size if fleet_size is not None else DEFAULT_FLEET_SIZE
+        size = policy.fleet_size
         batches = [
             tuple(indices[i : i + size]) for i in range(0, len(indices), size)
         ]
@@ -707,10 +665,8 @@ def run_trials(
             batches,
             pool_fn=_run_pool_fleet,
             inline_fn=lambda batch: _run_fleet_batch(template, batch),
-            workers=workers,
+            policy=policy,
             consume=consume_batch,
-            retries=retries,
-            on_worker_crash=on_worker_crash,
             describe=lambda batch: f"fleet batch {list(batch)}",
         )
     else:
@@ -725,10 +681,8 @@ def run_trials(
             indices,
             pool_fn=_run_pool_trial,
             inline_fn=lambda t: _run_trial(template._replace(trial=t)),
-            workers=workers,
+            policy=policy,
             consume=consume_trial,
-            retries=retries,
-            on_worker_crash=on_worker_crash,
             describe=lambda t: f"trial {t}",
         )
     unaccounted = [t for t in indices if t not in by_trial]
@@ -767,13 +721,7 @@ def cover_time_trials(
     max_steps: Optional[int] = None,
     label: str = "cover",
     extra_metrics: Optional[Callable[[WalkProcess], Dict[str, float]]] = None,
-    engine: str = "reference",
-    workers: int = 1,
-    fleet_size: Optional[int] = None,
-    fleet_native: Optional[bool] = None,
-    retries: int = 2,
-    trial_timeout: Optional[float] = None,
-    on_worker_crash: str = "retry",
+    policy: ExecutionPolicy = ExecutionPolicy(),
 ) -> CoverRun:
     """Run repeated cover-time trials.
 
@@ -785,8 +733,9 @@ def cover_time_trials(
     walk_factory:
         ``f(graph, start, rng) -> WalkProcess``, or the name of a walk
         registered in :data:`repro.engine.NAMED_WALK_FACTORIES` (``"srw"``,
-        ``"eprocess"``) — names are required for ``engine="array"`` and
-        recommended for ``workers > 1`` (they always pickle).
+        ``"eprocess"``) — names are required for the ``array`` and
+        ``fleet`` engines and recommended for ``workers > 1`` (they
+        always pickle).
     trials:
         Number of independent trials (paper: 5 per data point).
     root_seed:
@@ -806,47 +755,11 @@ def cover_time_trials(
     extra_metrics:
         Optional ``f(finished_walk) -> {name: value}`` collected per trial
         and aggregated.  Must be picklable when ``workers > 1``.
-    engine:
-        ``"reference"`` (the pluggable per-step classes), ``"array"``
-        (the chunked flat-array engines from :mod:`repro.engine`), or
-        ``"fleet"`` (lockstep many-trial stepping; walks with a lockstep
-        class in :data:`repro.engine.FLEET_ENGINES` — ``"srw"``,
-        ``"eprocess"``, ``"vprocess"``).  All engines consume randomness
-        identically, so the choice never changes the measured cover
-        times — only how fast they arrive.  A fleet batch whose lanes
-        cannot fleet (mismatched graph shapes, self-loops under the
-        E-process, non-MT generators …) raises :class:`ReproError`
-        naming the offending lane and trial.
-    workers:
-        Number of processes to spread trials over (default 1 = in-process,
-        no pool).  Results are bit-identical for any worker count because
-        each trial's randomness depends only on its seed-tree path.
-    fleet_size:
-        Trials advanced together per fleet under ``engine="fleet"``
-        (default :data:`repro.engine.DEFAULT_FLEET_SIZE`); composes with
-        ``workers`` — each worker process drives whole fleets.
-    fleet_native:
-        Fused-C-kernel preference for the stepwise fleet kernels: None
-        (default) auto-detects the built extension (``REPRO_NATIVE=0``
-        opts out), False forces the pure-numpy path, True requires the
-        kernel (:class:`ReproError` when it is not built).  Bit-identical
-        results either way.
-    retries:
-        Retry budget for supervised execution: per-trial transient
-        failures (``OSError``, wall-clock timeouts) and consecutive
-        worker-pool crashes each get this many retries before the run
-        fails (or degrades — see ``on_worker_crash``).
-    trial_timeout:
-        Per-trial wall-clock ceiling in seconds (None: unlimited);
-        distinct from ``max_steps``, which caps *steps* deterministically.
-        A fleet batch pools the budget (``fleet_size`` trials advance in
-        lockstep, so the batch gets ``fleet_size`` timeouts together).
-    on_worker_crash:
-        What to do when a pool worker dies: ``"retry"`` (default)
-        requeues the lost trials into a fresh pool, degrading to inline
-        execution after ``retries`` consecutive pool failures;
-        ``"inline"`` degrades immediately; ``"fail"`` raises.  All modes
-        preserve bit-identical results for whatever completes.
+    policy:
+        How the trials run (:class:`ExecutionPolicy`: engine, workers,
+        fleet size, supervision).  Results are bit-identical under every
+        policy, because each trial's randomness depends only on its
+        seed-tree path.
     """
     if trials < 1:
         raise ReproError(f"need at least one trial, got {trials}")
@@ -860,13 +773,7 @@ def cover_time_trials(
         max_steps=max_steps,
         label=label,
         extra_metrics=extra_metrics,
-        engine=engine,
-        workers=workers,
-        fleet_size=fleet_size,
-        fleet_native=fleet_native,
-        retries=retries,
-        trial_timeout=trial_timeout,
-        on_worker_crash=on_worker_crash,
+        policy=policy,
     )
     return aggregate_outcomes(outcomes)
 

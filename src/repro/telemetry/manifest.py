@@ -50,13 +50,12 @@ def build_manifest(
     engine: Optional[str] = None,
     walk: Optional[str] = None,
     backend: Optional[str] = None,
-    native: Optional[str] = None,
     status: str = "ok",
     extra: Optional[Dict] = None,
 ) -> Dict:
     """Snapshot ``telemetry`` into a schema-versioned manifest dict.
 
-    ``engine``/``walk``/``backend``/``native`` identify what the run
+    ``engine``/``walk``/``backend`` identify what the run
     claimed to execute (CLI arguments, benchmark section names); the
     counters record what actually happened — e.g. ``fleet.native_fleets``
     vs ``fleet.numpy_fleets`` says which kernel really ran.
@@ -87,7 +86,6 @@ def build_manifest(
         "engine": engine,
         "walk": walk,
         "backend": backend,
-        "native": native,
         "counters": snap["counters"],
         "gauges": snap["gauges"],
         "timings": snap["timings"],

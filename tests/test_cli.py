@@ -128,6 +128,57 @@ class TestSweepCommand:
         assert "4 scheduled, 0 cached" in capsys.readouterr().out
 
 
+class TestExecutionFlagsCheckedFirst:
+    """Bad execution flags exit 2 before any graph is built or store read."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_work(self, monkeypatch):
+        from repro import cli
+        from repro.experiments import FAMILY_BUILDERS, ResultStore
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+
+        monkeypatch.setattr(cli, "_build_family_graph", refuse)
+        for family, (params, _builder) in list(FAMILY_BUILDERS.items()):
+            monkeypatch.setitem(FAMILY_BUILDERS, family, (params, refuse))
+        monkeypatch.setattr(ResultStore, "trials_for", refuse)
+
+    def _command(self, name, tmp_path):
+        if name == "cover":
+            return ["cover", "--family", "regular", "--n", "200000", "--walk", "srw",
+                    "--engine", "fleet"]
+        return ["sweep", "--family", "regular", "--sizes", "200000", "--walk", "srw",
+                "--engine", "fleet", "--store", str(tmp_path / "s")]
+
+    @pytest.mark.parametrize("command", ["cover", "sweep"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--workers", "0", "error: workers must be >= 1, got 0"),
+            ("--fleet-size", "0", "error: fleet_size must be >= 1, got 0"),
+            ("--retries", "-1", "error: retries must be >= 0, got -1"),
+            ("--trial-timeout", "0", "error: trial_timeout must be > 0 seconds, got 0.0"),
+        ],
+    )
+    def test_invalid_flag_exits_2_without_work(
+        self, capsys, tmp_path, command, flag, value, message
+    ):
+        code = main(self._command(command, tmp_path) + [flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert "scheduled" not in err
+
+    def test_walk_without_engine_rejected_before_store_diff(self, capsys, tmp_path):
+        args = self._command("sweep", tmp_path)
+        args[args.index("srw")] = "rotor"
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "walk 'rotor' has no 'fleet' engine" in err
+        assert "scheduled" not in err
+
+
 class TestReportAndStoreCommands:
     def test_report_runs_nothing_and_matches_sweep_table(self, capsys, tmp_path):
         store = str(tmp_path / "s")

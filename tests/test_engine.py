@@ -286,6 +286,31 @@ class TestRegistry:
             resolve_walk_factory("rotor", "fleet")
         assert "rotor" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "walk, engine, ok",
+        [
+            ("srw", "array", True),
+            ("srw", "fleet", True),
+            ("eprocess", "fleet", True),
+            ("vprocess", "fleet", True),
+            ("rotor", "array", True),
+            ("rwc2", "array", True),
+            ("vprocess", "array", False),  # no array twin
+            ("rotor", "fleet", False),  # no lockstep class
+        ],
+    )
+    def test_engine_must_exist_for_walk(self, walk, engine, ok):
+        # Fleet capability is membership in FLEET_ENGINES; the error lists
+        # every engine the walk does have, fleet included.
+        if ok:
+            resolve_walk_factory(walk, engine)
+            return
+        with pytest.raises(ReproError, match=f"'{engine}' engine") as info:
+            resolve_walk_factory(walk, engine)
+        assert "'reference'" in str(info.value)
+        if walk == "vprocess":
+            assert "'fleet'" in str(info.value).split(";")[0]
+
     def test_callable_passthrough_reference_only(self):
         def factory(graph, start, rng):
             return SimpleRandomWalk(graph, start, rng=rng)

@@ -6,6 +6,7 @@ from repro.errors import ReproError
 from repro.experiments.scheduler import run_point, run_sweep
 from repro.experiments.spec import ExperimentSpec, SweepSpec
 from repro.experiments.store import ResultStore
+from repro.sim.policy import ExecutionPolicy
 from repro.sim.runner import cover_time_trials
 
 
@@ -100,7 +101,9 @@ class TestRunPoint:
 
     def test_engine_switch_reuses_cache(self, store):
         ref = run_point(_spec(walk="eprocess"), store=store)
-        arr = run_point(_spec(walk="eprocess", engine="array"), store=store)
+        arr = run_point(
+            _spec(walk="eprocess"), store=store, policy=ExecutionPolicy(engine="array")
+        )
         assert arr.scheduled == 0
         assert arr.run == ref.run
 
@@ -137,7 +140,7 @@ class TestRunPoint:
     def test_workers_do_not_change_results(self, store):
         spec = _spec(family="regular", family_params={"n": 24, "degree": 4}, walk="eprocess")
         serial = run_point(spec, store=None)
-        pooled = run_point(spec, store=store, workers=2)
+        pooled = run_point(spec, store=store, policy=ExecutionPolicy(workers=2))
         assert pooled.run.cover_times == serial.run.cover_times
 
 

@@ -56,8 +56,25 @@ class TestRecordAndRead:
         spec = _spec()
         store.record(spec, _outcome(0))
         assert 0 in store.trials_for(spec.with_trials(50))
-        assert 0 in store.trials_for(spec.with_engine("array"))
         assert store.trials_for(_spec(root_seed=8)) == {}
+
+    def test_engines_share_one_bucket_and_stamp_records(self, store):
+        # The engine is execution policy, not identity: trials computed
+        # under different engines top up one bucket, each record stamped
+        # with the engine that produced it.
+        from repro.experiments.scheduler import run_point
+        from repro.sim.policy import ExecutionPolicy
+
+        run_point(_spec(trials=2), store=store, policy=ExecutionPolicy(engine="array"))
+        fleet = run_point(
+            _spec(trials=4), store=store, policy=ExecutionPolicy(engine="fleet", fleet_size=2)
+        )
+        assert (fleet.cached, fleet.scheduled) == (2, 2)
+        assert [entry.spec_hash for entry in store.entries()] == [_spec().spec_hash]
+        records = store.trials_for(_spec())
+        assert {t: r.engine for t, r in records.items()} == {
+            0: "array", 1: "array", 2: "fleet", 3: "fleet"
+        }
 
     def test_first_record_wins_on_duplicates(self, store):
         spec = _spec()

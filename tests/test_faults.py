@@ -20,6 +20,7 @@ from repro.experiments.scheduler import run_point, run_sweep
 from repro.graphs.generators import cycle_graph
 from repro.experiments.spec import ExperimentSpec, SweepSpec
 from repro.experiments.store import ResultStore
+from repro.sim.policy import ExecutionPolicy
 from repro.sim.runner import cover_time_trials, run_trials
 from repro.telemetry import Telemetry, session
 from repro.testing.faults import (
@@ -133,7 +134,7 @@ class TestRunnerSupervision:
 
     def _serial(self, trials=4, seed=11):
         return cover_time_trials(
-            self._workload(), "srw", trials=trials, root_seed=seed, workers=1
+            self._workload(), "srw", trials=trials, root_seed=seed
         )
 
     def test_worker_kill_retried_bit_identical(self, tmp_path):
@@ -144,7 +145,7 @@ class TestRunnerSupervision:
             with session(tel):
                 run = cover_time_trials(
                     self._workload(), "srw", trials=4, root_seed=11,
-                    workers=2, retries=2,
+                    policy=ExecutionPolicy(workers=2, retries=2),
                 )
         assert run.cover_times == baseline.cover_times
         assert tel.counters.get("runner.worker_crashes", 0) >= 1
@@ -156,7 +157,7 @@ class TestRunnerSupervision:
             with pytest.raises(ReproError, match="worker"):
                 cover_time_trials(
                     self._workload(), "srw", trials=4, root_seed=11,
-                    workers=2, retries=2, on_worker_crash="fail",
+                    policy=ExecutionPolicy(workers=2, retries=2, on_worker_crash="fail"),
                 )
 
     def test_worker_crash_mode_inline_degrades_immediately(self):
@@ -168,7 +169,7 @@ class TestRunnerSupervision:
             with session(tel):
                 run = cover_time_trials(
                     self._workload(), "srw", trials=4, root_seed=11,
-                    workers=2, retries=2, on_worker_crash="inline",
+                    policy=ExecutionPolicy(workers=2, retries=2, on_worker_crash="inline"),
                 )
         assert run.cover_times == baseline.cover_times
         assert tel.counters.get("runner.inline_fallbacks", 0) == 1
@@ -180,7 +181,7 @@ class TestRunnerSupervision:
             with session(tel):
                 run = cover_time_trials(
                     self._workload(), "srw", trials=4, root_seed=11,
-                    workers=2, retries=1, on_worker_crash="retry",
+                    policy=ExecutionPolicy(workers=2, retries=1, on_worker_crash="retry"),
                 )
         assert run.cover_times == baseline.cover_times
         assert tel.counters.get("runner.worker_crashes", 0) >= 2
@@ -193,7 +194,7 @@ class TestRunnerSupervision:
             with session(tel):
                 run = cover_time_trials(
                     self._workload(), "srw", trials=4, root_seed=11,
-                    workers=1, retries=2, trial_timeout=0.3,
+                    policy=ExecutionPolicy(workers=1, retries=2, trial_timeout=0.3),
                 )
         assert run.cover_times == baseline.cover_times
         assert tel.counters.get("runner.timeouts", 0) == 1
@@ -204,7 +205,7 @@ class TestRunnerSupervision:
             with pytest.raises(ReproError, match="failed after"):
                 cover_time_trials(
                     self._workload(), "srw", trials=2, root_seed=11,
-                    workers=1, retries=1, trial_timeout=0.2,
+                    policy=ExecutionPolicy(workers=1, retries=1, trial_timeout=0.2),
                 )
 
     def test_exhaustion_error_names_the_wall_clock_cause(self):
@@ -212,21 +213,10 @@ class TestRunnerSupervision:
             with pytest.raises(ReproError, match="wall-clock timeout") as err:
                 run_trials(
                     self._workload(), "srw", trial_indices=[0],
-                    root_seed=11, workers=1, retries=0, trial_timeout=0.2,
+                    root_seed=11,
+                    policy=ExecutionPolicy(workers=1, retries=0, trial_timeout=0.2),
                 )
         assert isinstance(err.value.__cause__, TrialTimeout)
-
-    def test_knob_validation(self):
-        with pytest.raises(ReproError, match="retries"):
-            cover_time_trials(self._workload(), "srw", trials=1, root_seed=1, retries=-1)
-        with pytest.raises(ReproError, match="trial_timeout"):
-            cover_time_trials(
-                self._workload(), "srw", trials=1, root_seed=1, trial_timeout=0.0
-            )
-        with pytest.raises(ReproError, match="on_worker_crash"):
-            cover_time_trials(
-                self._workload(), "srw", trials=1, root_seed=1, on_worker_crash="panic"
-            )
 
 
 class TestCheckpointRetry:
@@ -246,7 +236,7 @@ class TestCheckpointRetry:
         store = ResultStore(tmp_path / "store")
         with fault_plan("store_write:count=100"):
             with pytest.raises(ReproError, match="could not checkpoint trial 0"):
-                run_point(spec, store=store, retries=1)
+                run_point(spec, store=store, policy=ExecutionPolicy(retries=1))
 
     def test_torn_write_repaired_and_union_correct(self, tmp_path):
         spec = _spec()
@@ -392,7 +382,9 @@ class TestSweepUnderFaults:
         tel = Telemetry()
         with fault_plan(plan):
             with session(tel):
-                result = run_sweep(sweep_spec, store=store, workers=2, retries=2)
+                result = run_sweep(
+                    sweep_spec, store=store, policy=ExecutionPolicy(workers=2, retries=2)
+                )
         assert result.scheduled == 6 and result.cached == 0
         assert tel.counters.get("runner.worker_crashes", 0) >= 1
         assert tel.counters.get("store.checkpoint_retries", 0) == 1

@@ -25,6 +25,7 @@ from repro.errors import CoverTimeout, GraphError, ReproError
 from repro.graphs.generators import cycle_graph, path_graph
 from repro.graphs.graph import Graph
 from repro.graphs.random_regular import random_connected_regular_graph
+from repro.sim.policy import ExecutionPolicy
 from repro.sim.runner import cover_time_trials
 from repro.walks.srw import SimpleRandomWalk
 
@@ -204,27 +205,25 @@ class TestFleetRunnerSurface:
 
         workload = family_workload("regular", {"n": 80, "degree": 4})
         reference = cover_time_trials(
-            workload, "srw", trials=9, root_seed=42, engine="reference"
+            workload, "srw", trials=9, root_seed=42
         )
         fleet = cover_time_trials(
             workload,
             "srw",
             trials=9,
             root_seed=42,
-            engine="fleet",
-            workers=workers,
-            fleet_size=fleet_size,
+            policy=ExecutionPolicy(engine="fleet", workers=workers, fleet_size=fleet_size),
         )
         assert fleet.cover_times == reference.cover_times
 
     def test_edges_target_fixed_graph(self):
         graph = _regular(n=60)
         reference = cover_time_trials(
-            graph, "srw", trials=6, root_seed=7, target="edges", engine="reference"
+            graph, "srw", trials=6, root_seed=7, target="edges"
         )
         fleet = cover_time_trials(
             graph, "srw", trials=6, root_seed=7, target="edges",
-            engine="fleet", fleet_size=4,
+            policy=ExecutionPolicy(engine="fleet", fleet_size=4),
         )
         assert fleet.cover_times == reference.cover_times
 
@@ -234,31 +233,28 @@ class TestFleetRunnerSurface:
         graph = path_graph(12)
         reference = cover_time_trials(graph, "srw", trials=4, root_seed=3)
         fleet = cover_time_trials(
-            graph, "srw", trials=4, root_seed=3, engine="fleet"
+            graph, "srw", trials=4, root_seed=3, policy=ExecutionPolicy(engine="fleet")
         )
         assert fleet.cover_times == reference.cover_times
 
     def test_srw_batches_run_per_trial_without_native_kernel(self, monkeypatch):
-        # Without the fused kernel, auto-selected SRW batches run on
-        # per-trial ArraySRW (faster than the numpy SRW fleet); an
-        # explicit fleet_native=False still steps the numpy fleet.
+        # Without the fused kernel, SRW batches on materialized graphs run
+        # on per-trial ArraySRW (faster than the numpy SRW fleet).
         from repro.engine import native
         from repro.telemetry import Telemetry, session
 
         monkeypatch.setattr(native, "available", lambda: False)
         graph = _regular(n=60)
         reference = cover_time_trials(graph, "srw", trials=6, root_seed=5)
-        for fleet_native, counter in ((None, "runner.srw_array_batches"), (False, "fleet.numpy_fleets")):
-            tel = Telemetry()
-            with session(tel):
-                run = cover_time_trials(
-                    graph, "srw", trials=6, root_seed=5, engine="fleet",
-                    fleet_size=3, fleet_native=fleet_native,
-                )
-            assert run.cover_times == reference.cover_times
-            assert tel.counters[counter] == 2
-            other = {"runner.srw_array_batches", "fleet.numpy_fleets"} - {counter}
-            assert not other & set(tel.counters)
+        tel = Telemetry()
+        with session(tel):
+            run = cover_time_trials(
+                graph, "srw", trials=6, root_seed=5,
+                policy=ExecutionPolicy(engine="fleet", fleet_size=3),
+            )
+        assert run.cover_times == reference.cover_times
+        assert tel.counters["runner.srw_array_batches"] == 2
+        assert "fleet.fleets" not in tel.counters
 
     def test_ineligible_batch_raises_naming_lane_and_trial(self):
         # A workload factory whose graphs disagree on (n, m) cannot fleet;
@@ -268,12 +264,16 @@ class TestFleetRunnerSurface:
             return cycle_graph(10 + rng.randrange(3))
 
         with pytest.raises(ReproError, match=r"lane \d+ \(trial \d+\).*shape"):
-            cover_time_trials(varying, "srw", trials=6, root_seed=1, engine="fleet")
+            cover_time_trials(
+                varying, "srw", trials=6, root_seed=1,
+                policy=ExecutionPolicy(engine="fleet"),
+            )
 
     def test_fleet_rejects_walks_without_fleet_engine(self):
         with pytest.raises(ReproError, match="'fleet' engine"):
             cover_time_trials(
-                cycle_graph(10), "rotor", trials=2, root_seed=1, engine="fleet"
+                cycle_graph(10), "rotor", trials=2, root_seed=1,
+                policy=ExecutionPolicy(engine="fleet"),
             )
 
     def test_fleet_rejects_extra_metrics(self):
@@ -283,15 +283,8 @@ class TestFleetRunnerSurface:
                 "srw",
                 trials=2,
                 root_seed=1,
-                engine="fleet",
+                policy=ExecutionPolicy(engine="fleet"),
                 extra_metrics=lambda walk: {"steps": walk.steps},
-            )
-
-    def test_bad_fleet_size_rejected(self):
-        with pytest.raises(ReproError, match="fleet_size"):
-            cover_time_trials(
-                cycle_graph(10), "srw", trials=2, root_seed=1,
-                engine="fleet", fleet_size=0,
             )
 
     def test_default_fleet_size_sane(self):
@@ -308,11 +301,7 @@ class TestFleetStoreIntegration:
         )
         cold = run_sweep(sweep, store=store)
         assert (cold.scheduled, cold.cached) == (4, 0)
-        fleet_sweep = SweepSpec.regular_grid(
-            "fleet-switch", sizes=[40], degrees=[4], walk="srw", trials=4,
-            root_seed=9, engine="fleet",
-        )
-        warm = run_sweep(fleet_sweep, store=store)
+        warm = run_sweep(sweep, store=store, policy=ExecutionPolicy(engine="fleet"))
         assert (warm.scheduled, warm.cached) == (0, 4)
         assert warm.points[0].run.cover_times == cold.points[0].run.cover_times
 
@@ -325,10 +314,11 @@ class TestFleetStoreIntegration:
         )
         run_sweep(base, store=store)
         topped = SweepSpec.regular_grid(
-            "topup", sizes=[40], degrees=[4], walk="srw", trials=8,
-            root_seed=9, engine="fleet",
+            "topup", sizes=[40], degrees=[4], walk="srw", trials=8, root_seed=9
         )
-        up = run_sweep(topped, store=store, fleet_size=2)
+        up = run_sweep(
+            topped, store=store, policy=ExecutionPolicy(engine="fleet", fleet_size=2)
+        )
         assert (up.scheduled, up.cached) == (5, 3)
         cold_store = ResultStore(tmp_path / "cold")
         cold = run_sweep(

@@ -20,6 +20,7 @@ from repro.errors import CoverTimeout, ReproError
 from repro.graphs.generators import cycle_graph, lollipop_graph
 from repro.graphs.graph import Graph
 from repro.graphs.random_regular import random_connected_regular_graph
+from repro.sim.policy import ExecutionPolicy
 from repro.sim.runner import cover_time_trials
 from repro.walks.choice import UnvisitedVertexWalk
 
@@ -157,15 +158,14 @@ class TestUnvisitedFleetRunnerSurface:
 
         workload = family_workload("regular", {"n": 40, "degree": 4})
         reference = cover_time_trials(
-            workload, walk, trials=9, root_seed=42, engine="reference"
+            workload, walk, trials=9, root_seed=42
         )
         fleet = cover_time_trials(
             workload,
             walk,
             trials=9,
             root_seed=42,
-            engine="fleet",
-            fleet_size=fleet_size,
+            policy=ExecutionPolicy(engine="fleet", fleet_size=fleet_size),
         )
         assert fleet.cover_times == reference.cover_times
 
@@ -173,11 +173,11 @@ class TestUnvisitedFleetRunnerSurface:
     def test_irregular_fixed_graph_edges_target(self, walk):
         graph = _irregular()
         reference = cover_time_trials(
-            graph, walk, trials=6, root_seed=7, target="edges", engine="reference"
+            graph, walk, trials=6, root_seed=7, target="edges"
         )
         fleet = cover_time_trials(
             graph, walk, trials=6, root_seed=7, target="edges",
-            engine="fleet", fleet_size=4,
+            policy=ExecutionPolicy(engine="fleet", fleet_size=4),
         )
         assert fleet.cover_times == reference.cover_times
 
@@ -185,11 +185,11 @@ class TestUnvisitedFleetRunnerSurface:
     def test_workers_compose_with_fleets(self, walk):
         graph = _regular(n=40)
         reference = cover_time_trials(
-            graph, walk, trials=8, root_seed=11, engine="reference"
+            graph, walk, trials=8, root_seed=11
         )
         fleet = cover_time_trials(
             graph, walk, trials=8, root_seed=11,
-            engine="fleet", fleet_size=3, workers=2,
+            policy=ExecutionPolicy(engine="fleet", workers=2, fleet_size=3),
         )
         assert fleet.cover_times == reference.cover_times
 
@@ -197,7 +197,8 @@ class TestUnvisitedFleetRunnerSurface:
         looped = Graph(3, [(0, 0), (0, 1), (1, 2), (2, 0)])
         with pytest.raises(ReproError, match="self-loops"):
             cover_time_trials(
-                looped, "eprocess", trials=2, root_seed=1, engine="fleet"
+                looped, "eprocess", trials=2, root_seed=1,
+                policy=ExecutionPolicy(engine="fleet"),
             )
 
     def test_engine_switch_shares_store_bucket(self, tmp_path):
@@ -215,9 +216,10 @@ class TestUnvisitedFleetRunnerSurface:
         warm = run_sweep(
             SweepSpec.regular_grid(
                 "efleet", sizes=[40], degrees=[4], walk="eprocess",
-                trials=4, root_seed=9, engine="fleet",
+                trials=4, root_seed=9,
             ),
             store=store,
+            policy=ExecutionPolicy(engine="fleet"),
         )
         assert (warm.scheduled, warm.cached) == (0, 4)
         assert warm.points[0].run.cover_times == cold.points[0].run.cover_times

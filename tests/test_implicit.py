@@ -32,6 +32,7 @@ from repro.graphs import (
     is_implicit,
 )
 from repro.graphs.properties import is_connected
+from repro.sim.policy import ExecutionPolicy
 from repro.sim.runner import cover_time_trials
 from repro.walks.choice import UnvisitedVertexWalk
 from repro.walks.srw import SimpleRandomWalk
@@ -328,11 +329,12 @@ class TestRunnerIntegration:
     def test_workers_ship_implicit_graphs_bit_identically(self):
         g = ImplicitHypercube(6)
         serial = cover_time_trials(
-            workload=g, walk_factory="srw", trials=4, root_seed=13, engine="array"
+            workload=g, walk_factory="srw", trials=4, root_seed=13,
+            policy=ExecutionPolicy(engine="array"),
         )
         pooled = cover_time_trials(
             workload=g, walk_factory="srw", trials=4, root_seed=13,
-            engine="array", workers=2,
+            policy=ExecutionPolicy(engine="array", workers=2),
         )
         assert serial.cover_times == pooled.cover_times
 
@@ -342,7 +344,8 @@ class TestRunnerIntegration:
             workload=g, walk_factory="srw", trials=8, root_seed=17
         )
         fleet = cover_time_trials(
-            workload=g, walk_factory="srw", trials=8, root_seed=17, engine="fleet"
+            workload=g, walk_factory="srw", trials=8, root_seed=17,
+            policy=ExecutionPolicy(engine="fleet"),
         )
         assert ref.cover_times == fleet.cover_times
 

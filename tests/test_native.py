@@ -26,7 +26,6 @@ from repro.engine import FleetEdgeProcess, FleetSRW, FleetVProcess, native
 from repro.errors import CoverTimeout, ReproError
 from repro.graphs.generators import complete_graph, lollipop_graph
 from repro.graphs.random_regular import random_connected_regular_graph
-from repro.sim.runner import run_trials
 from repro.telemetry import Telemetry, session
 from repro.walks.choice import UnvisitedVertexWalk
 from repro.walks.srw import SimpleRandomWalk
@@ -207,21 +206,6 @@ class TestNativeVsNumpyParity:
         for k in range(K):
             assert n_rngs[k].getstate() == p_rngs[k].getstate()
 
-    def test_runner_fleet_native_tristate(self):
-        graph = _graph("regular")
-        common = dict(
-            workload=graph,
-            walk_factory="eprocess",
-            trial_indices=range(9),
-            root_seed=11,
-            engine="fleet",
-            fleet_size=4,
-        )
-        on = run_trials(fleet_native=True, **common)
-        off = run_trials(fleet_native=False, **common)
-        auto = run_trials(**common)
-        assert [o.steps for o in on] == [o.steps for o in off]
-        assert [o.steps for o in auto] == [o.steps for o in off]
 
 
 class TestNativeLoader:

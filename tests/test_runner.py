@@ -1,13 +1,16 @@
 """Tests for the experiment runner."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.core.eprocess import EdgeProcess
+from repro.engine import DEFAULT_FLEET_SIZE
 from repro.errors import ReproError
 from repro.graphs.generators import cycle_graph
 from repro.graphs.random_regular import random_connected_regular_graph
+from repro.sim.policy import ExecutionPolicy
 from repro.sim.runner import cover_time_trials, sweep
 from repro.walks.srw import SimpleRandomWalk
 
@@ -121,35 +124,65 @@ class TestStartValidation:
             cover_time_trials(g, _srw_factory, trials=1, root_seed=1, start=object())
 
 
+class TestExecutionPolicy:
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"engine": "bogus"}, "engine must be one of"),
+            ({"workers": 0}, "workers must be >= 1"),
+            ({"fleet_size": 0}, "fleet_size must be >= 1"),
+            ({"retries": -1}, "retries must be >= 0"),
+            ({"trial_timeout": 0.0}, "trial_timeout must be > 0"),
+            ({"on_worker_crash": "panic"}, "on_worker_crash must be one of"),
+        ],
+    )
+    def test_invalid_setting_rejected_at_construction(self, setting, message):
+        # Each execution setting is validated once, where it is declared —
+        # before any runner, graph or store sees it.
+        with pytest.raises(ReproError, match=message):
+            ExecutionPolicy(**setting)
+
+    def test_defaults_and_frozen(self):
+        policy = ExecutionPolicy()
+        assert (policy.engine, policy.workers, policy.fleet_size) == (
+            "reference", 1, DEFAULT_FLEET_SIZE
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.workers = 2
+
+
 class TestEngineAndWorkers:
-    def test_engine_validation(self):
+    def test_callable_factory_needs_reference_engine(self):
         g = cycle_graph(8)
-        with pytest.raises(ReproError):
-            cover_time_trials(g, "srw", trials=1, root_seed=1, engine="bogus")
-        with pytest.raises(ReproError):
-            cover_time_trials(g, _srw_factory, trials=1, root_seed=1, engine="array")
-        with pytest.raises(ReproError):
-            cover_time_trials(g, "srw", trials=1, root_seed=1, workers=0)
+        with pytest.raises(ReproError, match="named walk"):
+            cover_time_trials(
+                g, _srw_factory, trials=1, root_seed=1,
+                policy=ExecutionPolicy(engine="array"),
+            )
 
     def test_array_engine_matches_reference_exactly(self):
         g = random_connected_regular_graph(40, 4, random.Random(2))
         for walk in ("srw", "eprocess"):
             ref = cover_time_trials(g, walk, trials=6, root_seed=13)
-            arr = cover_time_trials(g, walk, trials=6, root_seed=13, engine="array")
+            arr = cover_time_trials(
+                g, walk, trials=6, root_seed=13, policy=ExecutionPolicy(engine="array")
+            )
             assert arr.cover_times == ref.cover_times
 
     def test_array_engine_edge_target(self):
         g = cycle_graph(14)
         ref = cover_time_trials(g, "eprocess", trials=3, root_seed=5, target="edges")
         arr = cover_time_trials(
-            g, "eprocess", trials=3, root_seed=5, target="edges", engine="array"
+            g, "eprocess", trials=3, root_seed=5, target="edges",
+            policy=ExecutionPolicy(engine="array"),
         )
         assert arr.cover_times == ref.cover_times
 
     def test_workers_do_not_change_results(self):
         serial = cover_time_trials(_regular_workload, "srw", trials=6, root_seed=21)
         pooled = cover_time_trials(
-            _regular_workload, "srw", trials=6, root_seed=21, workers=3
+            _regular_workload, "srw", trials=6, root_seed=21,
+            policy=ExecutionPolicy(workers=3),
         )
         assert pooled.cover_times == serial.cover_times
 
@@ -158,15 +191,18 @@ class TestEngineAndWorkers:
         # replays engine="reference", workers=1 cover times exactly.
         serial = cover_time_trials(
             _regular_workload, "eprocess", trials=8, root_seed=3,
-            engine="reference", workers=1,
+            policy=ExecutionPolicy(engine="reference", workers=1),
         )
         pooled = cover_time_trials(
             _regular_workload, "eprocess", trials=8, root_seed=3,
-            engine="array", workers=4,
+            policy=ExecutionPolicy(engine="array", workers=4),
         )
         assert pooled.cover_times == serial.cover_times
 
     def test_worker_pool_propagates_validation_errors(self):
         g = cycle_graph(5)
         with pytest.raises(ReproError, match="out of range"):
-            cover_time_trials(g, "srw", trials=4, root_seed=1, start=77, workers=2)
+            cover_time_trials(
+                g, "srw", trials=4, root_seed=1, start=77,
+                policy=ExecutionPolicy(workers=2),
+            )

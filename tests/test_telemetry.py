@@ -405,7 +405,7 @@ class TestCLITelemetry:
             [
                 "cover", "--family", "cycle", "--n", "40", "--walk", "srw",
                 "--trials", "2", "--seed", "3", "--engine", "fleet",
-                "--native", "off", "--telemetry", str(path),
+                "--telemetry", str(path),
             ]
         )
         captured = capsys.readouterr()

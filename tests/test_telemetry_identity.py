@@ -13,12 +13,22 @@ import random
 
 import pytest
 
-from repro.engine import FLEET_ENGINES, NAMED_WALK_FACTORIES
+from repro.engine import (
+    FLEET_ENGINES,
+    NAMED_WALK_FACTORIES,
+    FleetEdgeProcess,
+    FleetSRW,
+    FleetVProcess,
+)
 from repro.graphs import ImplicitHypercube
 from repro.graphs.generators import hypercube_graph, lollipop_graph
+from repro.sim.policy import ExecutionPolicy
 from repro.telemetry import Telemetry, session
 
 FLEET_WALKS = sorted(FLEET_ENGINES)  # srw, eprocess, vprocess
+#: The lockstep class behind each runner fleet, built here with
+#: ``native=False`` so the numpy path is the one instrumented.
+FLEET_CLASSES = {"srw": FleetSRW, "eprocess": FleetEdgeProcess, "vprocess": FleetVProcess}
 
 
 def _run_walk(factory, graph, seed):
@@ -30,7 +40,7 @@ def _run_walk(factory, graph, seed):
 def _run_fleet(walk_name, graph, K, seed):
     rngs = [random.Random(seed + k) for k in range(K)]
     starts = [random.Random(500 + k).randrange(graph.n) for k in range(K)]
-    fleet = FLEET_ENGINES[walk_name]([graph] * K, starts, rngs, native=False)
+    fleet = FLEET_CLASSES[walk_name]([graph] * K, starts, rngs, native=False)
     cover = fleet.run_until_cover("vertices")
     return list(cover), [r.getstate() for r in rngs]
 
@@ -142,12 +152,11 @@ class TestRunnerIdentity:
             trials=6,
             root_seed=11,
             label="tel-identity",
-            fleet_native=False,
         )
-        baseline = cover_time_trials(**kwargs, engine=engine)
+        baseline = cover_time_trials(**kwargs, policy=ExecutionPolicy(engine=engine))
         tel = Telemetry()
         with session(tel):
-            instrumented = cover_time_trials(**kwargs, engine=engine)
+            instrumented = cover_time_trials(**kwargs, policy=ExecutionPolicy(engine=engine))
         assert instrumented.cover_times == baseline.cover_times
         assert tel.counters["runner.trials"] == 6
         assert tel.counters["runner.steps"] == sum(baseline.cover_times)
