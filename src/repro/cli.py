@@ -489,9 +489,9 @@ def _cmd_cover(args: argparse.Namespace) -> int:
                 f"start vertex {start} out of range 0..{n_analytic - 1} "
                 f"for {args.family}({inner})"
             )
-    build_rng = spawn(args.seed, "cli-cover-graph")
-    graph = _build_family_graph(args, build_rng)
     with _telemetry_session(args, "cover"):
+        # Built inside the session so the manifest counts the graph build.
+        graph = _build_family_graph(args, spawn(args.seed, "cli-cover-graph"))
         run = cover_time_trials(
             workload=graph,
             walk_factory=args.walk,

@@ -1,9 +1,12 @@
-"""Loader for the fused lockstep kernel (optional C extension).
+"""Loader for the native kernels (optional C extension).
 
 The stepwise fleet kernels (SRW, E-process, V-process) pay a
 fixed number of numpy dispatches *per lockstep step*; the C extension in
-``_fused.c`` collapses a whole block of steps into one call.  This module
-owns finding and validating that extension:
+``_fused.c`` collapses a whole block of steps into one call.  The same
+extension also runs one Steger–Wormald pass of
+:func:`~repro.graphs.random_regular.random_regular_graph` and emits the
+graph's CSR arrays directly (:func:`load_sw_regular`).  This module owns
+finding and validating that extension:
 
 * built at install time by the optional setuptools ``Extension`` in
   ``setup.py`` (the build is best-effort: no compiler, no extension, no
@@ -15,14 +18,17 @@ owns finding and validating that extension:
   refused, never mis-read;
 * opt-out via ``REPRO_NATIVE=0`` (accepted falsey spellings: ``0``,
   ``false``, ``off``, ``no``), checked per probe so tests can flip it;
-* **mandatory fallback**: every caller treats :func:`load` returning
-  ``None`` as "use the numpy path".  The first silent fallback (extension
-  requested by default but not present) emits one :class:`RuntimeWarning`
-  per process; an explicit ``REPRO_NATIVE=0`` stays silent.
+* **mandatory fallback**: every caller treats :func:`load` (or
+  :func:`load_sw_regular`) returning ``None`` as "use the numpy path" (for
+  graph builds, the Python Steger–Wormald pass).  The first silent
+  fallback (extension requested by default but not present) emits one
+  :class:`RuntimeWarning` per process; an explicit ``REPRO_NATIVE=0``
+  stays silent.
 
-The numbers are identical either way — the kernel is bit-identical to the
-numpy stepwise path (same words drawn, same candidates, same cover
-instants); only throughput changes.
+The numbers are identical either way — the kernels are bit-identical to
+the numpy stepwise path (same words drawn, same candidates, same cover
+instants) and to the Python graph builder (same words, same edges, same
+generator end state); only throughput changes.
 """
 
 from __future__ import annotations
@@ -40,18 +46,20 @@ __all__ = [
     "disabled",
     "kernel_path",
     "load",
+    "load_sw_regular",
     "unavailable_reason",
 ]
 
 #: Must match ``REPRO_FUSED_ABI`` in ``_fused.c``; bumped together whenever
 #: the parameter layout or semantics change.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 _FALSEY = {"0", "false", "off", "no"}
 
 _lock = threading.Lock()
 _probed = False
 _fn = None
+_sw_fn = None
 _path: Optional[str] = None
 _reason = ""
 _warned = False
@@ -81,12 +89,15 @@ def _find_extension() -> Optional[str]:
 
 
 def _probe():
-    """One-time (per env change) load attempt; returns the block function."""
+    """One-time (per env change) load attempt.
+
+    Returns ``(block, sw_regular)`` — both entry points or neither.
+    """
     global _reason, _path
     _path = None
     if disabled():
         _reason = "disabled via REPRO_NATIVE"
-        return None
+        return None, None
     origin = _find_extension()
     if origin is None:
         _reason = (
@@ -94,7 +105,7 @@ def _probe():
             "with a C compiler, or run `python setup.py build_ext "
             "--inplace` from a source checkout)"
         )
-        return None
+        return None, None
     try:
         lib = ctypes.CDLL(origin)
         abi = lib.repro_fused_abi
@@ -106,16 +117,17 @@ def _probe():
                 f"extension at {origin} has ABI {got}, this build of repro "
                 f"needs {ABI_VERSION}; rebuild it"
             )
-            return None
-        fn = lib.repro_fused_block
-        fn.restype = ctypes.c_longlong
-        fn.argtypes = [ctypes.c_void_p, ctypes.POINTER(ctypes.c_void_p)]
+            return None, None
+        fns = (lib.repro_fused_block, lib.repro_sw_regular)
+        for fn in fns:
+            fn.restype = ctypes.c_longlong
+            fn.argtypes = [ctypes.c_void_p, ctypes.POINTER(ctypes.c_void_p)]
     except (OSError, AttributeError) as exc:
         _reason = f"extension at {origin} failed to load: {exc}"
-        return None
+        return None, None
     _path = origin
     _reason = ""
-    return fn
+    return fns
 
 
 def load():
@@ -126,11 +138,11 @@ def load():
     The first *silent* fallback — kernel wanted by default but missing —
     warns once per process so benchmark numbers are never quietly numpy.
     """
-    global _probed, _fn, _warned
+    global _probed, _fn, _sw_fn, _warned
     with _lock:
         key = disabled()
         if not _probed or key != _probe.__dict__.get("last_disabled"):
-            _fn = _probe()
+            _fn, _sw_fn = _probe()
             _probe.__dict__["last_disabled"] = key
             _probed = True
             if _fn is None and not key and not _warned:
@@ -142,13 +154,24 @@ def load():
                     tel.count("native.silent_fallbacks")
                 warnings.warn(
                     f"repro: native fused kernel unavailable ({_reason}); "
-                    "fleet engines fall back to the numpy stepwise path "
-                    "(identical results, lower throughput). Set "
+                    "fleet engines fall back to the numpy stepwise path and "
+                    "random regular graph builds to the Python "
+                    "Steger-Wormald pass (identical results, lower "
+                    "throughput). Set "
                     "REPRO_NATIVE=0 to silence this warning.",
                     RuntimeWarning,
                     stacklevel=2,
                 )
         return _fn
+
+
+def load_sw_regular():
+    """The native Steger–Wormald pass (ctypes), or None like :func:`load`.
+
+    Shares :func:`load`'s probe, opt-out and one-time fallback warning.
+    """
+    load()
+    return _sw_fn
 
 
 def available() -> bool:
@@ -170,9 +193,10 @@ def kernel_path() -> Optional[str]:
 
 def _reset_probe_for_testing() -> None:
     """Drop the cached probe (tests flip REPRO_NATIVE / monkeypatch)."""
-    global _probed, _fn, _warned
+    global _probed, _fn, _sw_fn, _warned
     with _lock:
         _probed = False
         _fn = None
+        _sw_fn = None
         _warned = False
         _probe.__dict__.pop("last_disabled", None)

@@ -1,4 +1,5 @@
-/* Fused lockstep block kernel for the stepwise fleet engines.
+/* Native kernels: the fused lockstep block for the stepwise fleet
+ * engines, and one Steger–Wormald pass for random regular graphs.
  *
  * One call advances every active lane of a `_StepwiseFleet` (the SRW
  * fleet, the E-process fleet, or the V-process fleet) up to T lockstep
@@ -20,6 +21,11 @@
  * that lane's row and re-enters.  Steps consume at least one word per
  * lane, so the re-entry cadence is bounded by the row width.
  *
+ * `repro_sw_regular` (bottom of this file) is the graph builder's twin
+ * of the same idea: one Steger–Wormald attempt replaying
+ * `repro.graphs.random_regular._steger_wormald_attempt` draw for draw
+ * from a word row handed in by python.
+ *
  * Loaded via ctypes (no Python API on purpose: the .so stays loadable
  * whether or not it matches the running interpreter's ABI); built by the
  * optional setuptools Extension in setup.py.
@@ -34,9 +40,10 @@
 #define REPRO_EXPORT __attribute__((visibility("default")))
 #endif
 
-/* Bumped whenever the par[] layout, slot table, or semantics change; the
- * python loader refuses a stale .so instead of mis-reading it. */
-#define REPRO_FUSED_ABI 1
+/* Bumped whenever the par[] layout, slot table, or semantics change (of
+ * either entry point); the python loader refuses a stale .so instead of
+ * mis-reading it. */
+#define REPRO_FUSED_ABI 2
 
 /* par[] indices (all int64). */
 enum {
@@ -370,4 +377,246 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
     free(save_p);
     free(isb_s);
     return ST_DONE;
+}
+
+
+/* ---- Steger–Wormald random regular graphs ------------------------------
+ *
+ * One attempt of the incremental pairing in
+ * `repro.graphs.random_regular._steger_wormald_attempt`, state for state:
+ * the stub pool with its swap-deletion, the per-vertex position lists
+ * (pop from the end, fix the moved stub's entry in place), the 200-try
+ * loop of two pool draws, and the sorted exhaustive fallback over the
+ * vertices with free stubs.  Every `rng.randrange(q)` is CPython's
+ * `_randbelow(q)` over the word row, so the same words are consumed in
+ * the same order as the python pass.  Every modulus must fit in 32 bits
+ * (python gates on n*r and n*(n-1)/2), so one word is one draw.
+ *
+ * All state lives in python-owned arrays, so a call can stop and resume.
+ * When the row runs dry the current placement is undone (no state had
+ * changed yet; the row position goes back to where the placement began)
+ * and python re-enters with a longer row.  On success the kernel also
+ * writes the CSR incidence arrays in `Graph.incidence()` order (edge id
+ * order, first endpoint's entry before the second's) and counts the
+ * connected components with a union-find.
+ */
+
+/* par[] indices (int64). */
+enum {
+    SW_N = 0,
+    SW_R = 1,
+    SW_WIDTH = 2, /* words in the row */
+    SW_FRESH = 3, /* 1: start a new attempt; 0: resume after a refill */
+    SW_PAR_COUNT = 4
+};
+
+/* arr[] slot indices. */
+enum {
+    SW_WORDS = 0,   /* u64[width]  word row (tempered 32-bit outputs) */
+    SW_STATE = 1,   /* i64[4]   rw 0 row position, 1 pool length,
+                                   2 edges placed, 3 components */
+    SW_POOL = 2,    /* i64[n*r] rw stub pool (vertex per stub) */
+    SW_POS = 3,     /* i64[n*r] rw pos[v*r + j], j < free[v]: v's pool slots */
+    SW_FREE = 4,    /* i64[n]   rw free stubs per vertex */
+    SW_ADJ = 5,     /* i64[n*r] rw adj[v*r + j], j < r - free[v] */
+    SW_EDGES = 6,   /* i64[n*r] rw placed edges as (u, v) pairs */
+    SW_OFFSETS = 7, /* i64[n+1] w  CSR row starts */
+    SW_EIDS = 8,    /* i64[n*r] w  CSR edge ids */
+    SW_NBRS = 9,    /* i64[n*r] w  CSR neighbours */
+    SW_SLOT_COUNT = 10
+};
+
+/* Return status. */
+enum {
+    SW_DONE = 0,    /* graph complete; CSR + components written */
+    SW_DEADEND = 1, /* only forbidden pairs remain: python restarts */
+    SW_REFILL = 2,  /* word row ran dry; python extends it and re-enters */
+    SW_NOMEM = -2
+};
+
+/* CPython `_randbelow(q)` for 0 < q < 2^32 over row[*p..width): reject
+ * tempered words until one's top bitlen(q) bits are < q.  Returns 0 when
+ * the row runs dry first. */
+static int sw_randbelow(const uint64_t *row, int64_t width, int64_t *p,
+                        int64_t q, int64_t *out)
+{
+    const int shift = 32 - bitlen64(q);
+    while (*p < width) {
+        const int64_t r = (int64_t)(row[(*p)++] >> shift);
+        if (r < q) {
+            *out = r;
+            return 1;
+        }
+    }
+    return 0;
+}
+
+static int sw_adjacent(const int64_t *adj, const int64_t *freec, int64_t r,
+                       int64_t u, int64_t v)
+{
+    const int64_t *row = adj + u * r;
+    const int64_t deg = r - freec[u];
+    int64_t j;
+    for (j = 0; j < deg; j++)
+        if (row[j] == v)
+            return 1;
+    return 0;
+}
+
+/* `remove_stub`: pop x's last pool slot, move the pool's last stub into
+ * it and fix that stub's entry in its owner's position list. */
+static void sw_remove_stub(int64_t *pool, int64_t *pos, int64_t *freec,
+                           int64_t r, int64_t *len, int64_t x)
+{
+    const int64_t idx = pos[x * r + --freec[x]];
+    const int64_t last = --*len;
+    if (idx != last) {
+        const int64_t lv = pool[last];
+        int64_t *plist = pos + lv * r;
+        int64_t j = 0;
+        pool[idx] = lv;
+        while (plist[j] != last)
+            j++;
+        plist[j] = idx;
+    }
+}
+
+static int64_t sw_find(int64_t *parent, int64_t v)
+{
+    while (parent[v] != v) {
+        parent[v] = parent[parent[v]];
+        v = parent[v];
+    }
+    return v;
+}
+
+REPRO_EXPORT int64_t repro_sw_regular(const int64_t *par, void **arr)
+{
+    const int64_t n = par[SW_N];
+    const int64_t r = par[SW_R];
+    const int64_t width = par[SW_WIDTH];
+    const uint64_t *words = (const uint64_t *)arr[SW_WORDS];
+    int64_t *state = (int64_t *)arr[SW_STATE];
+    int64_t *pool = (int64_t *)arr[SW_POOL];
+    int64_t *pos = (int64_t *)arr[SW_POS];
+    int64_t *freec = (int64_t *)arr[SW_FREE];
+    int64_t *adj = (int64_t *)arr[SW_ADJ];
+    int64_t *edges = (int64_t *)arr[SW_EDGES];
+    int64_t *offsets = (int64_t *)arr[SW_OFFSETS];
+    int64_t *eids = (int64_t *)arr[SW_EIDS];
+    int64_t *nbrs = (int64_t *)arr[SW_NBRS];
+    int64_t p = state[0], len, placed, v, j, e;
+
+    if (par[SW_FRESH]) {
+        len = 0;
+        for (v = 0; v < n; v++) {
+            freec[v] = r;
+            for (j = 0; j < r; j++) {
+                pos[v * r + j] = len;
+                pool[len++] = v;
+            }
+        }
+        placed = 0;
+    } else {
+        len = state[1];
+        placed = state[2];
+    }
+
+    while (len > 0) {
+        const int64_t p0 = p;
+        int64_t u = -1, w = -1, iu, iw, t;
+        int found = 0;
+        for (t = 0; t < 200; t++) {
+            if (!sw_randbelow(words, width, &p, len, &iu) ||
+                !sw_randbelow(words, width, &p, len, &iw))
+                goto refill;
+            u = pool[iu];
+            w = pool[iw];
+            if (u == w || sw_adjacent(adj, freec, r, u, w))
+                continue;
+            found = 1;
+            break;
+        }
+        if (!found) {
+            /* Exhaustive fallback: pairs (x, y), x < y, of vertices with
+             * free stubs, not yet adjacent, in sorted order; none left is
+             * a dead end. */
+            int64_t *rem = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+            int64_t nrem = 0, count = 0, k, a, b;
+            if (!rem)
+                return SW_NOMEM;
+            for (v = 0; v < n; v++)
+                if (freec[v] > 0)
+                    rem[nrem++] = v;
+            for (a = 0; a < nrem; a++)
+                for (b = a + 1; b < nrem; b++)
+                    count += !sw_adjacent(adj, freec, r, rem[a], rem[b]);
+            if (count == 0) {
+                free(rem);
+                state[0] = p;
+                state[1] = len;
+                state[2] = placed;
+                return SW_DEADEND;
+            }
+            if (!sw_randbelow(words, width, &p, count, &k)) {
+                free(rem);
+                goto refill;
+            }
+            u = -1;
+            for (a = 0; a < nrem && u < 0; a++)
+                for (b = a + 1; b < nrem; b++)
+                    if (!sw_adjacent(adj, freec, r, rem[a], rem[b]) && k-- == 0) {
+                        u = rem[a];
+                        w = rem[b];
+                        break;
+                    }
+            free(rem);
+        }
+        /* place(u, w) */
+        edges[2 * placed] = u;
+        edges[2 * placed + 1] = w;
+        placed++;
+        adj[u * r + r - freec[u]] = w;
+        adj[w * r + r - freec[w]] = u;
+        sw_remove_stub(pool, pos, freec, r, &len, u);
+        sw_remove_stub(pool, pos, freec, r, &len, w);
+        continue;
+    refill:
+        state[0] = p0;
+        state[1] = len;
+        state[2] = placed;
+        return SW_REFILL;
+    }
+
+    /* CSR in incidence() order; free[] (all zero now) is the fill cursor. */
+    for (v = 0; v <= n; v++)
+        offsets[v] = v * r;
+    for (e = 0; e < placed; e++) {
+        const int64_t a = edges[2 * e], b = edges[2 * e + 1];
+        j = a * r + freec[a]++;
+        eids[j] = e;
+        nbrs[j] = b;
+        j = b * r + freec[b]++;
+        eids[j] = e;
+        nbrs[j] = a;
+    }
+    /* Components by union-find; pos[] (spent) holds the parents. */
+    {
+        int64_t comps = n;
+        for (v = 0; v < n; v++)
+            pos[v] = v;
+        for (e = 0; e < placed; e++) {
+            const int64_t a = sw_find(pos, edges[2 * e]);
+            const int64_t b = sw_find(pos, edges[2 * e + 1]);
+            if (a != b) {
+                pos[a] = b;
+                comps--;
+            }
+        }
+        state[3] = comps;
+    }
+    state[0] = p;
+    state[1] = 0;
+    state[2] = placed;
+    return SW_DONE;
 }

@@ -106,7 +106,7 @@ def _build_implicit_torus(params: Mapping[str, Any], rng: random.Random) -> Impl
 def _build_implicit_hashed(params: Mapping[str, Any], rng: random.Random) -> ImplicitHashedRegular:
     # The wiring key comes off the trial's graph stream — a fresh random
     # d-regular-ish multigraph per trial, the implicit counterpart of the
-    # "regular" family's per-trial configuration-model draw.
+    # "regular" family's per-trial Steger–Wormald draw.
     return ImplicitHashedRegular(params["n"], params["degree"], key=rng.getrandbits(64))
 
 

@@ -20,6 +20,14 @@ in order:
    generators and transforms build new graphs through :class:`GraphBuilder`.
    Walk processes can therefore share one graph across thousands of trials.
 
+4. *Array-backed graphs.*  Builders that already hold the flat arrays (the
+   native random regular graph builder) construct through
+   :meth:`Graph._from_arrays`: the edge list and the CSR incidence arrays
+   are frozen numpy arrays, and the Python tuples behind :meth:`edges` and
+   :meth:`incidence_table` are built only on first access.  The array
+   engines and fleets read only the arrays, so such a graph never pays for
+   the tuples.
+
 Conventions
 -----------
 * A loop ``(v, v)`` contributes **2** to ``degree(v)`` and appears twice in
@@ -61,7 +69,10 @@ class Graph:
         Optional human-readable label used in ``repr`` and reports.
     """
 
-    __slots__ = ("_n", "_edges", "_incidence", "_degrees", "_name", "_csr", "_scratch")
+    __slots__ = (
+        "_n", "_m", "_edges", "_incidence", "_degrees", "_name", "_csr",
+        "_edge_array", "_scratch",
+    )
 
     def __init__(self, num_vertices: int, edges: Iterable[Edge], name: str = "") -> None:
         if num_vertices < 0:
@@ -81,16 +92,55 @@ class Graph:
             degrees[u] += 1
             degrees[v] += 1
         self._n = num_vertices
-        self._edges: Tuple[Edge, ...] = tuple(edge_list)
-        self._incidence: Tuple[Tuple[IncidenceEntry, ...], ...] = tuple(
+        self._m = len(edge_list)
+        # The tuples are None only on array-backed graphs (see _from_arrays)
+        # until first access.
+        self._edges: Optional[Tuple[Edge, ...]] = tuple(edge_list)
+        self._incidence: Optional[Tuple[Tuple[IncidenceEntry, ...], ...]] = tuple(
             tuple(entries) for entries in incidence
         )
         self._degrees: Tuple[int, ...] = tuple(degrees)
         self._name = name
         # Lazily built flat-array incidence and memo dict (see csr_arrays /
-        # scratch_cache).
+        # scratch_cache); the (m, 2) edge array exists on array-backed graphs.
         self._csr: Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = None
+        self._edge_array: Optional["np.ndarray"] = None
         self._scratch: Optional[dict] = None
+
+    @classmethod
+    def _from_arrays(
+        cls,
+        num_vertices: int,
+        edge_array: "np.ndarray",
+        csr: Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = None,
+        name: str = "",
+    ) -> "Graph":
+        """An array-backed graph (internal: inputs are trusted, not checked).
+
+        ``edge_array`` is the ``(m, 2)`` int64 edge list, in edge-id order;
+        ``csr`` the :meth:`csr_arrays` triple in :meth:`incidence` order,
+        derived from the edges when omitted.  The arrays are frozen here.
+        The result equals ``Graph(num_vertices, edges)`` in every respect;
+        only its :meth:`edges` and :meth:`incidence_table` tuples wait for
+        first access.
+        """
+        import numpy as np
+
+        if csr is None:
+            csr = _csr_from_edge_array(num_vertices, edge_array)
+        for arr in (edge_array, *csr):
+            arr.setflags(write=False)
+        g = cls.__new__(cls)
+        g._n = num_vertices
+        g._m = int(edge_array.shape[0])
+        g._edges = None
+        g._incidence = None
+        g._degrees = tuple(np.diff(csr[0]).tolist())
+        g._name = name
+        g._csr = csr
+        g._edge_array = edge_array
+        g._scratch = None
+        return g
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -103,7 +153,7 @@ class Graph:
     @property
     def m(self) -> int:
         """Number of edges (loops and parallel edges each count once)."""
-        return len(self._edges)
+        return self._m
 
     @property
     def name(self) -> str:
@@ -116,18 +166,21 @@ class Graph:
 
     def edges(self) -> Tuple[Edge, ...]:
         """All edges as ``(u, v)`` pairs, indexed by edge id."""
+        if self._edges is None:
+            assert self._edge_array is not None
+            self._edges = tuple((u, v) for u, v in self._edge_array.tolist())
         return self._edges
 
     def endpoints(self, edge_id: int) -> Edge:
         """Endpoints ``(u, v)`` of the edge with the given id."""
-        return self._edges[edge_id]
+        return self.edges()[edge_id]
 
     def other_endpoint(self, edge_id: int, vertex: int) -> int:
         """The endpoint of ``edge_id`` that is not ``vertex``.
 
         For a loop at ``vertex`` this returns ``vertex`` itself.
         """
-        u, v = self._edges[edge_id]
+        u, v = self.edges()[edge_id]
         if vertex == u:
             return v
         if vertex == v:
@@ -147,7 +200,10 @@ class Graph:
 
         Loops at ``vertex`` appear twice, so ``len(incidence(v)) == degree(v)``.
         """
-        return self._incidence[vertex]
+        table = self._incidence
+        if table is None:
+            table = self.incidence_table()
+        return table[vertex]
 
     def incidence_table(self) -> Tuple[Tuple[IncidenceEntry, ...], ...]:
         """The whole incidence structure, vertex-indexed (shared, immutable).
@@ -156,6 +212,13 @@ class Graph:
         per-walk copy — sharing one graph across thousands of trials then
         costs no per-trial allocation.
         """
+        if self._incidence is None:
+            offsets, edge_ids, neighbors = self.csr_arrays()
+            bounds = offsets.tolist()
+            entries = list(zip(edge_ids.tolist(), neighbors.tolist()))
+            self._incidence = tuple(
+                tuple(entries[a:b]) for a, b in zip(bounds, bounds[1:])
+            )
         return self._incidence
 
     def neighbors(self, vertex: int) -> Tuple[int, ...]:
@@ -172,7 +235,7 @@ class Graph:
         out = table.get(vertex)
         if out is None:
             out = table[vertex] = tuple(
-                sorted({w for (_, w) in self._incidence[vertex]})
+                sorted({w for (_, w) in self.incidence(vertex)})
             )
         return out
 
@@ -185,7 +248,7 @@ class Graph:
         out = table.get(vertex)
         if out is None:
             out = table[vertex] = tuple(
-                sorted({eid for (eid, _) in self._incidence[vertex]})
+                sorted({eid for (eid, _) in self.incidence(vertex)})
             )
         return out
 
@@ -205,7 +268,7 @@ class Graph:
     @property
     def total_degree(self) -> int:
         """Sum of degrees; always equals ``2 * m``."""
-        return 2 * len(self._edges)
+        return 2 * self._m
 
     def is_regular(self) -> bool:
         """Whether every vertex has the same degree."""
@@ -229,12 +292,21 @@ class Graph:
 
     def has_loops(self) -> bool:
         """Whether any edge is a loop."""
-        return any(u == v for (u, v) in self._edges)
+        ends = self._edge_array
+        if ends is not None:
+            return bool((ends[:, 0] == ends[:, 1]).any())
+        return any(u == v for (u, v) in self.edges())
 
     def has_parallel_edges(self) -> bool:
         """Whether any two edges share both endpoints."""
+        ends = self._edge_array
+        if ends is not None:
+            import numpy as np
+
+            keys = ends.min(axis=1) * self._n + ends.max(axis=1)
+            return int(np.unique(keys).size) < self._m
         seen = set()
-        for u, v in self._edges:
+        for u, v in self.edges():
             key = _normalize_edge(u, v)
             if key in seen:
                 return True
@@ -250,16 +322,16 @@ class Graph:
         if not (0 <= u < self._n and 0 <= v < self._n):
             return False
         # scan the smaller incidence list
-        if len(self._incidence[u]) > len(self._incidence[v]):
+        if self._degrees[u] > self._degrees[v]:
             u, v = v, u
-        return any(w == v for (_, w) in self._incidence[u])
+        return any(w == v for (_, w) in self.incidence(u))
 
     def edge_ids_between(self, u: int, v: int) -> Tuple[int, ...]:
         """All edge ids joining ``u`` and ``v`` (parallel edges give several)."""
         if u == v:
             # each loop appears twice in incidence; deduplicate
-            return tuple(sorted({eid for (eid, w) in self._incidence[u] if w == u}))
-        return tuple(sorted(eid for (eid, w) in self._incidence[u] if w == v))
+            return tuple(sorted({eid for (eid, w) in self.incidence(u) if w == u}))
+        return tuple(sorted(eid for (eid, w) in self.incidence(u) if w == v))
 
     # ------------------------------------------------------------------
     # Flat-array (CSR) incidence layout
@@ -283,21 +355,11 @@ class Graph:
         if self._csr is None:
             import numpy as np
 
-            offsets = np.zeros(self._n + 1, dtype=np.int64)
-            if self._n:
-                np.cumsum(self._degrees, out=offsets[1:])
-            total = 2 * len(self._edges)
-            edge_ids = np.empty(total, dtype=np.int64)
-            neighbors = np.empty(total, dtype=np.int64)
-            pos = 0
-            for entries in self._incidence:
-                for eid, w in entries:
-                    edge_ids[pos] = eid
-                    neighbors[pos] = w
-                    pos += 1
-            for arr in (offsets, edge_ids, neighbors):
+            ends = np.array(self.edges(), dtype=np.int64).reshape(self._m, 2)
+            csr = _csr_from_edge_array(self._n, ends)
+            for arr in csr:
                 arr.setflags(write=False)
-            self._csr = (offsets, edge_ids, neighbors)
+            self._csr = csr
         return self._csr
 
     @property
@@ -338,13 +400,14 @@ class Graph:
         """
         ids = sorted(set(edge_ids))
         for eid in ids:
-            if not (0 <= eid < len(self._edges)):
+            if not (0 <= eid < self._m):
                 raise GraphError(f"edge id {eid} out of range 0..{self.m - 1}")
-        return Graph(self._n, [self._edges[eid] for eid in ids], name=self._name)
+        edges = self.edges()
+        return Graph(self._n, [edges[eid] for eid in ids], name=self._name)
 
     def relabeled(self, name: str) -> "Graph":
         """A copy of this graph carrying a different name."""
-        return Graph(self._n, self._edges, name=name)
+        return Graph(self._n, self.edges(), name=name)
 
     # ------------------------------------------------------------------
     # Dunder protocol
@@ -355,18 +418,21 @@ class Graph:
             return NotImplemented
         if self._n != other._n or self.m != other.m:
             return False
-        mine = sorted(_normalize_edge(u, v) for (u, v) in self._edges)
-        theirs = sorted(_normalize_edge(u, v) for (u, v) in other._edges)
+        mine = sorted(_normalize_edge(u, v) for (u, v) in self.edges())
+        theirs = sorted(_normalize_edge(u, v) for (u, v) in other.edges())
         return mine == theirs
 
     def __hash__(self) -> int:
         return hash(
-            (self._n, tuple(sorted(_normalize_edge(u, v) for (u, v) in self._edges)))
+            (self._n, tuple(sorted(_normalize_edge(u, v) for (u, v) in self.edges())))
         )
 
     def __reduce__(self) -> Tuple[Any, ...]:
         # Pickle structurally (vertex count + edge list); the lazy caches
-        # are rebuilt on demand so worker-pool payloads stay small.
+        # are rebuilt on demand so worker-pool payloads stay small.  An
+        # array-backed graph unpickles array-backed.
+        if self._edge_array is not None:
+            return (_graph_from_edge_array, (self._n, self._edge_array, self._name))
         return (Graph, (self._n, self._edges, self._name))
 
     def __repr__(self) -> str:
@@ -378,6 +444,31 @@ class Graph:
 
     def __len__(self) -> int:
         return self._n
+
+
+def _csr_from_edge_array(
+    n: int, ends: "np.ndarray"
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """The :meth:`Graph.csr_arrays` triple of an ``(m, 2)`` edge array.
+
+    Edge ``e`` has two darts, ``2e`` at its first endpoint and ``2e + 1``
+    at its second; a stable sort of the darts by vertex lists each vertex's
+    entries by edge id, first endpoint's before second's — exactly the
+    order :class:`Graph` appends to its incidence lists.
+    """
+    import numpy as np
+
+    tails = ends.reshape(-1)
+    heads = ends[:, ::-1].reshape(-1)
+    order = np.argsort(tails, kind="stable")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=offsets[1:])
+    return offsets, order >> 1, heads[order]
+
+
+def _graph_from_edge_array(n: int, edge_array: "np.ndarray", name: str) -> Graph:
+    """Unpickle an array-backed :class:`Graph`."""
+    return Graph._from_arrays(n, edge_array, name=name)
 
 
 class GraphBuilder:

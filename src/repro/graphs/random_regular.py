@@ -12,12 +12,25 @@ Two samplers are provided:
 
 Both use Python's Mersenne Twister (`random.Random`), matching the paper's
 experimental setup (Section 5).
+
+Steger–Wormald runs natively when it can.  With the optional C extension
+built (:mod:`repro.engine.native`), a plain Mersenne-Twister ``rng``
+(:meth:`~repro.engine.base.MTWordStream.supports`) and every draw's
+modulus within 32 bits (``n*r`` and ``n*(n-1)/2`` below ``2**32``), each
+pass runs as one C call over the generator's raw words, drawn through
+:class:`~repro.engine.base.MTWordStream`.  It replays
+:func:`_steger_wormald_attempt` draw for draw, so the edges, their order
+and ``rng.getstate()`` afterwards are identical, and it hands back an
+array-backed :class:`Graph` whose CSR arrays and connectivity come out of
+the same pass.  In every other case — ``REPRO_NATIVE=0`` included — the
+Python pass below runs; it is the only fallback and the reference the
+native pass is tested against.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import GenerationError
 from repro.graphs.graph import Graph
@@ -29,6 +42,10 @@ __all__ = [
     "random_even_degree_graph",
     "random_connected_regular_graph",
 ]
+
+
+#: Steger–Wormald restarts before :func:`random_regular_graph` gives up.
+_MAX_RESTARTS = 1_000
 
 
 def _validate_degree_sequence(degrees: Sequence[int], simple: bool = False) -> None:
@@ -44,7 +61,7 @@ def _validate_degree_sequence(degrees: Sequence[int], simple: bool = False) -> N
     if sum(degrees) % 2 != 0:
         raise GenerationError("degree sum must be even")
     n = len(degrees)
-    if simple and n > 1 and any(d > n - 1 for d in degrees):
+    if simple and any(d > n - 1 for d in degrees):
         raise GenerationError("simple graph impossible: some degree exceeds n-1")
 
 
@@ -107,7 +124,7 @@ def random_regular_graph(
     n: int,
     r: int,
     rng: random.Random,
-    max_restarts: int = 1_000,
+    max_restarts: int = _MAX_RESTARTS,
     name: str = "",
 ) -> Graph:
     """Random simple r-regular graph via Steger–Wormald incremental pairing.
@@ -124,6 +141,14 @@ def random_regular_graph(
     rng:
         Mersenne-Twister source; pass a seeded ``random.Random``.
     """
+    return _regular_graph(n, r, rng, max_restarts, name)[0]
+
+
+def _regular_graph(
+    n: int, r: int, rng: random.Random, max_restarts: int, name: str
+) -> Tuple[Graph, Optional[int]]:
+    """:func:`random_regular_graph` plus the component count when the
+    builder knows it (the native pass does; otherwise None)."""
     if n <= 0:
         raise GenerationError(f"n must be positive, got {n}")
     if r < 0 or r >= n:
@@ -132,15 +157,115 @@ def random_regular_graph(
         raise GenerationError(f"n*r must be even, got n={n}, r={r}")
     label = name or f"G({n},{r})"
     if r == 0:
-        return Graph(n, [], name=label)
+        return Graph(n, [], name=label), None
 
+    from repro.telemetry import get_telemetry
+
+    tel = get_telemetry()
+    kernel = _native_kernel(n, r, rng)
+    if kernel is not None:
+        if tel.enabled:
+            tel.count("graphs.native_builds")
+        return _native_regular_graph(kernel, n, r, rng, max_restarts, label)
+    if tel.enabled:
+        tel.count("graphs.python_builds")
     for _restart in range(max_restarts):
         edges = _steger_wormald_attempt(n, r, rng)
         if edges is not None:
-            return Graph(n, edges, name=label)
-    raise GenerationError(
+            return Graph(n, edges, name=label), None
+    raise _restarts_exhausted(n, r, max_restarts)
+
+
+def _restarts_exhausted(n: int, r: int, max_restarts: int) -> GenerationError:
+    return GenerationError(
         f"Steger-Wormald failed after {max_restarts} restarts (n={n}, r={r})"
     )
+
+
+#: Words taken per stub before a native pass; a pass consumes about 1.4
+#: (two draws per edge, ~1.4 words per draw), so re-takes are rare.
+_NATIVE_WORDS_PER_STUB = 2
+
+#: Smallest re-take when the native pass runs its word row dry.
+_NATIVE_MIN_RETAKE = 64
+
+# Statuses of the native pass (``SW_*`` in ``_fused.c``).
+_SW_DONE, _SW_DEADEND, _SW_REFILL = 0, 1, 2
+
+
+def _native_kernel(n: int, r: int, rng: random.Random) -> Any:
+    """The native Steger–Wormald pass, or None when the Python one must run."""
+    if n * r >= 1 << 32 or n * (n - 1) // 2 >= 1 << 32:
+        return None  # some modulus would need more than one word per draw
+    from repro.engine.base import MTWordStream
+
+    if not MTWordStream.supports(rng):
+        return None
+    from repro.engine import native
+
+    return native.load_sw_regular()
+
+
+def _native_regular_graph(
+    kernel: Any, n: int, r: int, rng: random.Random, max_restarts: int, label: str
+) -> Tuple[Graph, int]:
+    """Steger–Wormald passes in C until one succeeds; ``(graph, components)``.
+
+    The words come from one :class:`MTWordStream` run, and the generator
+    is advanced past exactly the words consumed — also when every restart
+    dead-ends and this raises.
+    """
+    import ctypes
+
+    import numpy as np
+
+    from repro.engine.base import MTWordStream
+
+    stubs = n * r
+    state = np.zeros(4, dtype=np.int64)
+    pool, positions, adjacent = (np.empty(stubs, dtype=np.int64) for _ in range(3))
+    free = np.empty(n, dtype=np.int64)
+    edges = np.empty((stubs // 2, 2), dtype=np.int64)
+    csr = (
+        np.empty(n + 1, dtype=np.int64),
+        np.empty(stubs, dtype=np.int64),
+        np.empty(stubs, dtype=np.int64),
+    )
+    par = np.array([n, r, 0, 1], dtype=np.int64)  # n, r, row width, fresh
+    stream = MTWordStream(rng)
+    stream.begin()
+    row = stream.take(_NATIVE_WORDS_PER_STUB * stubs)
+    consumed = 0  # words consumed from rows already replaced
+    try:
+        for _restart in range(max_restarts):
+            par[3] = 1  # fresh attempt
+            while True:
+                par[2] = row.shape[0]
+                arrays = (row, state, pool, positions, free, adjacent, edges, *csr)
+                slots = (ctypes.c_void_p * len(arrays))(
+                    *[ctypes.c_void_p(a.ctypes.data) for a in arrays]
+                )
+                status = int(kernel(ctypes.c_void_p(par.ctypes.data), slots))
+                if status != _SW_REFILL:
+                    break
+                # The row ran dry mid-placement (nothing placed): keep its
+                # unread tail, append fresh words and resume.
+                par[3] = 0
+                p = int(state[0])
+                consumed += p
+                retake = max(row.shape[0], _NATIVE_MIN_RETAKE)
+                row = np.concatenate([row[p:], stream.take(retake)])
+                state[0] = 0
+            if status == _SW_DONE:
+                graph = Graph._from_arrays(n, edges, csr, name=label)
+                return graph, int(state[3])
+            if status != _SW_DEADEND:
+                raise GenerationError(
+                    f"native Steger-Wormald pass failed (status {status})"
+                )
+    finally:
+        stream.sync_to(consumed + int(state[0]))
+    raise _restarts_exhausted(n, r, max_restarts)
 
 
 def _steger_wormald_attempt(
@@ -249,8 +374,8 @@ def random_connected_regular_graph(
     if r < 2:
         raise GenerationError(f"connected regular graphs need r >= 2, got r={r}")
     for _ in range(max_attempts):
-        g = random_regular_graph(n, r, rng, name=name)
-        if is_connected(g):
+        g, components = _regular_graph(n, r, rng, _MAX_RESTARTS, name)
+        if is_connected(g) if components is None else components == 1:
             return g
     raise GenerationError(
         f"no connected sample in {max_attempts} attempts (n={n}, r={r})"

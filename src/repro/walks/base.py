@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.errors import CoverTimeout, GraphError
 from repro.graphs.graph import Graph
@@ -100,11 +100,16 @@ class WalkProcess(ABC):
             self.num_visited_edges = 0
             self.first_edge_visit_time = []
 
-        # The graph's own (immutable) incidence table: the hot loop reads
-        # it every step, and sharing it costs no per-trial allocation —
-        # walks constructed by the thousand on one graph used to rebuild
-        # an n-entry list each.
-        self._incidence = graph.incidence_table()
+    def __getattr__(self, name: str) -> Any:
+        # ``_incidence`` is the graph's own (immutable) incidence table:
+        # the reference hot loops read it every step, and sharing it costs
+        # no per-trial allocation.  It is fetched on first use, so the array
+        # engines — which step on the CSR arrays — never make an
+        # array-backed graph build its tuples.
+        if name == "_incidence":
+            table = self._incidence = self.graph.incidence_table()
+            return table
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # ------------------------------------------------------------------
     # Core stepping

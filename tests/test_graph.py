@@ -295,3 +295,76 @@ class TestScratchAndPickle:
         a.scratch_cache()["x"] = 1
         assert a == b
         assert hash(a) == hash(b)
+
+
+class TestArrayBacked:
+    """``Graph._from_arrays``: the same graph as ``Graph(n, edges)``, with
+    the edge and incidence tuples built only on first access."""
+
+    # A loop, a parallel pair, an isolated vertex and mixed orientations.
+    EDGES = [(0, 1), (1, 2), (2, 2), (2, 0), (1, 0), (3, 1)]
+
+    def _pair(self, edges=EDGES, n=5):
+        import numpy as np
+
+        eager = Graph(n, edges, name="g")
+        lazy = Graph._from_arrays(
+            n, np.array(edges, dtype=np.int64).reshape(-1, 2), name="g"
+        )
+        return eager, lazy
+
+    def test_arrays_answer_without_building_tuples(self):
+        eager, lazy = self._pair()
+        assert (lazy.n, lazy.m, lazy.name) == (eager.n, eager.m, eager.name)
+        assert lazy.degrees() == eager.degrees()
+        assert (lazy.min_degree, lazy.max_degree) == (eager.min_degree, eager.max_degree)
+        assert lazy.is_regular() == eager.is_regular()
+        assert lazy.has_loops() and lazy.has_parallel_edges()
+        for mine, theirs in zip(lazy.csr_arrays(), eager.csr_arrays()):
+            assert mine.tolist() == theirs.tolist()
+            assert not mine.flags.writeable
+        assert lazy._edges is None and lazy._incidence is None
+
+    def test_simple_graph_flags(self):
+        eager, lazy = self._pair([(0, 1), (1, 2), (2, 0), (2, 3)], n=4)
+        assert not lazy.has_loops() and not lazy.has_parallel_edges()
+        assert lazy.is_simple() and eager.is_simple()
+
+    def test_csr_is_incidence_order(self):
+        # Flattened from the eager constructor's own incidence lists, which
+        # do not go through the array path.
+        eager, lazy = self._pair()
+        offsets, edge_ids, neighbors = lazy.csr_arrays()
+        flat = [entry for row in eager.incidence_table() for entry in row]
+        assert list(zip(edge_ids.tolist(), neighbors.tolist())) == flat
+        assert offsets.tolist() == [0] + [
+            sum(eager.degrees()[: v + 1]) for v in range(eager.n)
+        ]
+
+    def test_equals_eager_graph(self):
+        eager, lazy = self._pair()
+        assert lazy == eager and eager == lazy
+        assert hash(lazy) == hash(eager)
+        assert lazy.edges() == eager.edges()
+        assert lazy.incidence_table() == eager.incidence_table()
+        assert lazy.neighbors(2) == eager.neighbors(2)
+        assert lazy.edge_ids_between(2, 2) == eager.edge_ids_between(2, 2)
+        assert lazy.other_endpoint(5, 3) == 1
+
+    def test_pickle_roundtrip_stays_array_backed(self):
+        import pickle
+
+        eager, lazy = self._pair()
+        clone = pickle.loads(pickle.dumps(lazy))
+        assert clone._edges is None and clone._incidence is None
+        assert clone == eager and clone.name == "g"
+        for mine, theirs in zip(clone.csr_arrays(), eager.csr_arrays()):
+            assert mine.tolist() == theirs.tolist()
+            assert not mine.flags.writeable
+        assert pickle.loads(pickle.dumps(eager)) == clone
+
+    def test_empty(self):
+        eager, lazy = self._pair([], n=3)
+        assert lazy == eager and lazy.m == 0
+        assert lazy.csr_offsets.tolist() == [0, 0, 0, 0]
+        assert lazy.incidence_table() == ((), (), ())

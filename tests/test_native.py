@@ -14,18 +14,28 @@ path, and the >16-degree regular path), shared and distinct-graph
 (tiled) fleets, K in {1, 2, 7, 32}, both cover targets, budget timeouts,
 and the loader's fallback behaviour (numpy path + one RuntimeWarning)
 when the extension is missing.
+
+The native Steger–Wormald pass is held to the same standard against the
+python builder: same edges in the same order, same CSR arrays, same
+component count and the same generator end state, over dead-end
+restarts, the exhaustive fallback and word-row re-takes; pinned digests
+of fresh 4-regular graphs hold with and without the kernel.
 """
 
+import hashlib
 import random
 import warnings
 
 import pytest
 
 from repro.core.eprocess import EdgeProcess
-from repro.engine import FleetEdgeProcess, FleetSRW, FleetVProcess, native
-from repro.errors import CoverTimeout, ReproError
+from repro.engine import FleetEdgeProcess, FleetSRW, FleetVProcess, MTWordStream, native
+from repro.errors import CoverTimeout, GenerationError, ReproError
+from repro.graphs import random_regular as rr
 from repro.graphs.generators import complete_graph, lollipop_graph
-from repro.graphs.random_regular import random_connected_regular_graph
+from repro.graphs.graph import Graph
+from repro.graphs.properties import connected_components
+from repro.graphs.random_regular import random_connected_regular_graph, random_regular_graph
 from repro.telemetry import Telemetry, session
 from repro.walks.choice import UnvisitedVertexWalk
 from repro.walks.srw import SimpleRandomWalk
@@ -293,3 +303,205 @@ class TestNativeLoader:
         fleet2 = FleetSRW([graph] * 2, starts, twins, native=None)
         fleet2.run_until_cover("vertices")
         assert fleet2._native is not None
+
+
+# ---------------------------------------------------------------------------
+# Native Steger–Wormald pass vs. the python reference
+# ---------------------------------------------------------------------------
+
+
+class _CountingRandom(random.Random):
+    """A plain Mersenne Twister that records every ``randrange`` modulus."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.moduli = []
+
+    def randrange(self, start, *args, **kwargs):
+        self.moduli.append(start)
+        return super().randrange(start, *args, **kwargs)
+
+
+def _fallback_draws(moduli, n, r):
+    """Draws made by the exhaustive fallback, read off the moduli alone.
+
+    Each try draws twice from the pool at one modulus, and the pool
+    shrinks after every placement, so 400 equal moduli in a row are 200
+    failed tries.  A draw right after them that does not start a new
+    pass (modulus ``n*r``) picked from the fallback's suitable pairs.
+    """
+    count, run = 0, 1
+    for prev, q in zip(moduli, moduli[1:]):
+        if q == prev:
+            run += 1
+            continue
+        if run >= 400 and q != n * r:
+            count += 1
+        run = 1
+    return count
+
+
+def _reference_pass(n, r, seed):
+    """Python Steger–Wormald attempts until one succeeds, with counts."""
+    rng = _CountingRandom(seed)
+    dead_ends = 0
+    while (edges := rr._steger_wormald_attempt(n, r, rng)) is None:
+        dead_ends += 1
+    return edges, rng, dead_ends, _fallback_draws(rng.moduli, n, r)
+
+
+def _flat_incidence(graph):
+    """The CSR entries flattened from the eager constructor's own lists."""
+    return [entry for row in graph.incidence_table() for entry in row]
+
+
+#: (n, r, seeds).  n=6, r=4 dead-ends often; the three dense shapes each
+#: have a seed whose pass, after dozens of dead ends, places an edge
+#: through the exhaustive fallback (complete graphs such as K5 never
+#: reach it: no pair of open vertices is ever adjacent there).
+SW_CASES = [
+    (6, 4, range(12)),
+    (22, 20, [25]),
+    (25, 22, [53]),
+    (30, 27, [48]),
+    (5, 4, range(6)),
+    (9, 8, range(6)),
+    (8, 3, range(12)),
+    (41, 6, range(12)),
+    (200, 4, range(6)),
+    (64, 7, range(6)),
+]
+
+
+@native_built
+class TestNativeStegerWormald:
+    def _native(self, n, r, seed):
+        rng = random.Random(seed)
+        kernel = rr._native_kernel(n, r, rng)
+        assert kernel is not None
+        graph, components = rr._native_regular_graph(kernel, n, r, rng, 10_000, "g")
+        return graph, components, rng
+
+    def test_bit_identical_to_python_pass(self):
+        dead_ends = {}
+        fallbacks = {}
+        for n, r, seeds in SW_CASES:
+            for seed in seeds:
+                graph, components, rng = self._native(n, r, seed)
+                edges, ref_rng, dead, fell = _reference_pass(n, r, seed)
+                assert graph.edges() == tuple(edges), (n, r, seed)
+                assert rng.getstate() == ref_rng.getstate(), (n, r, seed)
+                eager = Graph(n, edges)
+                offsets, edge_ids, neighbors = graph.csr_arrays()
+                assert offsets.tolist() == list(range(0, n * r + 1, r))
+                assert list(zip(edge_ids.tolist(), neighbors.tolist())) == (
+                    _flat_incidence(eager)
+                )
+                assert components == len(connected_components(eager))
+                dead_ends[n, r] = dead_ends.get((n, r), 0) + dead
+                fallbacks[n, r] = fallbacks.get((n, r), 0) + fell
+        # The cases really reach the rare paths the kernel must replay.
+        assert dead_ends[6, 4] > 0
+        assert all(fallbacks[shape] > 0 for shape in [(22, 20), (25, 22), (30, 27)])
+
+    def test_word_row_retakes(self, monkeypatch):
+        # No words up front and tiny re-takes: the pass runs its row dry
+        # over and over, mid-placement and mid-fallback, and must resume
+        # exactly where it stopped.
+        monkeypatch.setattr(rr, "_NATIVE_WORDS_PER_STUB", 0)
+        monkeypatch.setattr(rr, "_NATIVE_MIN_RETAKE", 1)
+        takes = []
+        real_take = MTWordStream.take
+
+        def counting_take(self, count):
+            takes.append(count)
+            return real_take(self, count)
+
+        monkeypatch.setattr(MTWordStream, "take", counting_take)
+        for n, r, seeds in [(6, 4, range(4)), (22, 20, [25]), (60, 4, range(4))]:
+            for seed in seeds:
+                takes.clear()
+                graph, _, rng = self._native(n, r, seed)
+                edges, ref_rng, _, _ = _reference_pass(n, r, seed)
+                assert len(takes) > 3
+                assert graph.edges() == tuple(edges)
+                assert rng.getstate() == ref_rng.getstate()
+
+    def test_restart_budget_exhaustion_syncs_rng(self):
+        # Seeds whose first n=6, r=4 pass dead-ends: with one restart
+        # allowed both builders give up, having consumed the same words.
+        failing = [s for s in range(40) if _reference_pass(6, 4, s)[2] > 0]
+        assert failing
+        for seed in failing[:3]:
+            states = []
+            for env in ("1", "0"):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setenv("REPRO_NATIVE", env)
+                    rng = random.Random(seed)
+                    with pytest.raises(GenerationError, match="restarts"):
+                        random_regular_graph(6, 4, rng, max_restarts=1)
+                    states.append(rng.getstate())
+            assert states[0] == states[1]
+
+    def test_builder_counters(self, monkeypatch):
+        tel = Telemetry()
+        with session(tel):
+            random_connected_regular_graph(30, 4, random.Random(1))
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+            random_regular_graph(30, 4, random.Random(1))
+            monkeypatch.delenv("REPRO_NATIVE")
+            # An rng the word stream cannot transplant stays in python.
+            random_regular_graph(30, 4, _OwnRandbelow(1))
+        assert tel.counters["graphs.native_builds"] == 1
+        assert tel.counters["graphs.python_builds"] == 2
+
+    @pytest.mark.parametrize("native_pref", [True, False])
+    def test_fleet_never_builds_graph_tuples(self, native_pref):
+        # The array-backed graphs are the gain: a fleet on native-built
+        # lanes, straggler hand-off included, must read only the arrays.
+        K = 5
+        graphs = [random_connected_regular_graph(60, 4, random.Random(k)) for k in range(K)]
+        rngs = [random.Random(900 + k) for k in range(K)]
+        fleet = FleetEdgeProcess(graphs, [0] * K, rngs, native=native_pref)
+        fleet.run_until_cover("vertices")
+        assert all(g._edges is None and g._incidence is None for g in graphs)
+
+
+class _OwnRandbelow(random.Random):
+    def _randbelow(self, n):
+        return super()._randbelow(n)
+
+
+#: sha256 of ``repr(graph.edges())`` and the next ``getrandbits(64)`` for
+#: ``random_connected_regular_graph(n, 4, random.Random(seed))``, recorded
+#: from the python builder before the native pass existed.
+PINNED_GRAPHS = [
+    (2000, 1, "f367232f9d7b5859af0331de5646ee65f5a55cde09fd9ce0b24b46a5d8b15e7d", 8063559846201904738),
+    (2000, 2, "9ec5ed4bcf73dcfa82763ada4737413eacc75be2e6b0db6761324bc70de49ffd", 13053675292181821466),
+    (2000, 3, "895ee1e060aa9861d77892b63dc48837fa2095d3fb1666b1e52ddad9478fc32a", 2472614057189410621),
+    (8000, 1, "85c375565aaa2b57f0829b8a30bf8a2c7d20b4339cc6dc1fe685d6beef30a692", 16692200287999714541),
+    (8000, 2, "a18b8031126d5adfc7955e8b6158e32ee5d6a718999ab9cce9392694fc2595a3", 18248763941143279203),
+    (8000, 3, "db0e3ade77b7e2bf45964f97731c1f6cde5b5c033a5b03a94e2d03fe2829e468", 12521568718687747037),
+]
+
+
+@pytest.mark.parametrize("n,seed,digest,next_word", PINNED_GRAPHS)
+def test_pinned_connected_regular_graphs(n, seed, digest, next_word):
+    # Holds on whichever builder runs: native when built, python under
+    # REPRO_NATIVE=0.
+    rng = random.Random(seed)
+    graph = random_connected_regular_graph(n, 4, rng)
+    assert hashlib.sha256(repr(graph.edges()).encode()).hexdigest() == digest
+    assert rng.getrandbits(64) == next_word
+
+
+def test_fallback_warning_names_graph_builds(monkeypatch):
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    monkeypatch.setattr(native, "_find_extension", lambda: None)
+    native._reset_probe_for_testing()
+    try:
+        with pytest.warns(RuntimeWarning, match="random regular graph builds"):
+            assert native.load_sw_regular() is None
+    finally:
+        monkeypatch.undo()
+        native._reset_probe_for_testing()

@@ -103,6 +103,20 @@ class TestConfigurationModel:
         g = configuration_model([2], rng, simple=False)
         assert g.n == 1 and g.m == 1 and g.has_loops()
 
+    def test_single_vertex_simple_rejected_before_sampling(self):
+        # One vertex of degree 4 is two loops: no simple realization.  The
+        # validator used to exempt n == 1, so the sampler spun through its
+        # whole retry budget and blamed density.
+        rng = random.Random(0)
+        before = rng.getstate()
+        with pytest.raises(GenerationError, match="simple graph impossible"):
+            configuration_model([4], rng, simple=True)
+        assert rng.getstate() == before
+
+    def test_single_isolated_vertex_is_simple(self, rng):
+        g = configuration_model([0], rng, simple=True)
+        assert g.n == 1 and g.m == 0
+
 
 class TestEvenDegreeSequences:
     def test_even_sequence(self, rng):
