@@ -13,7 +13,7 @@ Rule catalog
 ``R1`` rng-discipline
     Inside ``engine/``, ``walks/`` and ``graphs/``, no direct ``random.*``
     / ``numpy.random.*`` / ``os.urandom`` calls outside the sanctioned
-    wrappers (``MTWordStream``, ``_WordBank``, ``_LaneDraws``; the
+    wrappers (``MTWordStream``, ``_WordBank``; the
     generator-accepting constructors take a ``random.Random`` and draw
     through its methods).
 ``R2`` determinism

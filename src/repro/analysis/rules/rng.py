@@ -2,7 +2,7 @@
 
 The bit-identical replay contract holds because every engine draws its
 randomness from the per-trial ``random.Random`` handed to it (directly,
-or batched through ``MTWordStream`` / ``_WordBank`` / ``_LaneDraws``).  A
+or batched through ``MTWordStream`` / ``_WordBank``).  A
 single ``random.random()`` — the *module-level* shared generator — or an
 ``os.urandom`` read inside ``engine/``, ``walks/`` or ``graphs/`` silently
 breaks replay: fleet, array, oracle and native runs would stop sharing
@@ -36,7 +36,7 @@ __all__ = ["RngDisciplineRule"]
 
 #: Class bodies allowed to touch numpy's generator machinery directly:
 #: the word-stream layer every engine draws through.
-SANCTIONED_WRAPPERS = frozenset({"MTWordStream", "_WordBank", "_LaneDraws"})
+SANCTIONED_WRAPPERS = frozenset({"MTWordStream", "_WordBank"})
 
 
 class RngDisciplineRule(Rule):
@@ -103,7 +103,7 @@ class RngDisciplineRule(Rule):
                 return None  # seeded state container: the transplant idiom
             return (
                 f"numpy.random.{func}() bypasses the sanctioned word-stream "
-                "wrappers (MTWordStream/_WordBank/_LaneDraws); engines must "
+                "wrappers (MTWordStream/_WordBank); engines must "
                 "consume the trial generator's exact draw sequence",
                 Severity.ERROR,
             )

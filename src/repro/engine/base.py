@@ -217,16 +217,15 @@ class VisitedSet:
     """A packed-uint64 bitset for visitation state: n *bits*, not n bytes.
 
     The materialized engines keep their historical ``bytearray`` state
-    (one byte per vertex is fine at n ~ 10^5), but at n ≥ 10^7 — and for
-    the fleet's K·n lane-major state — bytes are the difference between
-    fitting in cache and not.  Both oracle layers (the array-style
-    :mod:`repro.engine.oracle` walks and the fleet's oracle block kernel)
-    share this implementation.
+    (one byte per vertex is fine at n ~ 10^5), but at n ≥ 10^7 bytes are
+    the difference between fitting in cache and not.  The :mod:`repro.engine.oracle` walks keep
+    their visitation state here.
 
     Two access styles, matching the two kinds of hot loop:
 
     * vectorized (``test_many``/``set_many``/``fresh_indices``) on int64
-      numpy index arrays — the fleet's oracle block kernel;
+      numpy index arrays, for whole blocks of visits at once (no engine
+      steps this way at present);
     * scalar via :meth:`checkout_words`/:meth:`checkin_words`: the caller
       borrows the words as a plain Python list (CPython int bit-ops beat
       numpy scalar indexing several-fold in per-step loops), mutates, and
@@ -305,21 +304,6 @@ class VisitedSet:
         self.words[:] = np.asarray(words, dtype=np.uint64)
         self.count += added
         self._checked_out = False
-
-    def to_bytearray(self, lo: int = 0, hi: Optional[int] = None) -> bytearray:
-        """Bits ``[lo, hi)`` expanded to one byte each (0/1).
-
-        Hand-off adapter: the materialized walks' ``visited_vertices`` is
-        a byte-per-vertex ``bytearray``.
-        """
-        import numpy as np
-
-        if hi is None:
-            hi = self.nbits
-        idx = np.arange(lo, hi, dtype=np.int64)
-        shifts = (idx & 63).astype(np.uint64)
-        bits = (self.words[idx >> 6] >> shifts) & np.uint64(1)
-        return bytearray(bits.astype(np.uint8).tobytes())
 
     def __len__(self) -> int:
         return self.nbits

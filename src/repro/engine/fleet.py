@@ -34,15 +34,13 @@ bit-identical to the numpy path by contract, selected per fleet at
 runtime (``native=`` preference, ``REPRO_NATIVE=0`` opt-out, graceful
 fallback when the build is unavailable).
 
-Implicit neighbor-oracle lanes (SRW only) have no CSR tiles for the
-driver to gather from; they run the **oracle block kernel** instead
-(:meth:`FleetSRW._run_oracle`).  An implicit graph is regular, so its
-SRW's RNG consumption is state-independent — ``randrange(d)`` accepts or
-rejects a word by its value alone — and each lane's whole draw sequence
-is prefiltered up front (:class:`_LaneDraws`), trajectory blocks are
-resolved through the vectorized oracle, and a covered lane's
-``random.Random`` is rewound to exactly the words its reference walk
-consumed.
+Implicit neighbor-oracle lanes (:mod:`repro.graphs.implicit`) run the
+same driver on their ``materialize()`` twin (:func:`materialized_lanes`):
+every family's twin keeps the oracle's slot order, so the twin's walk
+replays the oracle walk bit for bit.  A twin costs O(n·d) memory, so an
+implicit lane whose dart space ``n·d`` exceeds
+:data:`~repro.engine.oracle.EDGE_TIMES_MAX_DARTS` is refused; the
+per-trial oracle engines (``engine='array'``) serve giant graphs.
 
 Graphs may be one shared :class:`~repro.graphs.graph.Graph` (fixed
 workloads; the padded incidence arrays are cached in ``scratch_cache()``)
@@ -58,12 +56,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.base import (
-    MTWordStream,
-    VisitedSet,
-    mt_state_from_numpy,
-    mt_state_to_numpy,
-)
+from repro.engine.base import MTWordStream, mt_state_from_numpy, mt_state_to_numpy
+from repro.engine.oracle import EDGE_TIMES_MAX_DARTS
 from repro.errors import CoverTimeout, GraphError, ReproError
 from repro.graphs.graph import Graph
 from repro.graphs.implicit import is_implicit
@@ -77,6 +71,7 @@ __all__ = [
     "FleetWalkBase",
     "FleetSRW",
     "fleet_supported",
+    "materialized_lanes",
 ]
 
 #: Trials advanced together per fleet; the runner's batch size for
@@ -89,9 +84,8 @@ __all__ = [
 #: MB.
 DEFAULT_FLEET_SIZE = 128
 
-#: Steps per kernel block: the most lockstep steps one native call (or
-#: one oracle trajectory block) advances before the driver's bookkeeping
-#: runs.
+#: Steps per kernel block: the most lockstep steps one native call
+#: advances before the driver's bookkeeping runs.
 DEFAULT_BLOCK_STEPS = 2048
 
 #: When this few lanes remain, the fleet hands them to per-trial scalar
@@ -112,6 +106,27 @@ NATIVE_REFILL_MARGIN = 64
 #: Walks with a lockstep fleet kernel (the eligibility rules of
 #: :func:`fleet_supported` are per walk).
 FLEET_WALKS = ("srw", "eprocess", "vprocess")
+
+
+def materialized_lanes(graphs: Sequence[Graph]) -> List[Graph]:
+    """``graphs`` with every implicit lane swapped for its ``materialize()`` twin.
+
+    One twin per *distinct* implicit graph (implicit graphs compare by
+    family and parameters), so lanes that share a graph keep sharing one
+    object — the driver's shared-tile path.  A lane whose dart space
+    ``n·d`` exceeds :data:`~repro.engine.oracle.EDGE_TIMES_MAX_DARTS` stays
+    implicit: the check is analytic, so a giant graph is never built, and
+    :func:`fleet_supported` refuses the lane.
+    """
+    twins: Dict[object, Graph] = {}
+    lanes = []
+    for g in graphs:
+        if is_implicit(g) and g.n * g.max_degree <= EDGE_TIMES_MAX_DARTS:
+            if g not in twins:
+                twins[g] = g.materialize()
+            g = twins[g]
+        lanes.append(g)
+    return lanes
 
 
 def fleet_supported(
@@ -136,13 +151,10 @@ def fleet_supported(
     deduplicates *distinct* neighbours, which is the identity exactly when
     there are no loops or parallel edges).
 
-    Implicit neighbor-oracle lanes (:mod:`repro.graphs.implicit`) are
-    accepted for ``srw`` only — the oracle block kernel resolves whole
-    lane rows through the vectorized oracle — and must all share one
-    implicit graph;
-    the E-/V-process lockstep kernels need per-edge CSR state the oracle
-    cannot provide, so those fleets refuse with a reason naming the walk
-    and backend (the per-trial oracle engines still serve them).
+    Implicit neighbor-oracle lanes are checked on their
+    :func:`materialized_lanes` twins, the graphs the fleet steps on; an
+    implicit lane too large to materialize is refused with a reason
+    pointing at ``engine='array'``.
 
     A failed check names the offending lane — annotated with its entry in
     ``labels`` when given (the runner passes trial ids) — so errors point
@@ -158,66 +170,47 @@ def fleet_supported(
         return False, f"walk {walk!r} has no fleet kernel (fleet walks: {list(FLEET_WALKS)})"
     if not graphs:
         return False, "empty fleet"
-    if any(is_implicit(g) for g in graphs):
-        # Implicit neighbor-oracle lanes: the SRW oracle kernel only needs
-        # vectorized kth_neighbor evaluation, which the oracle provides;
-        # the E-/V-process lockstep kernels read per-edge CSR tiles and
-        # dedup tables the oracle cannot supply.
-        for k, g in enumerate(graphs):
-            if not is_implicit(g):
-                return False, (
-                    f"{lane(k)}: graph {g!r} is materialized but other "
-                    "lanes are implicit (a fleet needs one backend across "
-                    "all lanes)"
-                )
-        if walk != "srw":
+    graphs = materialized_lanes(graphs)
+    first = graphs[0]
+    n, m = first.n, first.m
+    checked: List[Tuple[int, Graph]] = []
+    seen_graphs: Dict[int, int] = {}
+    for k, g in enumerate(graphs):
+        if id(g) in seen_graphs:
+            continue
+        seen_graphs[id(g)] = k
+        checked.append((k, g))
+        if is_implicit(g):
             return False, (
-                f"walk {walk!r} on the implicit neighbor-oracle backend "
-                "has no fleet kernel: its lockstep stepping needs per-edge "
-                "CSR state the oracle cannot provide; use engine='array' "
-                "(the oracle per-trial engine) or materialize() the graph"
+                f"{lane(k)}: implicit graph {g!r} has n·d = {g.n * g.max_degree} "
+                f"darts, past the {EDGE_TIMES_MAX_DARTS} a fleet materializes; "
+                "use engine='array' (the per-trial oracle engines step it in "
+                "O(n) bits)"
             )
-        g0 = graphs[0]
-        for k, g in enumerate(graphs):
-            if g is not g0 and g != g0:
+        if g.n != n or g.m != m:
+            return False, (
+                f"{lane(k)}: graph {g!r} breaks the fleet's shared shape "
+                f"(lane 0 has n={n}, m={m}; a fleet needs one (n, m) "
+                "across all lanes)"
+            )
+        if g.min_degree == 0 and g.n > 1:
+            return False, f"{lane(k)}: graph {g!r} has isolated vertices"
+    if walk == "eprocess":
+        for k, g in checked:
+            if g.has_loops():
                 return False, (
-                    f"{lane(k)}: implicit fleet lanes must share one graph "
-                    f"(lane 0 has {g0!r}, got {g!r})"
+                    f"{lane(k)}: graph {g!r} has self-loops (the E-process "
+                    "blue-candidate dedup and double blue-degree decrement "
+                    "are per-step state the fleet kernel does not model)"
                 )
-    else:
-        first = graphs[0]
-        n, m = first.n, first.m
-        checked: List[Tuple[int, Graph]] = []
-        seen_graphs: Dict[int, int] = {}
-        for k, g in enumerate(graphs):
-            if id(g) in seen_graphs:
-                continue
-            seen_graphs[id(g)] = k
-            checked.append((k, g))
-            if g.n != n or g.m != m:
+    elif walk == "vprocess":
+        for k, g in checked:
+            if g.has_loops() or g.has_parallel_edges():
                 return False, (
-                    f"{lane(k)}: graph {g!r} breaks the fleet's shared shape "
-                    f"(lane 0 has n={n}, m={m}; a fleet needs one (n, m) "
-                    "across all lanes)"
+                    f"{lane(k)}: graph {g!r} is not simple (the V-process "
+                    "deduplicates distinct neighbours, which only matches "
+                    "the incidence rows on loop-free, parallel-free graphs)"
                 )
-            if g.min_degree == 0 and g.n > 1:
-                return False, f"{lane(k)}: graph {g!r} has isolated vertices"
-        if walk == "eprocess":
-            for k, g in checked:
-                if g.has_loops():
-                    return False, (
-                        f"{lane(k)}: graph {g!r} has self-loops (the E-process "
-                        "blue-candidate dedup and double blue-degree decrement "
-                        "are per-step state the fleet kernel does not model)"
-                    )
-        elif walk == "vprocess":
-            for k, g in checked:
-                if g.has_loops() or g.has_parallel_edges():
-                    return False, (
-                        f"{lane(k)}: graph {g!r} is not simple (the V-process "
-                        "deduplicates distinct neighbours, which only matches "
-                        "the incidence rows on loop-free, parallel-free graphs)"
-                    )
     for k, rng in enumerate(rngs):
         if not MTWordStream.supports(rng):
             return False, (
@@ -236,103 +229,6 @@ def fleet_supported(
             )
         seen_rngs[id(rng)] = k
     return True, ""
-
-
-class _LaneDraws:
-    """One lane's prefiltered draw stream with exact word accounting.
-
-    ``moves[i]`` is the walk's i-th accepted draw (incidence index).  Raw
-    words come from a scratch numpy ``MT19937`` transplanted from the
-    wrapped ``random.Random``; per bulk pull the lane records ``(draws
-    before, state before, words pulled)``, so :meth:`sync` can place the
-    ``random.Random`` after exactly ``c`` draws by re-deriving — within
-    one pull — which raw word accepted draw ``c``.  Keeping positions per
-    *pull* instead of per *draw* keeps the per-lane footprint at one byte
-    per draw; with dozens of lanes buffered hundreds of thousands of
-    steps ahead, that is the difference between cache-resident state and
-    a page-fault storm.
-
-    Only valid for constant-modulus draw sequences (the SRW on an
-    implicit, hence regular, graph); the stepwise driver uses
-    :class:`_WordBank` instead.
-    """
-
-    __slots__ = ("rng", "mt", "base", "pulls", "moves", "count", "taken", "factor", "shift", "lim", "d", "_tel")
-
-    def __init__(self, rng: random.Random, d: int):
-        import numpy as np
-
-        self._tel = get_telemetry()
-        self.rng = rng
-        self.base = rng.getstate()  # (version, 625-tuple, gauss)
-        self.mt = np.random.MT19937(0)
-        self.mt.state = mt_state_to_numpy(self.base[1])
-        #: per bulk pull: (draws buffered before it, MT state before it,
-        #: words pulled)
-        self.pulls: List[Tuple[int, dict, int]] = []
-        self.d = d
-        k = d.bit_length()
-        self.shift = 32 - k
-        self.factor = (1 << k) / d
-        # randrange(d) accepts word w iff (w >> shift) < d iff w < d << shift.
-        self.lim = d << self.shift
-        dtype = np.uint8 if d <= 0xFF else (np.uint16 if d <= 0xFFFF else np.uint32)
-        self.moves = np.empty(8192, dtype=dtype)
-        self.count = 0
-        self.taken = 0
-
-    def ensure(self, need: int) -> None:
-        """Buffer at least ``need`` accepted draws (amortized growth)."""
-        import numpy as np
-
-        while self.count < need:
-            est = int((need - self.count) * self.factor) + 64
-            self.pulls.append((self.count, self.mt.state, est))
-            raw = self.mt.random_raw(est)
-            acc = np.nonzero(raw < self.lim)[0]
-            new = len(acc)
-            if self.count + new > len(self.moves):
-                cap = len(self.moves)
-                while cap < self.count + new:
-                    cap *= 2
-                moves = np.empty(cap, dtype=self.moves.dtype)
-                moves[: self.count] = self.moves[: self.count]
-                self.moves = moves
-            self.moves[self.count : self.count + new] = raw[acc] >> self.shift
-            self.count += new
-            self.taken += est
-            if self._tel.enabled:
-                self._tel.count("wordbank.refills")
-                self._tel.count("wordbank.words_refilled", est)
-
-    def sync(self, steps_consumed: int) -> None:
-        """Set the lane's ``random.Random`` past exactly ``steps_consumed``
-        draws — the state its reference twin would leave behind."""
-        import numpy as np
-
-        if not steps_consumed:
-            self.rng.setstate(self.base)
-            return
-        # The pull that produced draw number `steps_consumed`.
-        idx = 0
-        for j, rec in enumerate(self.pulls):
-            if rec[0] >= steps_consumed:
-                break
-            idx = j
-        before, state, est = self.pulls[idx]
-        mt = self.mt
-        mt.state = state
-        raw = mt.random_raw(est)
-        acc = np.nonzero(raw < self.lim)[0]
-        words = int(acc[steps_consumed - before - 1]) + 1
-        mt.state = state
-        mt.random_raw(words)
-        self.rng.setstate(mt_state_from_numpy(mt, self.base))
-        if self._tel.enabled:
-            self._tel.count(
-                "wordbank.words_consumed",
-                sum(p[2] for p in self.pulls[:idx]) + words,
-            )
 
 
 class _LaneWords:
@@ -535,7 +431,9 @@ class FleetWalkBase:
     ----------
     graphs:
         One graph per lane (repeat the same object for a shared fixed
-        workload).  All must share one ``(n, m)`` shape.
+        workload).  All must share one ``(n, m)`` shape.  Implicit lanes
+        are swapped for their twins (:func:`materialized_lanes`), so
+        :attr:`graphs` holds what the fleet steps on.
     starts:
         Start vertex per lane; time 0 counts as a visit, as in
         :class:`~repro.walks.base.WalkProcess`.
@@ -550,10 +448,8 @@ class FleetWalkBase:
         otherwise; ``False`` always steps the numpy path; ``True``
         requires the kernel and raises :class:`~repro.errors.ReproError`
         if it cannot be loaded (benchmarks use this so a "native" number
-        can never silently be numpy).  The implicit-graph SRW oracle
-        kernel is not stepwise and ignores the preference.  Either way
-        every number is identical — the kernel replays the numpy path bit
-        for bit.
+        can never silently be numpy).  Either way every number is
+        identical — the kernel replays the numpy path bit for bit.
     """
 
     walk_name = "srw"
@@ -571,6 +467,7 @@ class FleetWalkBase:
                 f"fleet lanes disagree: {len(graphs)} graphs, "
                 f"{len(starts)} starts, {len(rngs)} rngs"
             )
+        graphs = materialized_lanes(graphs)
         ok, reason = fleet_supported(graphs, rngs, walk=self.walk_name)
         if not ok:
             raise ReproError(f"fleet unsupported: {reason}")
@@ -1051,13 +948,11 @@ class _StepwiseFleet(FleetWalkBase):
 class FleetSRW(_StepwiseFleet):
     """K lockstep SRW cover trials; bit-identical to K sequential walks.
 
-    Materialized lanes, regular or not, run the stepwise driver (one
-    lockstep step at a time, native fused blocks when built); implicit
-    neighbor-oracle lanes run the oracle block kernel (whole trajectory
-    blocks per oracle call, draws prefiltered per lane).  Either way
-    every lane is bit-identical to a sequential
-    :class:`~repro.walks.srw.SimpleRandomWalk` of the same seed, RNG
-    end-state included.
+    Every lane, regular or not, runs the stepwise driver (one lockstep
+    step at a time, native fused blocks when built); implicit lanes step
+    on their ``materialize()`` twin.  Every lane is bit-identical to a
+    sequential :class:`~repro.walks.srw.SimpleRandomWalk` of the same
+    seed, RNG end-state included.
 
     After a run, :attr:`cover_steps` holds per-lane cover times,
     :meth:`first_visit_time` the per-lane first-visit tables (vertex or
@@ -1067,197 +962,6 @@ class FleetSRW(_StepwiseFleet):
 
     walk_name = "srw"
     _NATIVE_WALK = 0
-
-    def __init__(
-        self,
-        graphs: Sequence[Graph],
-        starts: Sequence[int],
-        rngs: Sequence[random.Random],
-        block_steps: int = DEFAULT_BLOCK_STEPS,
-        native: Optional[bool] = None,
-    ):
-        super().__init__(graphs, starts, rngs, block_steps, native=native)
-        #: implicit neighbor-oracle lanes (always regular, one shared
-        #: graph — fleet_supported enforces both) have no CSR tiles for
-        #: the stepwise driver: the oracle block kernel serves them.
-        self._oracle = is_implicit(self.graphs[0])
-        self._fv = []  # type: ignore[var-annotated]
-        self._fv_stride = 0
-
-    def run_until_cover(
-        self,
-        target: str = "vertices",
-        max_steps: Optional[int] = None,
-        labels: Optional[Sequence[object]] = None,
-    ) -> List[int]:
-        if self._oracle:
-            return self._run_oracle(target, max_steps, labels)
-        return super().run_until_cover(target, max_steps, labels)
-
-    def _run_oracle(
-        self,
-        target: str,
-        max_steps: Optional[int],
-        labels: Optional[Sequence[object]],
-    ) -> List[int]:
-        """The block kernel against an implicit graph's vectorized oracle.
-
-        Per block of ``T`` steps the kernel computes every active lane's
-        trajectory from its prefiltered :class:`_LaneDraws` stream — each
-        trajectory row is one ``kth_neighbors(lane vertices, lane moves)``
-        oracle call — then does visitation bookkeeping on the whole
-        ``(T, A)`` block at once: a vectorized "which visits are first
-        visits" pass, with only the fresh entries touched scalar, in time
-        order.  A lane that covers mid-block is rewound to its cover
-        instant (position and RNG; the overshoot only revisits covered
-        ids, so the bookkeeping needs no undo) and leaves the fleet.
-        Visitation lives in a packed :class:`VisitedSet` (K·n *bits*) —
-        the same bitset the per-trial oracle engines use.  Edge runs
-        identify edges by canonical dart (``edge_slots``), so ``full`` is
-        ``m`` while the id space is the ``n·d`` dart space; first-visit
-        recording shuts off when ``K × id-space`` would dwarf the bitsets
-        (cover counts stay exact).  No scalar tail hand-off: the oracle
-        rows stay cheap at any width, so stragglers just keep riding
-        blocks.
-        """
-        import numpy as np
-
-        if target not in ("vertices", "edges"):
-            raise ReproError(f"target must be 'vertices' or 'edges', got {target!r}")
-        tel = get_telemetry()
-        graph = self.graphs[0]
-        K, n, m, d = self.K, self.n, self.m, graph.max_degree
-        names = list(labels) if labels is not None else list(range(K))
-        budget = max_steps if max_steps is not None else default_step_budget(graph)
-        by_vertices = target == "vertices"
-        full = n if by_vertices else m
-        stride = n if by_vertices else n * d  # dart space carries edge ids
-        record_fv = K * stride <= (1 << 26)
-        visited = VisitedSet(K * stride)
-        words = visited.words
-        fv = [-1] * (K * stride) if record_fv else None
-        counts = [0] * K
-        cover: List[Optional[int]] = [None] * K
-        cur_v = np.array(self.starts, dtype=np.int64)
-        if by_vertices:
-            for k, s in enumerate(self.starts):
-                visited.add(k * n + s)
-                if record_fv:
-                    fv[k * n + s] = 0
-                counts[k] = 1
-
-        lanes: List[int] = []
-        draws: List[Optional[_LaneDraws]] = [None] * K
-        for k in range(K):
-            if counts[k] == full:  # n == 1: covered at time 0
-                cover[k] = 0
-            else:
-                draws[k] = _LaneDraws(self.rngs[k], d)
-                lanes.append(k)
-
-        if tel.enabled and lanes:
-            tel.count("fleet.fleets")
-            tel.count("fleet.lanes", len(lanes))
-            tel.count("fleet.oracle_fleets")
-        lane_steps = 0
-        steps = 0
-        block = self.block_steps
-        kth = graph.kth_neighbors
-        eslots = graph.edge_slots
-        try:
-            while lanes:
-                if steps >= budget:
-                    k = lanes[0]
-                    raise CoverTimeout(
-                        f"fleet lane {names[k]!r} did not cover all {target} "
-                        f"within {budget} steps ({full - counts[k]} left)",
-                        steps=steps,
-                        remaining=full - counts[k],
-                    )
-                T = min(block, budget - steps)
-                A = len(lanes)
-                lanes_np = np.array(lanes, dtype=np.int64)
-                M = np.empty((T, A), dtype=np.int64)
-                for i, k in enumerate(lanes):
-                    lane = draws[k]
-                    if lane.count < steps + T:
-                        lane.ensure(steps + 8 * block)
-                    M[:, i] = lane.moves[steps : steps + T]
-                vtraj = np.empty((T, A), dtype=np.int64)
-                keys = None if by_vertices else np.empty((T, A), dtype=np.int64)
-                cv = cur_v[lanes_np]
-                if keys is None:
-                    for t in range(T):
-                        cv = kth(cv, M[t])
-                        vtraj[t] = cv
-                else:
-                    for t in range(T):
-                        mrow = M[t]
-                        keys[t] = eslots(cv, mrow)
-                        cv = kth(cv, mrow)
-                        vtraj[t] = cv
-                cur_v[lanes_np] = cv
-                off = lanes_np * stride
-                flat = ((vtraj if by_vertices else keys) + off[None, :]).reshape(-1)
-                fresh = visited.fresh_indices(flat)
-                if fresh.size > 512:
-                    _, first_occ = np.unique(flat[fresh], return_index=True)
-                    fresh = fresh[np.sort(first_occ)]
-                if fresh.size:
-                    ids = flat[fresh].tolist()
-                    for p, gid in zip(fresh.tolist(), ids):
-                        wi = gid >> 6
-                        bit = 1 << (gid & 63)
-                        wv = int(words[wi])
-                        if wv & bit:
-                            continue  # revisit within this block
-                        words[wi] = wv | bit
-                        t = p // A
-                        k = lanes[p - t * A]
-                        step_no = steps + t + 1
-                        if record_fv:
-                            fv[gid] = step_no
-                        c = counts[k] + 1
-                        counts[k] = c
-                        if c == full:
-                            cover[k] = step_no
-                steps += T
-                if tel.enabled:
-                    lane_steps += T * A
-                    tel.count("fleet.blocks")
-                    tel.count("fleet.block_steps", T)
-                    tel.count("fleet.lane_steps", T * A)
-                    tel.count("oracle.kth_calls", T)
-                    tel.count("oracle.kth_vertices", T * A)
-                    if not by_vertices:
-                        tel.count("oracle.edge_slot_calls", T)
-                if any(cover[k] is not None for k in lanes):
-                    for i, k in enumerate(lanes):
-                        if cover[k] is None:
-                            continue
-                        t_cov = cover[k] - (steps - T) - 1
-                        cur_v[k] = vtraj[t_cov, i]
-                        draws[k].sync(cover[k])
-                        if tel.enabled:
-                            tel.count("fleet.lane_retirements")
-                    lanes = [k for k in lanes if cover[k] is None]
-                if tel.enabled:
-                    tel.progress(
-                        step=lane_steps,
-                        done=K - len(lanes),
-                        total=K,
-                        unit="lanes",
-                        label="fleet srw oracle",
-                    )
-        finally:
-            for k in lanes:
-                if draws[k] is not None:
-                    draws[k].sync(steps)
-        self.cover_steps = cover
-        self._fv_stride = stride if record_fv else 0
-        self._fv = fv if record_fv else []
-        self._pos = [int(v) for v in cur_v]
-        return [int(c) for c in cover]  # type: ignore[arg-type]
 
     # -- stepwise driver hooks ------------------------------------------------
 
@@ -1286,8 +990,6 @@ class FleetSRW(_StepwiseFleet):
                 self._fvn[k * n + s] = 0
                 if n == 1:
                     at_zero.append(k)
-        self._fv = self._fvn
-        self._fv_stride = stride
         return at_zero
 
     def _init_rows(self, act: List[int]) -> None:
@@ -1390,11 +1092,8 @@ class FleetSRW(_StepwiseFleet):
 
         Vertex ids for a ``"vertices"`` run, edge ids for ``"edges"`` —
         matching ``first_visit_time`` / ``first_edge_visit_time`` of the
-        reference walk at its cover instant.  Implicit-graph (oracle)
-        edge runs index by canonical dart instead of edge id (entry
-        ``edge_slot(v, k)`` is the edge's first-traversal step); giant
-        runs where recording was shut off return ``[]``.
+        reference walk at its cover instant.  Implicit lanes index by their
+        twin's edge ids, which follow canonical dart order.
         """
-        s = self._fv_stride
-        seg = self._fv[lane * s : (lane + 1) * s]
-        return seg if isinstance(seg, list) else seg.tolist()
+        s = self._stride
+        return self._fvn[lane * s : (lane + 1) * s].tolist()

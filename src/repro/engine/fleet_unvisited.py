@@ -7,8 +7,7 @@
 bit-identical to their per-trial reference walks — trajectories, cover
 times, visit bookkeeping, phase statistics, and RNG end-state.
 
-Why the draws cannot be prefiltered per lane up front (as the
-implicit-graph SRW fleet's are): a blue step's
+Why the draws cannot be prefiltered per lane up front: a blue step's
 modulus is the current vertex's *unvisited-edge* (resp. unvisited-
 neighbour) count, so each lane's word roles depend on walk state and the
 per-lane rejection split cannot be precomputed.  Instead each lockstep

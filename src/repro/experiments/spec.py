@@ -114,8 +114,9 @@ def _build_implicit_hashed(params: Mapping[str, Any], rng: random.Random) -> Imp
 #: parameter set so specs with stray/missing params fail at construction,
 #: not at run time inside a worker.  The ``implicit_*`` families build
 #: neighbor-oracle graphs (:mod:`repro.graphs.implicit`) — O(1) memory at
-#: any size, stepped by the oracle engines; walks that need per-edge state
-#: refuse them by name (see :mod:`repro.engine`).
+#: any size, stepped by the per-trial oracle engines (fleets step on the
+#: graph's ``materialize()`` twin, up to ``n·d = 2^22`` darts); walks that
+#: need per-edge state refuse them by name (see :mod:`repro.engine`).
 FAMILY_BUILDERS: Dict[
     str,
     Tuple[

@@ -177,7 +177,7 @@ def test_sanctioned_layers_are_out_of_scope():
 def test_wrapper_classes_may_touch_numpy_random():
     source = (
         "import numpy as np\n"
-        "class _LaneDraws:\n"
+        "class _WordBank:\n"
         "    def refill(self):\n"
         "        return np.random.Generator(np.random.MT19937(0))\n"
     )

@@ -23,8 +23,11 @@ from hypothesis import given, settings
 from repro.core.eprocess import EdgeProcess
 from repro.engine import NAMED_WALK_FACTORIES, OracleEdgeProcess, OracleSRW, OracleVProcess
 from repro.engine.base import VisitedSet
+from repro.cli import main
 from repro.engine.fleet import FleetSRW, fleet_supported
+from repro.engine.fleet_unvisited import FleetEdgeProcess, FleetVProcess
 from repro.errors import CoverTimeout, GraphError, ReproError
+from repro.experiments.store import ResultStore
 from repro.graphs import (
     ImplicitHashedRegular,
     ImplicitHypercube,
@@ -266,26 +269,86 @@ class TestFleet:
                 ref.run_until_vertex_cover(max_steps=64)
             assert rngs_f[k].getstate() == rngs_r[k].getstate()
 
-    def test_fleet_refuses_mixed_backends(self):
+    def test_fleet_accepts_mixed_backends(self):
         g = ImplicitHypercube(3)
         rngs = [random.Random(1), random.Random(2)]
         ok, reason = fleet_supported([g, g.materialize()], rngs, "srw")
-        assert not ok and "lane 1" in reason
+        assert ok, reason
 
     def test_fleet_refuses_distinct_implicit_graphs(self):
         rngs = [random.Random(1), random.Random(2)]
         ok, reason = fleet_supported(
             [ImplicitHypercube(3), ImplicitHypercube(4)], rngs, "srw"
         )
-        assert not ok and "share one graph" in reason
+        assert not ok and "lane 1" in reason and "shared shape" in reason
+
+    def test_fleet_refuses_graphs_past_the_dart_bound(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a fleet materialized a graph past the dart bound")
+
+        monkeypatch.setattr(ImplicitHypercube, "materialize", refuse)
+        g = ImplicitHypercube(22)
+        rngs = [random.Random(1), random.Random(2)]
+        ok, reason = fleet_supported([g, g], rngs, "srw")
+        assert not ok and "lane 0" in reason and "engine='array'" in reason
+        with pytest.raises(ReproError, match="darts"):
+            FleetSRW([g, g], [0, 0], rngs)
+        with pytest.raises(ReproError, match="darts"):
+            cover_time_trials(
+                workload=g, walk_factory="eprocess", trials=2, root_seed=1,
+                policy=ExecutionPolicy(engine="fleet"),
+            )
 
     @pytest.mark.parametrize("walk", ["eprocess", "vprocess"])
-    def test_fleet_refuses_oracle_unvisited_walks(self, walk):
-        g = ImplicitTorus(3, 3)
+    @pytest.mark.parametrize("target", ["vertices", "edges"])
+    @pytest.mark.parametrize(
+        "graph", [ImplicitHypercube(6), ImplicitTorus(6, 7)], ids=lambda g: g.name
+    )
+    def test_unvisited_fleets_match_oracle_engines(self, walk, target, graph):
+        fleet_cls = FleetEdgeProcess if walk == "eprocess" else FleetVProcess
+        starts = [(5 * k) % graph.n for k in range(self.K)]
+        rngs_f = [random.Random(83 + k) for k in range(self.K)]
+        rngs_o = [random.Random(83 + k) for k in range(self.K)]
+        fleet = fleet_cls([graph] * self.K, starts, rngs_f)
+        covers = fleet.run_until_cover(target=target)
+        for k in range(self.K):
+            if walk == "eprocess":
+                ref = OracleEdgeProcess(graph, starts[k], rng=rngs_o[k])
+            else:
+                ref = OracleVProcess(graph, starts[k], rng=rngs_o[k], track_edges=True)
+            if target == "vertices":
+                expect = ref.run_until_vertex_cover()
+            else:
+                expect = ref.run_until_edge_cover()
+            assert covers[k] == expect
+            assert rngs_f[k].getstate() == rngs_o[k].getstate()
+            assert fleet.positions[k] == ref.current
+
+    @pytest.mark.parametrize(
+        "walk,why", [("eprocess", "self-loops"), ("vprocess", "not simple")]
+    )
+    def test_fleet_refuses_hashed_lanes_with_loops(self, walk, why):
+        simple, loopy = ImplicitHashedRegular(40, 4, 21), ImplicitHashedRegular(40, 4, 0)
+        assert loopy.materialize().has_loops()
         rngs = [random.Random(1), random.Random(2)]
-        ok, reason = fleet_supported([g, g], rngs, walk)
-        assert not ok
-        assert "oracle" in reason and walk in reason
+        ok, reason = fleet_supported([simple, loopy], rngs, walk)
+        assert not ok and "lane 1" in reason and why in reason
+
+    def test_hashed_regular_sweep_fleet_equals_array(self, tmp_path, capsys):
+        covers = {}
+        for engine in ("fleet", "array"):
+            store = tmp_path / engine
+            assert main([
+                "sweep", "--family", "implicit_hashed_regular", "--degrees", "4",
+                "--sizes", "64", "--walk", "srw", "--engine", engine,
+                "--trials", "6", "--seed", "3", "--store", str(store),
+            ]) == 0
+            [entry] = ResultStore(store).entries()
+            records = ResultStore(store).trials_for(entry.spec_hash)
+            covers[engine] = {t: r.cover_time for t, r in records.items()}
+        capsys.readouterr()
+        assert len(covers["fleet"]) == 6
+        assert covers["fleet"] == covers["array"]
 
 
 class TestRefusals:

@@ -138,7 +138,9 @@ class TestOracleEngines:
         with session(tel):
             instrumented = _run_fleet("srw", graph, 10, 5)
         assert instrumented == baseline
-        assert tel.counters["fleet.oracle_fleets"] == 1
+        assert tel.counters["fleet.fleets"] == 1
+        kernels = [tel.counters.get(c, 0) for c in ("fleet.native_fleets", "fleet.numpy_fleets")]
+        assert sorted(kernels) == [0, 1]
 
 
 class TestRunnerIdentity:
