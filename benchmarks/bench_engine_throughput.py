@@ -32,6 +32,10 @@ cover bookkeeping live) are reported alongside.
 it asserts every engine pair — array twins and the srw/eprocess/vprocess
 fleets — stays bit-identical to its reference, and exits non-zero on any
 mismatch.  No timing assertions, no files written.
+
+A timed run refuses (exit 2, before any measurement) a ``_fused`` build
+instrumented by ASan or TSan: their overhead would make every native
+number meaningless.  ``--smoke`` checks parity only and still runs on one.
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 try:
     from conftest import ROOT_SEED
@@ -89,9 +95,31 @@ FLEET_SECTIONS = {
     "vprocess": ("vprocess", "regular", FLEET_SIZES),
     "srw_irregular": ("srw", "irregular", (128,)),
 }
+#: Present in the dynamic symbols of any ASan- or TSan-instrumented build.
+SANITIZER_SYMBOLS = (b"__asan_init", b"__tsan_init")
 OUT_DIR = Path(__file__).parent / "out"
 OUTPUT_PATH = OUT_DIR / "BENCH_engine.json"
 HISTORY_PATH = OUT_DIR / "BENCH_engine_history.jsonl"
+
+
+def sanitized_kernel() -> Optional[str]:
+    """Why the built ``_fused`` extension must not be timed, or None.
+
+    Reads the file the import system would load, not the loaded kernel:
+    a sanitized build fails to load without its runtime preloaded, and a
+    run would then time the numpy path under a native heading.
+    """
+    path = native._find_extension()
+    if path is None:
+        return None
+    data = Path(path).read_bytes()
+    for symbol in SANITIZER_SYMBOLS:
+        if symbol in data:
+            return (
+                f"{path} is a sanitized build (it links {symbol.decode()}); "
+                "rebuild it without REPRO_SANITIZE before timing"
+            )
+    return None
 
 
 def _graph():
@@ -458,6 +486,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.smoke:
         return run_smoke(min(args.n, 600))
+    refusal = sanitized_kernel()
+    if refusal is not None:
+        print(f"error: {refusal}", file=sys.stderr)
+        return 2
 
     graph = random_connected_regular_graph(args.n, DEGREE, spawn(ROOT_SEED, "E12-json"))
     engines = {}

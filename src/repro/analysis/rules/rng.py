@@ -1,8 +1,10 @@
 """R1 rng-discipline: randomness flows only through the sanctioned layer.
 
 The bit-identical replay contract holds because every engine draws its
-randomness from the per-trial ``random.Random`` handed to it (directly,
-or batched through ``MTWordStream`` / ``_WordBank``).  A
+randomness from the per-trial ``random.Random`` handed to it: directly,
+batched through ``MTWordStream`` / ``_WordBank``, or — in the native
+kernels — from the generator's own state, handed to C as its
+``getstate()`` words and written back with ``setstate``.  A
 single ``random.random()`` — the *module-level* shared generator — or an
 ``os.urandom`` read inside ``engine/``, ``walks/`` or ``graphs/`` silently
 breaks replay: fleet, array, oracle and native runs would stop sharing

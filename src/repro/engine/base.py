@@ -46,12 +46,13 @@ a sequential chain).
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
 __all__ = [
     "ArrayWalkEngine",
+    "MTStateRows",
     "MTWordStream",
     "VisitedSet",
     "mt_state_to_numpy",
@@ -107,6 +108,44 @@ def mt_state_from_numpy(mt: Any, base: Tuple[Any, ...]) -> tuple:
     version, _internal, gauss = base
     state = mt.state["state"]
     return (version, tuple(map(int, state["key"])) + (int(state["pos"]),), gauss)
+
+
+class MTStateRows:
+    """Generators' Mersenne-Twister states, one row each, for the native kernels.
+
+    Row ``i`` of :attr:`mt` is ``rngs[i].getstate()[1]`` as ``uint32`` —
+    624 key words, then the read position — the layout the C kernels run
+    MT19937 on in place, counting each row's words in :attr:`drawn`.  A
+    row is therefore always its generator's state at the current
+    instant; :meth:`sync_row` writes it back, keeping that generator's
+    own version and cached ``gauss_next``.
+    """
+
+    def __init__(self, rngs: Sequence[random.Random]) -> None:
+        import numpy as np
+
+        self.rngs = list(rngs)
+        states = [rng.getstate() for rng in self.rngs]
+        self.meta = [(version, gauss) for version, _, gauss in states]
+        self.mt = np.array([internal for _, internal, _ in states], dtype=np.uint32)
+        self.drawn = np.zeros(len(states), dtype=np.int64)
+
+    def consumed(self, row: int) -> int:
+        """Total raw words drawn from row ``row`` so far."""
+        return int(self.drawn[row])
+
+    def sync_row(self, row: int) -> None:
+        """Place row ``row``'s generator at its current instant."""
+        version, gauss = self.meta[row]
+        self.rngs[row].setstate((version, tuple(self.mt[row].tolist()), gauss))
+
+    def compact(self, keep) -> None:
+        """Drop the rows where ``keep`` (bool array) is False."""
+        self.mt = self.mt[keep]
+        self.drawn = self.drawn[keep]
+        flags = keep.tolist()
+        self.rngs = [rng for rng, k in zip(self.rngs, flags) if k]
+        self.meta = [meta for meta, k in zip(self.meta, flags) if k]
 
 
 class MTWordStream:

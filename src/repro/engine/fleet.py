@@ -18,8 +18,9 @@ resolved one lockstep step at a time: a per-degree word-role prefilter
 per-lane rejection loop
 of CPython's ``_randbelow`` into two or three vectorized operations over
 the whole fleet, with the rare rejected lanes retried scalar
-(:meth:`_WordBank.draw`).  Word consumption is accounted exactly per
-lane, so a lane's generator can be placed at any instant's end-state.
+(:meth:`_WordBank.draw`, the numpy path).  Word consumption is accounted
+exactly per lane, so a lane's generator can be placed at any instant's
+end-state.
 
 Lanes step in lockstep; a lane leaves the fleet the instant it covers
 (its RNG synced to its cover instant), and when only a handful of
@@ -29,10 +30,14 @@ engines which finish them bit-identically.
 The driver pays its numpy dispatches per lockstep step, so it has a
 **native fused path**: when the optional C extension
 (:mod:`repro.engine.native`) is built, whole blocks of lockstep steps run
-as one C call over the same word rows, CSR tiles and bitmask tables —
+as one C call over the same CSR tiles and bitmask tables —
 bit-identical to the numpy path by contract, selected per fleet at
 runtime (``native=`` preference, ``REPRO_NATIVE=0`` opt-out, graceful
-fallback when the build is unavailable).
+fallback when the build is unavailable).  The kernel runs each lane's
+Mersenne Twister itself: the lane's ``getstate()`` words go in as one
+state row (:class:`~repro.engine.base.MTStateRows`) and come back out
+through ``setstate``, so only the numpy path buffers word rows
+(:class:`_WordBank`).
 
 Implicit neighbor-oracle lanes (:mod:`repro.graphs.implicit`) run the
 same driver on their ``materialize()`` twin (:func:`materialized_lanes`):
@@ -56,7 +61,12 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.base import MTWordStream, mt_state_from_numpy, mt_state_to_numpy
+from repro.engine.base import (
+    MTStateRows,
+    MTWordStream,
+    mt_state_from_numpy,
+    mt_state_to_numpy,
+)
 from repro.engine.oracle import EDGE_TIMES_MAX_DARTS
 from repro.errors import CoverTimeout, GraphError, ReproError
 from repro.graphs.graph import Graph
@@ -94,14 +104,9 @@ DEFAULT_BLOCK_STEPS = 2048
 #: finish the stragglers faster.
 TAIL_LANES = 6
 
-#: Raw Mersenne-Twister words buffered per lane by the stepwise kernels'
-#: word bank; refills are per-lane ``random_raw`` bulk pulls.
+#: Raw Mersenne-Twister words buffered per lane by the numpy path's word
+#: bank; refills are per-lane ``random_raw`` bulk pulls.
 WORD_BANK_WIDTH = 4096
-
-#: Minimum buffered words per lane before a native block call: rows with
-#: less are topped up first, so the kernel rarely has to abort a step for
-#: a refill (it still can, exactly — see ``_WordBank.refill_row``).
-NATIVE_REFILL_MARGIN = 64
 
 #: Walks with a lockstep fleet kernel (the eligibility rules of
 #: :func:`fleet_supported` are per walk).
@@ -279,7 +284,7 @@ _PANEL = 16
 
 
 class _WordBank:
-    """Lockstep raw-word supply: one buffered word row per live lane.
+    """The numpy path's lockstep word supply: one buffered row per live lane.
 
     :meth:`draw` performs one accepted ``randrange``-style draw per lane —
     bit-identical to CPython's ``_randbelow`` rejection loop — for a
@@ -291,6 +296,10 @@ class _WordBank:
     lane that rejects the whole panel falls through to a scalar retry
     loop.  Word consumption is tracked exactly per lane, so any lane's
     generator can be synced to its current instant at any time.
+
+    The native kernel draws from the generators' own states instead
+    (:class:`~repro.engine.base.MTStateRows`); the bank only serves the
+    numpy path, which stays the reference the kernel is tested against.
     """
 
     def __init__(self, rngs: Sequence[random.Random], width: int = WORD_BANK_WIDTH):
@@ -385,14 +394,8 @@ class _WordBank:
                 tel.count(f"wordbank.degree[{q}].rejected_words", rejected)
 
     def refill_low(self, margin: int) -> None:
-        """Top up every lane with fewer than ``margin`` buffered words.
-
-        The draw path calls this with the speculative panel width; the
-        native kernel — which consumes rows directly and cannot pull
-        fresh words itself — with a larger margin before each block call,
-        keeping mid-step refill aborts rare (a step consumes >= 1 word
-        per lane, so a full row lasts at least ``width`` steps).
-        """
+        """Top up every lane with fewer than ``margin`` buffered words
+        (the draw path's speculative panel width)."""
         np = self.np
         ptr, width = self.ptr, self.width
         if ptr.max() > width - margin:
@@ -672,13 +675,13 @@ class _StepwiseFleet(FleetWalkBase):
         raise NotImplementedError
 
     def _native_tables(self):
-        """``(packed, tmod, tsh, tsel)`` — the 2^d bitmask tables, when
-        this fleet runs the packed regular-degree path."""
-        return 0, None, None, None
+        """``(packed, tmod, tsel)`` — the 2^d bitmask tables, when this
+        fleet runs the packed regular-degree path."""
+        return 0, None, None
 
-    def _native_phase(self, t0: int):
+    def _native_phase(self):
         """Per-step recording buffers ``(col_rows, vtx_rows, isb_last)``
-        starting at block-relative step ``t0`` (all None when unused)."""
+        for this block (all None when unused)."""
         return None, None, None
 
     def _native_begin(self, A: int) -> None:
@@ -717,26 +720,26 @@ class _StepwiseFleet(FleetWalkBase):
                 tel.count("fleet.native_unavailable")
         return fn
 
-    def _native_call(self, T: int, step0: int, t0: int):
-        """One fused-kernel call: up to ``T`` lockstep steps.
+    def _native_block(self, T: int, steps: int):
+        """Run one block through the fused kernel; ``(t_used, covered)``.
 
-        Returns ``(status, t_used)`` — status 0 = ran all ``T`` steps,
-        1 = some lane covered at the final step (``self._covered_buf``),
-        2 = lane ``self._out_buf[2]`` ran its word row dry mid-step (no
-        state advanced for that step; refill and re-enter).
+        One C call, which mirrors the python per-step loop exactly: steps
+        stop early at the first cover instant.  The kernel draws every
+        lane's words from its state row in ``self._bank``
+        (:class:`~repro.engine.base.MTStateRows`).
         """
         import ctypes
 
-        np = self._bank.np
-        bank = self._bank
+        import numpy as np
+
+        states = self._bank
         A = int(self._cur.shape[0])
-        packed, tmod, tsh, tsel = self._native_tables()
+        self._native_begin(A)
+        packed, tmod, tsel = self._native_tables()
         maskA, fvA, cntA, maskB, fvB, cntB = self._native_state()
-        col, vtx, isb = self._native_phase(t0)
+        col, vtx, isb = self._native_phase()
         covered = np.zeros(A, dtype=np.uint8)
-        out = np.zeros(4, dtype=np.int64)
-        self._covered_buf = covered
-        self._out_buf = out
+        out = np.zeros(2, dtype=np.int64)
         par = np.array(
             [
                 self._NATIVE_WALK,
@@ -745,20 +748,19 @@ class _StepwiseFleet(FleetWalkBase):
                 int(self._tiled),
                 A,
                 T,
-                step0,
+                steps,
                 self.n,
                 self.m,
                 int(self._d),
-                bank.width,
                 self.m if self._by_edges else self.n,
                 self._native_all_v(),
             ],
             dtype=np.int64,
         )
         arrays = (
-            self._cur, self._voff, self._eoff, bank.words, bank.ptr,
+            self._cur, self._voff, self._eoff, states.mt, states.drawn,
             self._eids_t, self._nbrs_t, self._rowstart_t, self._degs_t,
-            tmod, tsh, tsel,
+            tmod, tsel,
             maskA, fvA, cntA, maskB, fvB, cntB,
             col, vtx, isb, covered, out,
         )
@@ -768,42 +770,11 @@ class _StepwiseFleet(FleetWalkBase):
         status = int(self._native(ctypes.c_void_p(par.ctypes.data), slots))
         if status < 0:
             raise ReproError(f"native fused kernel failed (status {status})")
+        t = int(out[0])
         self._native_set_all_v(bool(out[1]))
-        return status, int(out[0])
-
-    def _native_block(self, T: int, steps: int):
-        """Run one block through the fused kernel; ``(t_used, covered)``.
-
-        Mirrors the python per-step loop exactly: steps stop early at the
-        first cover instant.  Word-row refills are invisible re-entries —
-        the kernel aborts a step that would run a lane's row dry, python
-        tops the row up (exact word accounting preserved), and the block
-        continues where it left off.
-        """
-        bank = self._bank
-        self._native_begin(int(self._cur.shape[0]))
-        t = 0
-        covered = None
-        while t < T:
-            bank.refill_low(NATIVE_REFILL_MARGIN)
-            status, t_used = self._native_call(T - t, steps + t, t)
-            t += t_used
-            if status == 1:
-                covered = self._covered_buf.astype(bool)
-                break
-            if status == 0:
-                break
-            lane = int(self._out_buf[2])
-            if bank.ptr[lane] == 0:
-                # A full row (width words) rejected wholesale: probability
-                # ~2^-width; in practice this means corrupted state.
-                raise ReproError(
-                    f"native kernel starved lane {lane} on a full word row"
-                )
-            bank._refill(lane)
         self._retighten()
         self._native_end(t)
-        return t, covered
+        return t, covered.astype(bool) if status == 1 else None
 
     # -- the lockstep driver -------------------------------------------------
 
@@ -855,8 +826,10 @@ class _StepwiseFleet(FleetWalkBase):
         self._act = act
         self._cur = np.array([self.starts[k] for k in act], dtype=np.int64)
         self._init_rows(act)
-        self._bank = _WordBank([self.rngs[k] for k in act])
         self._native = self._native_setup() if act else None
+        lane_rngs = [self.rngs[k] for k in act]
+        # Both expose sync_row / consumed / compact: all this loop calls.
+        self._bank = MTStateRows(lane_rngs) if self._native is not None else _WordBank(lane_rngs)
         if tel.enabled and act:
             tel.count("fleet.fleets")
             tel.count("fleet.lanes", len(act))

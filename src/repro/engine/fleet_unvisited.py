@@ -10,8 +10,10 @@ times, visit bookkeeping, phase statistics, and RNG end-state.
 Why the draws cannot be prefiltered per lane up front: a blue step's
 modulus is the current vertex's *unvisited-edge* (resp. unvisited-
 neighbour) count, so each lane's word roles depend on walk state and the
-per-lane rejection split cannot be precomputed.  Instead each lockstep
-step is resolved speculatively from the lanes' buffered word rows:
+per-lane rejection split cannot be precomputed.  Instead the numpy path
+resolves each lockstep step speculatively from the lanes' buffered word
+rows (the native kernel runs the same chain per lane, drawing straight
+from each lane's generator state):
 
 1. one ``(A, Δ)`` gather per step pulls every active lane's incidence row
    and its visited mask, giving the per-lane blue count ``q`` (and with it
@@ -169,8 +171,8 @@ class _UnvisitedFleet(_StepwiseFleet):
 
     def _native_tables(self):
         if self._packed:
-            return 1, self._tqs, self._tsh, self._tsel
-        return 0, None, None, None
+            return 1, self._tqs, self._tsel
+        return 0, None, None
 
     def _mask_table(self):
         """The inverted visitation table row masks are gathered from."""
@@ -370,9 +372,9 @@ class FleetEdgeProcess(_UnvisitedFleet):
         # it becomes `_lastisb` (the no-record-phases last-colour source).
         self._isb_buf = np.zeros(A, dtype=np.uint8)
 
-    def _native_phase(self, t0: int):
+    def _native_phase(self):
         if self._col is not None:
-            return self._col[t0:], self._vtx[t0:], self._isb_buf
+            return self._col, self._vtx, self._isb_buf
         return None, None, self._isb_buf
 
     def _native_end(self, t_used: int) -> None:

@@ -9,22 +9,19 @@
  * The contract is bit-identical replay of the numpy path (and therefore
  * of the per-trial reference walks): the same Mersenne-Twister words are
  * consumed in the same order per lane (CPython's `_randbelow` rejection
- * loop over the lane's buffered word row), candidates are selected in
- * the same incidence order, first-visit tables get the same step
- * stamps, and cover fires at the same instant.  The kernel never
- * generates randomness itself — it only consumes the `_WordBank` rows —
- * so RNG end-state accounting stays in python.
+ * loop), candidates are selected in the same incidence order, first-visit
+ * tables get the same step stamps, and cover fires at the same instant.
  *
- * Word-row exhaustion: each step is resolved in two passes (draw, then
- * apply) so a lane that runs its row dry mid-draw aborts the whole step
- * with every lane's word pointer restored; the python driver refills
- * that lane's row and re-enters.  Steps consume at least one word per
- * lane, so the re-entry cadence is bounded by the row width.
+ * The randomness is each trial's own generator, transplanted: python
+ * hands every lane's `random.Random` state in as a row laid out exactly
+ * like `rng.getstate()[1]` (624 key words plus the read position), the
+ * kernel runs CPython's MT19937 on that row in place — twist, tempering
+ * and all — and python writes the advanced row back with `setstate`.
+ * Nothing is buffered, so a block never has to stop for more words.
  *
- * `repro_sw_regular` (bottom of this file) is the graph builder's twin
- * of the same idea: one Steger–Wormald attempt replaying
- * `repro.graphs.random_regular._steger_wormald_attempt` draw for draw
- * from a word row handed in by python.
+ * `repro_sw_regular` (bottom of this file) draws the same way from one
+ * state row per build, replaying
+ * `repro.graphs.random_regular._steger_wormald_attempt` draw for draw.
  *
  * Loaded via ctypes (no Python API on purpose: the .so stays loadable
  * whether or not it matches the running interpreter's ABI); built by the
@@ -43,7 +40,7 @@
 /* Bumped whenever the par[] layout, slot table, or semantics change (of
  * either entry point); the python loader refuses a stale .so instead of
  * mis-reading it. */
-#define REPRO_FUSED_ABI 2
+#define REPRO_FUSED_ABI 3
 
 /* par[] indices (all int64). */
 enum {
@@ -57,10 +54,9 @@ enum {
     P_N = 7,
     P_M = 8,
     P_D = 9,         /* common regular degree; 0 = irregular lanes */
-    P_WIDTH = 10,    /* word-bank row width */
-    P_FULL = 11,     /* target ids per lane (n or m) */
-    P_ALL_V = 12,    /* eprocess: every lane's vertex set complete */
-    P_COUNT = 13
+    P_FULL = 10,     /* target ids per lane (n or m) */
+    P_ALL_V = 11,    /* eprocess: every lane's vertex set complete */
+    P_COUNT = 12
 };
 
 /* arr[] slot indices (void pointers; unused slots NULL). */
@@ -68,36 +64,33 @@ enum {
     S_CUR = 0,       /* i64[A]  rw  current vertex (local id) */
     S_VOFF = 1,      /* i64[A]      lane vertex offset (k*n) */
     S_EOFF = 2,      /* i64[A]      lane edge offset (k*m) */
-    S_WORDS = 3,     /* i64[A*width] word-bank rows */
-    S_PTR = 4,       /* i64[A]  rw  word-bank row positions */
+    S_MT = 3,        /* u32[A*625] rw per-lane generator states */
+    S_DRAWN = 4,     /* i64[A]  rw  words drawn per lane */
     S_EIDS = 5,      /* i64         incidence edge ids (padded) */
     S_NBRS = 6,      /* i64         incidence neighbours (padded) */
     S_ROWSTART = 7,  /* i64         CSR row starts (irregular) */
     S_DEGS = 8,      /* i64         degrees (irregular) */
     S_TMOD = 9,      /* i8[2^d]     packed: code -> modulus */
-    S_TSH = 10,      /* i8[2^d]     packed: code -> word shift */
-    S_TSEL = 11,     /* i8[2^d*d]   packed: (code, r) -> winner slot */
-    S_MASKA = 12,    /* u8      rw  srw: visited; e: edge-unvisited; v: vertex-unvisited */
-    S_FVA = 13,      /* i64     rw  srw: target first-visits; e: edge fv; v: vertex fv */
-    S_CNTA = 14,     /* i64[A]  rw  srw: target counts; e: ne; v: nv */
-    S_MASKB = 15,    /* u8      rw  e: vertex-unvisited */
-    S_FVB = 16,      /* i64     rw  e: vertex fv; v: edge fv */
-    S_CNTB = 17,     /* i64[A]  rw  e: nv; v: ne */
-    S_COL = 18,      /* u8[T*A] w   e(record_phases): per-step colours */
-    S_VTX = 19,      /* i64[T*A] w  e(record_phases): per-step vertices */
-    S_ISB = 20,      /* u8[A]   w   e: last step's blue flags */
-    S_COVERED = 21,  /* u8[A]   w   lanes covered at the final step */
-    S_OUT = 22,      /* i64[4]  w   0: steps done, 1: all_v, 2: starved lane */
-    S_COUNT = 23
+    S_TSEL = 10,     /* i8[2^d*d]   packed: (code, r) -> winner slot */
+    S_MASKA = 11,    /* u8      rw  srw: visited; e: edge-unvisited; v: vertex-unvisited */
+    S_FVA = 12,      /* i64     rw  srw: target first-visits; e: edge fv; v: vertex fv */
+    S_CNTA = 13,     /* i64[A]  rw  srw: target counts; e: ne; v: nv */
+    S_MASKB = 14,    /* u8      rw  e: vertex-unvisited */
+    S_FVB = 15,      /* i64     rw  e: vertex fv; v: edge fv */
+    S_CNTB = 16,     /* i64[A]  rw  e: nv; v: ne */
+    S_COL = 17,      /* u8[T*A] w   e(record_phases): per-step colours */
+    S_VTX = 18,      /* i64[T*A] w  e(record_phases): per-step vertices */
+    S_ISB = 19,      /* u8[A]   w   e: last step's blue flags */
+    S_COVERED = 20,  /* u8[A]   w   lanes covered at the final step */
+    S_OUT = 21,      /* i64[2]  w   0: steps done, 1: all_v */
+    S_COUNT = 22
 };
 
 /* Return status. */
 enum {
     ST_DONE = 0,    /* ran all T steps, nobody covered */
     ST_COVERED = 1, /* some lane covered at step out[0]; block ends */
-    ST_REFILL = 2,  /* lane out[2] ran its word row dry; refill + re-enter */
-    ST_BADWALK = -1,
-    ST_NOMEM = -2
+    ST_BADWALK = -1
 };
 
 static int bitlen64(int64_t q)
@@ -112,6 +105,64 @@ static int bitlen64(int64_t q)
     }
     return b;
 #endif
+}
+
+/* ---- Mersenne Twister ---------------------------------------------------
+ *
+ * MT19937 exactly as CPython's `random.Random` (`genrand_uint32`) and
+ * numpy's `MT19937.random_raw` run it.  A state is MT_WORDS uint32s: the
+ * MT_N key words, then the read position in 0..MT_N (MT_N: twist before
+ * the next word) — the layout of `random.Random.getstate()[1]`.
+ */
+
+#define MT_N 624
+#define MT_M 397
+#define MT_WORDS (MT_N + 1)
+#define MT_UPPER 0x80000000U
+#define MT_LOWER 0x7fffffffU
+
+static uint32_t mt_mix(uint32_t hi, uint32_t lo, uint32_t far)
+{
+    const uint32_t y = (hi & MT_UPPER) | (lo & MT_LOWER);
+    return far ^ (y >> 1) ^ ((y & 1U) ? 0x9908b0dfU : 0U);
+}
+
+static void mt_twist(uint32_t *mt)
+{
+    int k;
+    for (k = 0; k < MT_N - MT_M; k++)
+        mt[k] = mt_mix(mt[k], mt[k + 1], mt[k + MT_M]);
+    for (; k < MT_N - 1; k++)
+        mt[k] = mt_mix(mt[k], mt[k + 1], mt[k + MT_M - MT_N]);
+    mt[MT_N - 1] = mt_mix(mt[MT_N - 1], mt[0], mt[MT_M - 1]);
+}
+
+static uint32_t mt_next(uint32_t *mt)
+{
+    uint32_t y;
+    if (mt[MT_N] >= MT_N) {
+        mt_twist(mt);
+        mt[MT_N] = 0;
+    }
+    y = mt[mt[MT_N]++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    return y;
+}
+
+/* CPython `_randbelow(q)` for 0 < q < 2^32: reject tempered words until
+ * one's top bitlen(q) bits are < q.  Adds the words drawn to *drawn. */
+static int64_t mt_randbelow(uint32_t *mt, int64_t q, int64_t *drawn)
+{
+    const int shift = 32 - bitlen64(q);
+    int64_t r;
+    do {
+        r = (int64_t)(mt_next(mt) >> shift);
+        ++*drawn;
+    } while (r >= q);
+    return r;
 }
 
 REPRO_EXPORT int64_t repro_fused_abi(void)
@@ -131,21 +182,19 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
     const int64_t n = par[P_N];
     const int64_t m = par[P_M];
     const int64_t d = par[P_D];
-    const int64_t width = par[P_WIDTH];
     const int64_t full = par[P_FULL];
     int64_t all_v = par[P_ALL_V];
 
     int64_t *cur = (int64_t *)arr[S_CUR];
     const int64_t *voff = (const int64_t *)arr[S_VOFF];
     const int64_t *eoff = (const int64_t *)arr[S_EOFF];
-    const int64_t *words = (const int64_t *)arr[S_WORDS];
-    int64_t *ptr = (int64_t *)arr[S_PTR];
+    uint32_t *mts = (uint32_t *)arr[S_MT];
+    int64_t *drawn = (int64_t *)arr[S_DRAWN];
     const int64_t *eids = (const int64_t *)arr[S_EIDS];
     const int64_t *nbrs = (const int64_t *)arr[S_NBRS];
     const int64_t *rowstart = (const int64_t *)arr[S_ROWSTART];
     const int64_t *degs = (const int64_t *)arr[S_DEGS];
     const signed char *tmod = (const signed char *)arr[S_TMOD];
-    const signed char *tsh = (const signed char *)arr[S_TSH];
     const signed char *tsel = (const signed char *)arr[S_TSEL];
     unsigned char *maskA = (unsigned char *)arr[S_MASKA];
     int64_t *fvA = (int64_t *)arr[S_FVA];
@@ -159,26 +208,14 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
     unsigned char *covered = (unsigned char *)arr[S_COVERED];
     int64_t *out = (int64_t *)arr[S_OUT];
 
-    int64_t t = 0, i, j;
+    int64_t t, i, j;
     int64_t lanes_full_v = 0;
 
     out[0] = 0;
     out[1] = all_v;
-    out[2] = -1;
 
     if (walk < 0 || walk > 2)
         return ST_BADWALK;
-
-    /* scratch: per-lane draw results for the two-pass step */
-    int64_t *jsel_s = (int64_t *)malloc((size_t)A * sizeof(int64_t));
-    int64_t *save_p = (int64_t *)malloc((size_t)A * sizeof(int64_t));
-    unsigned char *isb_s = (unsigned char *)malloc((size_t)A);
-    if (!jsel_s || !save_p || !isb_s) {
-        free(jsel_s);
-        free(save_p);
-        free(isb_s);
-        return ST_NOMEM;
-    }
 
     /* E-process: how many lanes already have complete vertex sets (the
      * lazily-maintained python flag may trail the truth; recompute). */
@@ -190,17 +227,21 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
             all_v = 1;
     }
 
+    /* Lanes own disjoint visitation ranges (offsets k*n / k*m), so each
+     * lane's draw and move complete before the next lane's start: the
+     * step is the same as drawing for every lane first. */
     for (t = 0; t < T; t++) {
-        /* ---- pass 1: one accepted draw + winner slot per lane -------- */
+        const int64_t step_no = step0 + t + 1;
+        int any_cov = 0;
         for (i = 0; i < A; i++) {
             const int64_t c = cur[i];
             const int64_t gc = tiled ? c + voff[i] : c;
             const int64_t base = d ? gc * d : rowstart[gc];
             const int64_t dg = d ? d : degs[gc];
-            int64_t q, code = 0;
+            int64_t q, r, jsel, nxt, code = 0;
             int isb = 0;
 
-            save_p[i] = ptr[i];
+            /* ---- the draw: modulus, one accepted word, winner slot ---- */
             if (walk == 0) {
                 q = dg;
             } else if (packed) {
@@ -228,154 +269,109 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
                 q = isb ? qb : dg;
             }
 
-            /* CPython _randbelow: reject tempered words until one's top
-             * bitlen(q) bits are < q. */
-            {
-                const int shift = 32 - bitlen64(q);
-                const int64_t *row = words + (size_t)i * (size_t)width;
-                int64_t p = ptr[i], r = 0;
-                int ok = 0;
-                while (p < width) {
-                    const int64_t w = row[p++];
-                    r = w >> shift;
-                    if (r < q) {
-                        ok = 1;
-                        break;
-                    }
-                }
-                if (!ok) {
-                    /* Row dry mid-step: undo every lane's pointer and let
-                     * python refill this lane, then re-enter. */
-                    for (j = 0; j <= i; j++)
-                        ptr[j] = save_p[j];
-                    out[0] = t;
-                    out[1] = all_v;
-                    out[2] = i;
-                    free(jsel_s);
-                    free(save_p);
-                    free(isb_s);
-                    return ST_REFILL;
-                }
-                ptr[i] = p;
+            r = mt_randbelow(mts + (size_t)i * MT_WORDS, q, drawn + i);
 
-                /* winner slot, in incidence order */
-                if (walk == 0) {
-                    jsel_s[i] = base + r;
-                } else if (packed) {
-                    jsel_s[i] = base + tsel[code * d + r];
-                } else if (!isb) {
-                    jsel_s[i] = base + r;
+            /* winner slot, in incidence order */
+            if (walk == 0 || !isb) {
+                jsel = base + r;
+            } else if (packed) {
+                jsel = base + tsel[code * d + r];
+            } else {
+                int64_t cnt = 0, slot = 0;
+                if (walk == 1) {
+                    for (j = 0; j < dg; j++)
+                        if (maskA[eids[base + j] + eoff[i]] && cnt++ == r) {
+                            slot = j;
+                            break;
+                        }
                 } else {
-                    int64_t cnt = 0, slot = 0;
-                    if (walk == 1) {
-                        for (j = 0; j < dg; j++)
-                            if (maskA[eids[base + j] + eoff[i]] && cnt++ == r) {
-                                slot = j;
-                                break;
-                            }
-                    } else {
-                        for (j = 0; j < dg; j++)
-                            if (maskA[nbrs[base + j] + voff[i]] && cnt++ == r) {
-                                slot = j;
-                                break;
-                            }
+                    for (j = 0; j < dg; j++)
+                        if (maskA[nbrs[base + j] + voff[i]] && cnt++ == r) {
+                            slot = j;
+                            break;
+                        }
+                }
+                jsel = base + slot;
+            }
+
+            /* ---- the move and its bookkeeping ------------------------- */
+            nxt = nbrs[jsel];
+            if (walk == 0) {
+                const int64_t key =
+                    (by_edges ? eids[jsel] + eoff[i] : nxt + voff[i]);
+                cur[i] = nxt;
+                if (!maskA[key]) {
+                    maskA[key] = 1;
+                    fvA[key] = step_no;
+                    if (++cntA[i] == full) {
+                        covered[i] = 1;
+                        any_cov = 1;
                     }
-                    jsel_s[i] = base + slot;
+                }
+            } else if (walk == 1) {
+                const int64_t e = eids[jsel] + eoff[i];
+                if (col) {
+                    col[(size_t)t * (size_t)A + (size_t)i] = (unsigned char)isb;
+                    vtx[(size_t)t * (size_t)A + (size_t)i] = c;
+                }
+                isb_last[i] = (unsigned char)isb;
+                cur[i] = nxt;
+                if (isb) {
+                    /* every blue step visits exactly one new edge */
+                    maskA[e] = 0;
+                    fvA[e] = step_no;
+                    if (++cntA[i] == m && by_edges) {
+                        covered[i] = 1;
+                        any_cov = 1;
+                    }
+                }
+                if (!all_v) {
+                    const int64_t gv = nxt + voff[i];
+                    if (maskB[gv]) {
+                        maskB[gv] = 0;
+                        fvB[gv] = step_no;
+                        if (++cntB[i] == n) {
+                            if (!by_edges) {
+                                covered[i] = 1;
+                                any_cov = 1;
+                            }
+                            if (++lanes_full_v == A)
+                                all_v = 1;
+                        }
+                    }
+                }
+            } else {
+                const int64_t e = eids[jsel] + eoff[i];
+                cur[i] = nxt;
+                /* the traversed edge is recorded either colour */
+                if (fvB[e] < 0) {
+                    fvB[e] = step_no;
+                    if (++cntB[i] == m && by_edges) {
+                        covered[i] = 1;
+                        any_cov = 1;
+                    }
+                }
+                if (isb) {
+                    /* every blue step visits exactly one new vertex */
+                    const int64_t gv = nxt + voff[i];
+                    maskA[gv] = 0;
+                    fvA[gv] = step_no;
+                    if (++cntA[i] == n && !by_edges) {
+                        covered[i] = 1;
+                        any_cov = 1;
+                    }
                 }
             }
-            isb_s[i] = (unsigned char)isb;
         }
-
-        /* ---- pass 2: apply moves + bookkeeping ----------------------- */
-        {
-            const int64_t step_no = step0 + t + 1;
-            int any_cov = 0;
-            for (i = 0; i < A; i++) {
-                const int64_t jsel = jsel_s[i];
-                const int64_t nxt = nbrs[jsel];
-                if (walk == 0) {
-                    const int64_t key =
-                        (by_edges ? eids[jsel] + eoff[i] : nxt + voff[i]);
-                    cur[i] = nxt;
-                    if (!maskA[key]) {
-                        maskA[key] = 1;
-                        fvA[key] = step_no;
-                        if (++cntA[i] == full) {
-                            covered[i] = 1;
-                            any_cov = 1;
-                        }
-                    }
-                } else if (walk == 1) {
-                    const int64_t e = eids[jsel] + eoff[i];
-                    if (col) {
-                        col[(size_t)t * (size_t)A + (size_t)i] = isb_s[i];
-                        vtx[(size_t)t * (size_t)A + (size_t)i] = cur[i];
-                    }
-                    isb_last[i] = isb_s[i];
-                    cur[i] = nxt;
-                    if (isb_s[i]) {
-                        /* every blue step visits exactly one new edge */
-                        maskA[e] = 0;
-                        fvA[e] = step_no;
-                        if (++cntA[i] == m && by_edges) {
-                            covered[i] = 1;
-                            any_cov = 1;
-                        }
-                    }
-                    if (!all_v) {
-                        const int64_t gv = nxt + voff[i];
-                        if (maskB[gv]) {
-                            maskB[gv] = 0;
-                            fvB[gv] = step_no;
-                            if (++cntB[i] == n) {
-                                if (!by_edges) {
-                                    covered[i] = 1;
-                                    any_cov = 1;
-                                }
-                                if (++lanes_full_v == A)
-                                    all_v = 1;
-                            }
-                        }
-                    }
-                } else {
-                    const int64_t e = eids[jsel] + eoff[i];
-                    cur[i] = nxt;
-                    /* the traversed edge is recorded either colour */
-                    if (fvB[e] < 0) {
-                        fvB[e] = step_no;
-                        if (++cntB[i] == m && by_edges) {
-                            covered[i] = 1;
-                            any_cov = 1;
-                        }
-                    }
-                    if (isb_s[i]) {
-                        /* every blue step visits exactly one new vertex */
-                        const int64_t gv = nxt + voff[i];
-                        maskA[gv] = 0;
-                        fvA[gv] = step_no;
-                        if (++cntA[i] == n && !by_edges) {
-                            covered[i] = 1;
-                            any_cov = 1;
-                        }
-                    }
-                }
-            }
-            if (any_cov) {
-                out[0] = t + 1;
-                out[1] = all_v;
-                free(jsel_s);
-                free(save_p);
-                free(isb_s);
-                return ST_COVERED;
-            }
+        if (any_cov) {
+            out[0] = t + 1;
+            out[1] = all_v;
+            return ST_COVERED;
         }
     }
 
     out[0] = T;
     out[1] = all_v;
-    free(jsel_s);
-    free(save_p);
-    free(isb_s);
     return ST_DONE;
 }
 
@@ -388,33 +384,29 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
  * (pop from the end, fix the moved stub's entry in place), the 200-try
  * loop of two pool draws, and the sorted exhaustive fallback over the
  * vertices with free stubs.  Every `rng.randrange(q)` is CPython's
- * `_randbelow(q)` over the word row, so the same words are consumed in
- * the same order as the python pass.  Every modulus must fit in 32 bits
- * (python gates on n*r and n*(n-1)/2), so one word is one draw.
+ * `_randbelow(q)` on the build's generator state row, so the same words
+ * are consumed in the same order as the python pass.  Every modulus must
+ * fit in 32 bits (python gates on n*r and n*(n-1)/2), so one word is one
+ * draw.
  *
- * All state lives in python-owned arrays, so a call can stop and resume.
- * When the row runs dry the current placement is undone (no state had
- * changed yet; the row position goes back to where the placement began)
- * and python re-enters with a longer row.  On success the kernel also
- * writes the CSR incidence arrays in `Graph.incidence()` order (edge id
- * order, first endpoint's entry before the second's) and counts the
- * connected components with a union-find.
+ * Each call is one fresh attempt; on a dead end python calls again with
+ * the advanced state row.  On success the kernel also writes the CSR
+ * incidence arrays in `Graph.incidence()` order (edge id order, first
+ * endpoint's entry before the second's) and counts the connected
+ * components with a union-find.
  */
 
 /* par[] indices (int64). */
 enum {
     SW_N = 0,
     SW_R = 1,
-    SW_WIDTH = 2, /* words in the row */
-    SW_FRESH = 3, /* 1: start a new attempt; 0: resume after a refill */
-    SW_PAR_COUNT = 4
+    SW_PAR_COUNT = 2
 };
 
 /* arr[] slot indices. */
 enum {
-    SW_WORDS = 0,   /* u64[width]  word row (tempered 32-bit outputs) */
-    SW_STATE = 1,   /* i64[4]   rw 0 row position, 1 pool length,
-                                   2 edges placed, 3 components */
+    SW_MT = 0,      /* u32[625] rw generator state */
+    SW_COMPS = 1,   /* i64[1]   w  connected components */
     SW_POOL = 2,    /* i64[n*r] rw stub pool (vertex per stub) */
     SW_POS = 3,     /* i64[n*r] rw pos[v*r + j], j < free[v]: v's pool slots */
     SW_FREE = 4,    /* i64[n]   rw free stubs per vertex */
@@ -430,26 +422,8 @@ enum {
 enum {
     SW_DONE = 0,    /* graph complete; CSR + components written */
     SW_DEADEND = 1, /* only forbidden pairs remain: python restarts */
-    SW_REFILL = 2,  /* word row ran dry; python extends it and re-enters */
     SW_NOMEM = -2
 };
-
-/* CPython `_randbelow(q)` for 0 < q < 2^32 over row[*p..width): reject
- * tempered words until one's top bitlen(q) bits are < q.  Returns 0 when
- * the row runs dry first. */
-static int sw_randbelow(const uint64_t *row, int64_t width, int64_t *p,
-                        int64_t q, int64_t *out)
-{
-    const int shift = 32 - bitlen64(q);
-    while (*p < width) {
-        const int64_t r = (int64_t)(row[(*p)++] >> shift);
-        if (r < q) {
-            *out = r;
-            return 1;
-        }
-    }
-    return 0;
-}
 
 static int sw_adjacent(const int64_t *adj, const int64_t *freec, int64_t r,
                        int64_t u, int64_t v)
@@ -494,9 +468,8 @@ REPRO_EXPORT int64_t repro_sw_regular(const int64_t *par, void **arr)
 {
     const int64_t n = par[SW_N];
     const int64_t r = par[SW_R];
-    const int64_t width = par[SW_WIDTH];
-    const uint64_t *words = (const uint64_t *)arr[SW_WORDS];
-    int64_t *state = (int64_t *)arr[SW_STATE];
+    uint32_t *mt = (uint32_t *)arr[SW_MT];
+    int64_t *comps_out = (int64_t *)arr[SW_COMPS];
     int64_t *pool = (int64_t *)arr[SW_POOL];
     int64_t *pos = (int64_t *)arr[SW_POS];
     int64_t *freec = (int64_t *)arr[SW_FREE];
@@ -505,33 +478,22 @@ REPRO_EXPORT int64_t repro_sw_regular(const int64_t *par, void **arr)
     int64_t *offsets = (int64_t *)arr[SW_OFFSETS];
     int64_t *eids = (int64_t *)arr[SW_EIDS];
     int64_t *nbrs = (int64_t *)arr[SW_NBRS];
-    int64_t p = state[0], len, placed, v, j, e;
+    int64_t len = 0, placed = 0, drawn = 0, v, j, e;
 
-    if (par[SW_FRESH]) {
-        len = 0;
-        for (v = 0; v < n; v++) {
-            freec[v] = r;
-            for (j = 0; j < r; j++) {
-                pos[v * r + j] = len;
-                pool[len++] = v;
-            }
+    for (v = 0; v < n; v++) {
+        freec[v] = r;
+        for (j = 0; j < r; j++) {
+            pos[v * r + j] = len;
+            pool[len++] = v;
         }
-        placed = 0;
-    } else {
-        len = state[1];
-        placed = state[2];
     }
 
     while (len > 0) {
-        const int64_t p0 = p;
-        int64_t u = -1, w = -1, iu, iw, t;
+        int64_t u = -1, w = -1, t;
         int found = 0;
         for (t = 0; t < 200; t++) {
-            if (!sw_randbelow(words, width, &p, len, &iu) ||
-                !sw_randbelow(words, width, &p, len, &iw))
-                goto refill;
-            u = pool[iu];
-            w = pool[iw];
+            u = pool[mt_randbelow(mt, len, &drawn)];
+            w = pool[mt_randbelow(mt, len, &drawn)];
             if (u == w || sw_adjacent(adj, freec, r, u, w))
                 continue;
             found = 1;
@@ -553,15 +515,9 @@ REPRO_EXPORT int64_t repro_sw_regular(const int64_t *par, void **arr)
                     count += !sw_adjacent(adj, freec, r, rem[a], rem[b]);
             if (count == 0) {
                 free(rem);
-                state[0] = p;
-                state[1] = len;
-                state[2] = placed;
                 return SW_DEADEND;
             }
-            if (!sw_randbelow(words, width, &p, count, &k)) {
-                free(rem);
-                goto refill;
-            }
+            k = mt_randbelow(mt, count, &drawn);
             u = -1;
             for (a = 0; a < nrem && u < 0; a++)
                 for (b = a + 1; b < nrem; b++)
@@ -580,12 +536,6 @@ REPRO_EXPORT int64_t repro_sw_regular(const int64_t *par, void **arr)
         adj[w * r + r - freec[w]] = u;
         sw_remove_stub(pool, pos, freec, r, &len, u);
         sw_remove_stub(pool, pos, freec, r, &len, w);
-        continue;
-    refill:
-        state[0] = p0;
-        state[1] = len;
-        state[2] = placed;
-        return SW_REFILL;
     }
 
     /* CSR in incidence() order; free[] (all zero now) is the fill cursor. */
@@ -613,10 +563,7 @@ REPRO_EXPORT int64_t repro_sw_regular(const int64_t *par, void **arr)
                 comps--;
             }
         }
-        state[3] = comps;
+        *comps_out = comps;
     }
-    state[0] = p;
-    state[1] = 0;
-    state[2] = placed;
     return SW_DONE;
 }

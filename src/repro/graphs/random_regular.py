@@ -17,8 +17,9 @@ Steger–Wormald runs natively when it can.  With the optional C extension
 built (:mod:`repro.engine.native`), a plain Mersenne-Twister ``rng``
 (:meth:`~repro.engine.base.MTWordStream.supports`) and every draw's
 modulus within 32 bits (``n*r`` and ``n*(n-1)/2`` below ``2**32``), each
-pass runs as one C call over the generator's raw words, drawn through
-:class:`~repro.engine.base.MTWordStream`.  It replays
+pass runs as one C call that draws from the generator's own
+Mersenne-Twister state, handed in and written back through
+``getstate``/``setstate``.  It replays
 :func:`_steger_wormald_attempt` draw for draw, so the edges, their order
 and ``rng.getstate()`` afterwards are identical, and it hands back an
 array-backed :class:`Graph` whose CSR arrays and connectivity come out of
@@ -182,15 +183,8 @@ def _restarts_exhausted(n: int, r: int, max_restarts: int) -> GenerationError:
     )
 
 
-#: Words taken per stub before a native pass; a pass consumes about 1.4
-#: (two draws per edge, ~1.4 words per draw), so re-takes are rare.
-_NATIVE_WORDS_PER_STUB = 2
-
-#: Smallest re-take when the native pass runs its word row dry.
-_NATIVE_MIN_RETAKE = 64
-
 # Statuses of the native pass (``SW_*`` in ``_fused.c``).
-_SW_DONE, _SW_DEADEND, _SW_REFILL = 0, 1, 2
+_SW_DONE, _SW_DEADEND = 0, 1
 
 
 def _native_kernel(n: int, r: int, rng: random.Random) -> Any:
@@ -211,18 +205,19 @@ def _native_regular_graph(
 ) -> Tuple[Graph, int]:
     """Steger–Wormald passes in C until one succeeds; ``(graph, components)``.
 
-    The words come from one :class:`MTWordStream` run, and the generator
-    is advanced past exactly the words consumed — also when every restart
-    dead-ends and this raises.
+    The kernel draws from ``rng``'s own Mersenne-Twister state, handed in
+    as one :class:`~repro.engine.base.MTStateRows` row; the advanced row
+    is written back — also when every restart dead-ends and this raises.
     """
     import ctypes
 
     import numpy as np
 
-    from repro.engine.base import MTWordStream
+    from repro.engine.base import MTStateRows
 
     stubs = n * r
-    state = np.zeros(4, dtype=np.int64)
+    states = MTStateRows([rng])
+    components = np.zeros(1, dtype=np.int64)
     pool, positions, adjacent = (np.empty(stubs, dtype=np.int64) for _ in range(3))
     free = np.empty(n, dtype=np.int64)
     edges = np.empty((stubs // 2, 2), dtype=np.int64)
@@ -231,40 +226,23 @@ def _native_regular_graph(
         np.empty(stubs, dtype=np.int64),
         np.empty(stubs, dtype=np.int64),
     )
-    par = np.array([n, r, 0, 1], dtype=np.int64)  # n, r, row width, fresh
-    stream = MTWordStream(rng)
-    stream.begin()
-    row = stream.take(_NATIVE_WORDS_PER_STUB * stubs)
-    consumed = 0  # words consumed from rows already replaced
+    par = np.array([n, r], dtype=np.int64)
+    arrays = (states.mt, components, pool, positions, free, adjacent, edges, *csr)
+    slots = (ctypes.c_void_p * len(arrays))(
+        *[ctypes.c_void_p(a.ctypes.data) for a in arrays]
+    )
     try:
         for _restart in range(max_restarts):
-            par[3] = 1  # fresh attempt
-            while True:
-                par[2] = row.shape[0]
-                arrays = (row, state, pool, positions, free, adjacent, edges, *csr)
-                slots = (ctypes.c_void_p * len(arrays))(
-                    *[ctypes.c_void_p(a.ctypes.data) for a in arrays]
-                )
-                status = int(kernel(ctypes.c_void_p(par.ctypes.data), slots))
-                if status != _SW_REFILL:
-                    break
-                # The row ran dry mid-placement (nothing placed): keep its
-                # unread tail, append fresh words and resume.
-                par[3] = 0
-                p = int(state[0])
-                consumed += p
-                retake = max(row.shape[0], _NATIVE_MIN_RETAKE)
-                row = np.concatenate([row[p:], stream.take(retake)])
-                state[0] = 0
+            status = int(kernel(ctypes.c_void_p(par.ctypes.data), slots))
             if status == _SW_DONE:
                 graph = Graph._from_arrays(n, edges, csr, name=label)
-                return graph, int(state[3])
+                return graph, int(components[0])
             if status != _SW_DEADEND:
                 raise GenerationError(
                     f"native Steger-Wormald pass failed (status {status})"
                 )
     finally:
-        stream.sync_to(consumed + int(state[0]))
+        states.sync_row(0)
     raise _restarts_exhausted(n, r, max_restarts)
 
 

@@ -76,6 +76,10 @@ def build_manifest(
         if getattr(_native, "_probed", False):
             env["native_available"] = _native.available()
             env["native_kernel"] = _native.kernel_path()
+            # The loader only accepts a kernel stamped with this ABI.
+            env["native_abi"] = (
+                _native.ABI_VERSION if env["native_kernel"] is not None else None
+            )
     except ImportError:  # pragma: no cover - engine always importable
         pass
     manifest: Dict = {

@@ -15,21 +15,31 @@ path, and the >16-degree regular path), shared and distinct-graph
 and the loader's fallback behaviour (numpy path + one RuntimeWarning)
 when the extension is missing.
 
+The kernel runs each trial's Mersenne Twister itself, on the state
+``getstate()`` hands it, so generators are also started at the edges of
+the 624-word state: positions 0, 1, 623 and 624 (a twist before the next
+word), mid-row, and with a cached ``gauss_next`` that must survive the
+round trip.
+
 The native Steger–Wormald pass is held to the same standard against the
 python builder: same edges in the same order, same CSR arrays, same
 component count and the same generator end state, over dead-end
-restarts, the exhaustive fallback and word-row re-takes; pinned digests
-of fresh 4-regular graphs hold with and without the kernel.
+restarts, the exhaustive fallback and every state boundary; pinned
+digests of fresh 4-regular graphs hold with and without the kernel.
 """
 
 import hashlib
+import os
 import random
+import shutil
+import subprocess
 import warnings
 
 import pytest
 
 from repro.core.eprocess import EdgeProcess
-from repro.engine import FleetEdgeProcess, FleetSRW, FleetVProcess, MTWordStream, native
+from repro.engine import FleetEdgeProcess, FleetSRW, FleetVProcess, native
+from repro.engine.fleet import TAIL_LANES
 from repro.errors import CoverTimeout, GenerationError, ReproError
 from repro.graphs import random_regular as rr
 from repro.graphs.generators import complete_graph, lollipop_graph
@@ -205,8 +215,9 @@ class TestNativeVsNumpyParity:
             assert n_rngs[k].getstate() == p_rngs[k].getstate()
 
     def test_word_row_refill_midstream(self):
-        # A run long enough to exhaust the 4096-word rows many times over:
-        # refills must stay invisible (exact word accounting end to end).
+        # A run long enough to take every lane's generator through many MT
+        # twists: the kernel's in-place state must track the numpy path's
+        # buffered words (exact word accounting end to end).
         graph = lollipop_graph(7, 30)
         K = 7
         starts, n_rngs, p_rngs = _lanes(graph, K, 5000)
@@ -216,6 +227,82 @@ class TestNativeVsNumpyParity:
         for k in range(K):
             assert n_rngs[k].getstate() == p_rngs[k].getstate()
 
+
+#: Where the generators start: read positions inside the 624-word state
+#: (0 reads key word 0 with no twist; 624 twists first), plus "gauss" —
+#: a mid-row generator with a cached ``gauss_next``.
+MT_STARTS = [0, 1, 311, 623, 624, "gauss"]
+
+
+def _positioned(seed, start):
+    """``random.Random(seed)`` moved to an MT boundary (see MT_STARTS)."""
+    rng = random.Random(seed)
+    if start == "gauss":
+        for _ in range(100):
+            rng.getrandbits(32)
+        rng.gauss()
+        assert rng.getstate()[2] is not None
+        return rng
+    version, internal, gauss = rng.getstate()
+    rng.setstate((version, internal[:-1] + (start,), gauss))
+    return rng
+
+
+def _boundary_lanes(K, start, base_seed):
+    """Three identical generator sets: native fleet, numpy fleet, reference."""
+    return [[_positioned(base_seed + k, start) for k in range(K)] for _ in range(3)]
+
+
+@native_built
+class TestMersenneTwisterBoundaries:
+    @pytest.mark.parametrize("start", MT_STARTS)
+    @pytest.mark.parametrize("K", [TAIL_LANES - 2, TAIL_LANES + 3])
+    @pytest.mark.parametrize("target", ["vertices", "edges"])
+    @pytest.mark.parametrize("walk", sorted(FLEETS))
+    def test_fleet_matches_numpy_and_reference(self, walk, target, K, start):
+        graph = _graph("regular" if K > TAIL_LANES else "irregular")
+        starts = [k % graph.n for k in range(K)]
+        n_rngs, p_rngs, twins = _boundary_lanes(K, start, 11_000)
+        nat = _make_fleet(walk, [graph] * K, starts, n_rngs, True)
+        num = _make_fleet(walk, [graph] * K, starts, p_rngs, False)
+        cover = nat.run_until_cover(target)
+        assert cover == num.run_until_cover(target)
+        assert nat.positions == num.positions
+        for k in range(K):
+            ref = REFERENCES[walk](graph, starts[k], twins[k])
+            expected = (
+                ref.run_until_vertex_cover()
+                if target == "vertices"
+                else ref.run_until_edge_cover()
+            )
+            assert cover[k] == expected
+            assert nat.positions[k] == ref.current
+            assert n_rngs[k].getstate() == p_rngs[k].getstate() == twins[k].getstate()
+
+    @pytest.mark.parametrize("start", MT_STARTS)
+    @pytest.mark.parametrize("K", [TAIL_LANES - 2, TAIL_LANES + 3])
+    @pytest.mark.parametrize("walk", sorted(FLEETS))
+    def test_timeout_matches_numpy_and_reference(self, walk, K, start):
+        graph = _graph("irregular")
+        starts = [k % graph.n for k in range(K)]
+        n_rngs, p_rngs, twins = _boundary_lanes(K, start, 12_000)
+        budget = graph.m - 4  # a step visits at most one new edge: no lane covers
+        for rngs, native_pref in ((n_rngs, True), (p_rngs, False)):
+            fleet = _make_fleet(walk, [graph] * K, starts, rngs, native_pref)
+            with pytest.raises(CoverTimeout):
+                fleet.run_until_cover("edges", max_steps=budget)
+        # Above the hand-off every lane is live when the lockstep budget
+        # runs out; below it the per-trial tail runs lane by lane and the
+        # first timeout ends the fleet, leaving later lanes' generators
+        # where the fleet found them.
+        timed_out = K if K > TAIL_LANES else 1
+        for k in range(K):
+            assert n_rngs[k].getstate() == p_rngs[k].getstate()
+            if k < timed_out:
+                ref = REFERENCES[walk](graph, starts[k], twins[k])
+                with pytest.raises(CoverTimeout):
+                    ref.run_until_edge_cover(max_steps=budget)
+            assert n_rngs[k].getstate() == twins[k].getstate()
 
 
 class TestNativeLoader:
@@ -286,6 +373,35 @@ class TestNativeLoader:
             with pytest.warns(RuntimeWarning, match="ABI"):
                 assert native.load() is None
             assert "ABI" in native.unavailable_reason()
+        finally:
+            monkeypatch.undo()
+            native._reset_probe_for_testing()
+
+    def test_stale_abi_build_refused_by_name(self, tmp_path, monkeypatch):
+        # A kernel from before the generator moved into C (ABI 2) reads
+        # word rows where this build passes state rows: it must be refused
+        # with its path in the reason, never called.
+        cc = shutil.which("cc") or shutil.which("gcc")
+        if cc is None:
+            pytest.skip("no C compiler to build a stale kernel")
+        src = tmp_path / "stale.c"
+        src.write_text("long long repro_fused_abi(void) { return 2; }\n")
+        stale = tmp_path / "_fused_abi2.so"
+        # A sanitizer runtime preloaded into this process must not ride
+        # into the compiler (its leak checker would fail the build).
+        env = {k: v for k, v in os.environ.items() if k != "LD_PRELOAD"}
+        subprocess.run(
+            [cc, "-shared", "-fPIC", str(src), "-o", str(stale)], check=True, env=env
+        )
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        monkeypatch.setattr(native, "_find_extension", lambda: str(stale))
+        native._reset_probe_for_testing()
+        try:
+            with pytest.warns(RuntimeWarning, match="ABI 2"):
+                assert native.load() is None
+            reason = native.unavailable_reason()
+            assert str(stale) in reason
+            assert f"ABI 2, this build of repro needs {native.ABI_VERSION}" in reason
         finally:
             monkeypatch.undo()
             native._reset_probe_for_testing()
@@ -404,28 +520,22 @@ class TestNativeStegerWormald:
         assert dead_ends[6, 4] > 0
         assert all(fallbacks[shape] > 0 for shape in [(22, 20), (25, 22), (30, 27)])
 
-    def test_word_row_retakes(self, monkeypatch):
-        # No words up front and tiny re-takes: the pass runs its row dry
-        # over and over, mid-placement and mid-fallback, and must resume
-        # exactly where it stopped.
-        monkeypatch.setattr(rr, "_NATIVE_WORDS_PER_STUB", 0)
-        monkeypatch.setattr(rr, "_NATIVE_MIN_RETAKE", 1)
-        takes = []
-        real_take = MTWordStream.take
-
-        def counting_take(self, count):
-            takes.append(count)
-            return real_take(self, count)
-
-        monkeypatch.setattr(MTWordStream, "take", counting_take)
-        for n, r, seeds in [(6, 4, range(4)), (22, 20, [25]), (60, 4, range(4))]:
-            for seed in seeds:
-                takes.clear()
-                graph, _, rng = self._native(n, r, seed)
-                edges, ref_rng, _, _ = _reference_pass(n, r, seed)
-                assert len(takes) > 3
-                assert graph.edges() == tuple(edges)
-                assert rng.getstate() == ref_rng.getstate()
+    @pytest.mark.parametrize("start", MT_STARTS)
+    def test_builds_at_mt_boundaries(self, start):
+        # Dead-end restarts (6, 4), the exhaustive fallback (22, 20) and a
+        # pass that draws across many twists (2000, 4), each from every
+        # state boundary: same edges and the same end state as python.
+        for n, r, seed in [(6, 4, 3), (6, 4, 5), (22, 20, 25), (2000, 4, 1)]:
+            rng = _positioned(seed, start)
+            ref_rng = _positioned(seed, start)
+            graph, components = rr._native_regular_graph(
+                rr._native_kernel(n, r, rng), n, r, rng, 10_000, "g"
+            )
+            while (edges := rr._steger_wormald_attempt(n, r, ref_rng)) is None:
+                pass
+            assert graph.edges() == tuple(edges), (n, r, seed)
+            assert components == len(connected_components(Graph(n, edges)))
+            assert rng.getstate() == ref_rng.getstate(), (n, r, seed)
 
     def test_restart_budget_exhaustion_syncs_rng(self):
         # Seeds whose first n=6, r=4 pass dead-ends: with one restart

@@ -237,6 +237,24 @@ class TestManifest:
         assert manifest["env"]["python"]
         json.dumps(manifest)
 
+    def test_manifest_records_native_abi_next_to_kernel(self, monkeypatch):
+        from repro.engine import native
+
+        native.load()  # the manifest reports a kernel only once probed
+        env = self._manifest()["env"]
+        if native.available():
+            assert env["native_kernel"] == native.kernel_path()
+            assert env["native_abi"] == native.ABI_VERSION
+        else:
+            assert env["native_kernel"] is None and env["native_abi"] is None
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        try:
+            env = self._manifest()["env"]
+            assert env["native_kernel"] is None and env["native_abi"] is None
+        finally:
+            monkeypatch.undo()
+            native._reset_probe_for_testing()
+
     def test_heartbeat_count_lands_in_manifest(self):
         clock = _FakeClock()
         hb = HeartbeatReporter(1.0, stream=io.StringIO(), clock=clock)

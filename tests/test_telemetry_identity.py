@@ -19,6 +19,7 @@ from repro.engine import (
     FleetEdgeProcess,
     FleetSRW,
     FleetVProcess,
+    native,
 )
 from repro.graphs import ImplicitHypercube
 from repro.graphs.generators import hypercube_graph, lollipop_graph
@@ -105,6 +106,27 @@ class TestFleetEngines:
         # the block total can never exceed the summed covers.
         covers, _ = _run_fleet("eprocess", irregular_graph, 10, 77)
         assert tel.counters["fleet.lane_steps"] <= sum(covers)
+
+    @pytest.mark.skipif(not native.available(), reason="native fused kernel not built")
+    @pytest.mark.parametrize("walk_name", FLEET_WALKS)
+    @pytest.mark.parametrize("shape", ["regular", "irregular"])
+    def test_native_counts_the_same_words(self, walk_name, shape, regular_graph, irregular_graph):
+        # The kernel counts each lane's words as it draws them; the numpy
+        # path counts what its word bank hands out.  Both must report the
+        # words the reference walks consume.
+        graph = regular_graph if shape == "regular" else irregular_graph
+        K = 10
+        consumed = {}
+        for native_pref in (True, False):
+            rngs = [random.Random(300 + k) for k in range(K)]
+            tel = Telemetry()
+            with session(tel):
+                fleet = FLEET_CLASSES[walk_name]([graph] * K, [0] * K, rngs, native=native_pref)
+                fleet.run_until_cover("edges")
+            kernel = "fleet.native_fleets" if native_pref else "fleet.numpy_fleets"
+            assert tel.counters[kernel] == 1
+            consumed[native_pref] = tel.counters["fleet.words_consumed"]
+        assert consumed[True] == consumed[False] > 0
 
 
 class TestOracleEngines:
