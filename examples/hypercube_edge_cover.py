@@ -23,9 +23,9 @@ from repro import (
     edge_cover_sandwich,
     grw_edge_cover_bound,
     hypercube_graph,
-    spectral_gap,
 )
 from repro.sim.tables import format_table
+from repro.spectral.eigen import spectral_gap
 
 RS = [4, 6, 8, 10]
 TRIALS = 3

@@ -17,11 +17,11 @@ from repro import (
     SimpleRandomWalk,
     random_connected_regular_graph,
     spawn,
-    spectral_gap,
     verify_observation_10,
     verify_observation_12,
 )
 from repro.sim.tables import format_kv_block
+from repro.spectral.eigen import spectral_gap
 
 
 def main() -> None:

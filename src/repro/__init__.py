@@ -80,13 +80,12 @@ from repro.graphs import (
     complete_graph,
     cycle_graph,
     from_edges,
-    from_networkx,
     girth,
     hypercube_graph,
     lps_graph,
     random_connected_regular_graph,
     random_regular_graph,
-    to_networkx,
+    stationary_distribution,
     torus_grid,
 )
 from repro.sim import (
@@ -100,12 +99,6 @@ from repro.sim import (
     fit_normalized_profile,
     select_growth_model,
     spawn,
-)
-from repro.spectral import (
-    lambda_2,
-    lambda_max,
-    spectral_gap,
-    stationary_distribution,
 )
 from repro.walks import (
     GreedyRandomWalk,
@@ -136,8 +129,6 @@ __all__ = [
     "Graph",
     "GraphBuilder",
     "from_edges",
-    "from_networkx",
-    "to_networkx",
     "cycle_graph",
     "complete_graph",
     "hypercube_graph",
@@ -146,10 +137,6 @@ __all__ = [
     "random_regular_graph",
     "random_connected_regular_graph",
     "lps_graph",
-    # spectral
-    "lambda_2",
-    "lambda_max",
-    "spectral_gap",
     "stationary_distribution",
     # walks
     "WalkProcess",

@@ -57,8 +57,6 @@ from repro.sim.results import Series, aggregate
 from repro.sim.rng import DEFAULT_ROOT_SEED, spawn
 from repro.sim.runner import cover_time_trials
 from repro.sim.tables import format_kv_block, format_series_table, format_table
-from repro.spectral.conductance import conductance_interval_from_gap
-from repro.spectral.eigen import extreme_eigenvalues, spectral_gap
 
 __all__ = ["main", "build_parser"]
 
@@ -523,6 +521,15 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
+    try:
+        from repro.spectral.conductance import conductance_interval_from_gap
+        from repro.spectral.eigen import extreme_eigenvalues, spectral_gap
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").partition(".")[0] != "scipy":
+            raise
+        raise ReproError(
+            "`repro spectral` needs scipy; install it with pip install 'repro[spectral]'"
+        ) from exc
     _require_materialized(args, "the spectral profile (dense eigensolve)")
     build_rng = spawn(args.seed, "cli-spectral-graph")
     graph = _build_family_graph(args, build_rng)

@@ -4,7 +4,7 @@ Everything the walk processes and spectral machinery run on.  See
 :class:`repro.graphs.Graph` for the core data structure.
 """
 
-from repro.graphs.builders import from_adjacency, from_edges, from_networkx, to_networkx
+from repro.graphs.builders import from_adjacency, from_edges
 from repro.graphs.cycle_space import (
     cycle_space_basis,
     cycle_space_dimension,
@@ -40,12 +40,14 @@ from repro.graphs.properties import (
     bfs_distances,
     connected_components,
     degree_histogram,
+    degree_vector,
     diameter,
     girth,
     is_bipartite,
     is_connected,
     require_connected,
     shortest_cycle_through,
+    stationary_distribution,
 )
 from repro.graphs.ramanujan import (
     lps_girth_lower_bound,
@@ -83,8 +85,6 @@ __all__ = [
     # builders
     "from_adjacency",
     "from_edges",
-    "from_networkx",
-    "to_networkx",
     # generators
     "barbell_graph",
     "bowtie_graph",
@@ -117,12 +117,14 @@ __all__ = [
     "bfs_distances",
     "connected_components",
     "degree_histogram",
+    "degree_vector",
     "diameter",
     "girth",
     "is_bipartite",
     "is_connected",
     "require_connected",
     "shortest_cycle_through",
+    "stationary_distribution",
     # transforms
     "ContractionResult",
     "SubdivisionResult",

@@ -1,16 +1,8 @@
-"""Construction helpers and the NetworkX bridge.
-
-The paper's experiments used NetworkX's random regular generator; we keep a
-faithful two-way bridge so our own generators (see
-:mod:`repro.graphs.random_regular`) can be cross-validated against it, and so
-downstream users can bring arbitrary NetworkX graphs into the walk engine.
-"""
+"""Construction helpers: graphs from edge lists and adjacency lists."""
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
-
-import networkx as nx
+from typing import Iterable, List, Sequence
 
 from repro.errors import GraphError
 from repro.graphs.graph import Edge, Graph
@@ -18,8 +10,6 @@ from repro.graphs.graph import Edge, Graph
 __all__ = [
     "from_edges",
     "from_adjacency",
-    "from_networkx",
-    "to_networkx",
 ]
 
 
@@ -72,39 +62,3 @@ def from_adjacency(adjacency: Sequence[Sequence[int]], name: str = "") -> Graph:
                 f"listed {len(nbrs)} neighbours, reconstructed degree {graph.degree(u)}"
             )
     return graph
-
-
-def from_networkx(nx_graph: "nx.Graph", name: str = "") -> Tuple[Graph, Dict[Hashable, int]]:
-    """Convert a NetworkX graph (or multigraph) to a :class:`Graph`.
-
-    Returns
-    -------
-    (graph, vertex_map):
-        ``vertex_map`` sends each NetworkX node to its integer id, assigned
-        in the (stable) node iteration order of ``nx_graph``.
-    """
-    if nx_graph.is_directed():
-        raise GraphError("directed graphs are not supported")
-    vertex_map: Dict[Hashable, int] = {node: i for i, node in enumerate(nx_graph.nodes())}
-    edges: List[Edge] = []
-    if nx_graph.is_multigraph():
-        for u, v, _key in nx_graph.edges(keys=True):
-            edges.append((vertex_map[u], vertex_map[v]))
-    else:
-        for u, v in nx_graph.edges():
-            edges.append((vertex_map[u], vertex_map[v]))
-    label = name or str(nx_graph.name or "")
-    return Graph(len(vertex_map), edges, name=label), vertex_map
-
-
-def to_networkx(graph: Graph) -> "nx.MultiGraph":
-    """Convert to a NetworkX :class:`~networkx.MultiGraph`.
-
-    A multigraph is always returned so loops and parallel edges survive the
-    round trip; edge ids are stored as the ``eid`` edge attribute.
-    """
-    out = nx.MultiGraph(name=graph.name)
-    out.add_nodes_from(range(graph.n))
-    for eid, (u, v) in enumerate(graph.edges()):
-        out.add_edge(u, v, eid=eid)
-    return out

@@ -1,4 +1,5 @@
-"""Structural graph properties: connectivity, girth, diameter, bipartiteness.
+"""Structural graph properties: connectivity, girth, diameter, bipartiteness,
+degrees and the SRW's stationary distribution.
 
 These feed directly into the paper's hypotheses: Theorem 1 needs connected
 even-degree graphs, Theorem 3 is parameterized by girth ``g`` and maximum
@@ -14,7 +15,9 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional
 
-from repro.errors import GraphError, NotConnectedError
+import numpy as np
+
+from repro.errors import GraphError, NotConnectedError, SpectralError
 from repro.graphs.graph import Graph
 
 __all__ = [
@@ -28,6 +31,8 @@ __all__ = [
     "girth",
     "shortest_cycle_through",
     "degree_histogram",
+    "degree_vector",
+    "stationary_distribution",
 ]
 
 _UNSEEN = -1
@@ -251,3 +256,15 @@ def degree_histogram(graph: Graph) -> dict:
     for d in graph.degrees():
         hist[d] = hist.get(d, 0) + 1
     return hist
+
+
+def degree_vector(graph: Graph) -> np.ndarray:
+    """Degrees as a float array (loops count 2)."""
+    return np.array(graph.degrees(), dtype=float)
+
+
+def stationary_distribution(graph: Graph) -> np.ndarray:
+    """Stationary distribution ``π_v = d(v) / 2m`` of the SRW."""
+    if graph.m == 0:
+        raise SpectralError("stationary distribution undefined: no edges")
+    return degree_vector(graph) / (2.0 * graph.m)

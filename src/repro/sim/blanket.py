@@ -20,7 +20,7 @@ import heapq
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import CoverTimeout, ReproError
-from repro.spectral.matrices import stationary_distribution
+from repro.graphs.properties import stationary_distribution
 from repro.walks.base import WalkProcess, default_step_budget
 
 __all__ = ["time_to_visit_counts", "blanket_time"]

@@ -13,6 +13,8 @@ import scipy.sparse as sp
 
 from repro.errors import SpectralError
 from repro.graphs.graph import Graph
+# numpy-only, so walks can use them without loading scipy; re-exported here
+from repro.graphs.properties import degree_vector, stationary_distribution
 
 __all__ = [
     "degree_vector",
@@ -22,11 +24,6 @@ __all__ = [
     "laplacian_matrix",
     "stationary_distribution",
 ]
-
-
-def degree_vector(graph: Graph) -> np.ndarray:
-    """Degrees as a float array (loops count 2)."""
-    return np.array(graph.degrees(), dtype=float)
 
 
 def adjacency_matrix(graph: Graph, sparse: bool = True):
@@ -103,10 +100,3 @@ def laplacian_matrix(graph: Graph, sparse: bool = True):
     if sparse:
         return lap
     return lap.toarray()
-
-
-def stationary_distribution(graph: Graph) -> np.ndarray:
-    """Stationary distribution ``π_v = d(v) / 2m`` of the SRW."""
-    if graph.m == 0:
-        raise SpectralError("stationary distribution undefined: no edges")
-    return degree_vector(graph) / (2.0 * graph.m)

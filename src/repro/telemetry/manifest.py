@@ -2,11 +2,12 @@
 
 A manifest is the provenance record of one instrumented run — engine and
 walk identity, native-kernel state, the full counter/gauge/timing
-snapshot, wall time, peak RSS, and the environment (python, platform,
-repro version, ``REPRO_NATIVE``).  It is written as the final line of a
-telemetry JSONL stream (:class:`~repro.telemetry.jsonl.TelemetryJSONLWriter`)
-and, for store-backed commands, saved under the store's ``manifests/``
-directory next to the trial records it describes
+snapshot, wall time, peak RSS, and the environment (python, numpy,
+platform, CPU count, repro version, ``REPRO_NATIVE``).  It is written as
+the final line of a telemetry JSONL stream
+(:class:`~repro.telemetry.jsonl.TelemetryJSONLWriter`) and, for
+store-backed commands, saved under the store's ``manifests/`` directory
+next to the trial records it describes
 (:meth:`~repro.experiments.store.ResultStore.record_manifest`).
 
 ``python -m repro.telemetry.manifest FILE`` validates a telemetry file:
@@ -23,6 +24,8 @@ import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
+
+import numpy
 
 from repro._version import __version__
 from repro.errors import ReproError
@@ -63,7 +66,9 @@ def build_manifest(
     snap = telemetry.snapshot()
     env: Dict = {
         "python": platform.python_version(),
+        "numpy": numpy.__version__,
         "platform": sys.platform,
+        "cpu_count": os.cpu_count(),
         "repro_version": __version__,
         "repro_native_env": os.environ.get("REPRO_NATIVE", ""),
     }

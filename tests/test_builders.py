@@ -1,11 +1,9 @@
-"""Tests for construction helpers and the NetworkX bridge."""
+"""Tests for construction helpers."""
 
-import networkx as nx
 import pytest
 
 from repro.errors import GraphError
-from repro.graphs.builders import from_adjacency, from_edges, from_networkx, to_networkx
-from repro.graphs.generators import petersen_graph
+from repro.graphs.builders import from_adjacency, from_edges
 
 
 class TestFromEdges:
@@ -40,42 +38,3 @@ class TestFromAdjacency:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError):
             from_adjacency([[5]])
-
-
-class TestNetworkxBridge:
-    def test_round_trip_simple(self):
-        g = petersen_graph()
-        nxg = to_networkx(g)
-        back, vmap = from_networkx(nxg)
-        assert back == g
-        assert vmap == {v: v for v in range(10)}
-
-    def test_round_trip_multigraph(self):
-        nxg = nx.MultiGraph()
-        nxg.add_edge("a", "b")
-        nxg.add_edge("a", "b")
-        nxg.add_edge("a", "a")
-        g, vmap = from_networkx(nxg)
-        assert g.n == 2
-        assert g.m == 3
-        assert g.has_parallel_edges()
-        assert g.has_loops()
-        assert set(vmap) == {"a", "b"}
-
-    def test_directed_rejected(self):
-        with pytest.raises(GraphError):
-            from_networkx(nx.DiGraph([(0, 1)]))
-
-    def test_to_networkx_preserves_edge_ids(self):
-        g = from_edges([(0, 1), (1, 2)])
-        nxg = to_networkx(g)
-        ids = sorted(data["eid"] for _u, _v, data in nxg.edges(data=True))
-        assert ids == [0, 1]
-
-    def test_networkx_random_regular_cross_check(self):
-        # The paper used the NetworkX Steger-Wormald generator; our bridge
-        # must accept its output directly.
-        nxg = nx.random_regular_graph(4, 30, seed=7)
-        g, _ = from_networkx(nxg)
-        assert g.is_regular() and g.regularity() == 4
-        assert g.n == 30

@@ -38,8 +38,18 @@ class TestPyproject:
         assert pyproject["tool"]["setuptools"]["packages"]["find"]["where"] == ["src"]
 
     def test_numpy_dependency_declared(self, pyproject):
-        deps = pyproject["project"]["dependencies"]
-        assert any(d.split()[0].startswith("numpy") for d in deps)
+        # numpy only: scipy rides in the `spectral` extra.
+        assert pyproject["project"]["dependencies"] == ["numpy"]
+
+    def test_networkx_nowhere_in_project(self, pyproject):
+        assert "networkx" not in repr(pyproject["project"]).lower()
+
+    def test_spectral_extra_lists_scipy(self, pyproject):
+        assert pyproject["project"]["optional-dependencies"]["spectral"] == ["scipy"]
+
+    def test_test_extra_covers_tier1_imports(self, pyproject):
+        extra = pyproject["project"]["optional-dependencies"]["test"]
+        assert {"pytest", "hypothesis", "scipy"} <= set(extra)
 
     def test_build_backend_reads_project_table(self, pyproject):
         # setuptools >= 61 is the first version that reads [project].

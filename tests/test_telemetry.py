@@ -7,7 +7,9 @@ covers the instrumentation machinery itself.
 
 import io
 import json
+import os
 
+import numpy
 import pytest
 
 from repro.errors import ReproError
@@ -236,6 +238,11 @@ class TestManifest:
         assert manifest["peak_rss_bytes"] > 0
         assert manifest["env"]["python"]
         json.dumps(manifest)
+
+    def test_manifest_records_numpy_version_and_cpu_count(self):
+        env = self._manifest()["env"]
+        assert env["numpy"] == numpy.__version__
+        assert env["cpu_count"] == os.cpu_count()
 
     def test_manifest_records_native_abi_next_to_kernel(self, monkeypatch):
         from repro.engine import native
