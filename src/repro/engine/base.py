@@ -260,15 +260,10 @@ class VisitedSet:
     the difference between fitting in cache and not.  The :mod:`repro.engine.oracle` walks keep
     their visitation state here.
 
-    Two access styles, matching the two kinds of hot loop:
-
-    * vectorized (``test_many``/``set_many``/``fresh_indices``) on int64
-      numpy index arrays, for whole blocks of visits at once (no engine
-      steps this way at present);
-    * scalar via :meth:`checkout_words`/:meth:`checkin_words`: the caller
-      borrows the words as a plain Python list (CPython int bit-ops beat
-      numpy scalar indexing several-fold in per-step loops), mutates, and
-      checks back in.  Vectorized access while checked out is invalid.
+    Hot loops go through :meth:`checkout_words`/:meth:`checkin_words`:
+    the caller borrows the words as a plain Python list (CPython int
+    bit-ops beat numpy scalar indexing several-fold in per-step loops),
+    mutates, and checks back in.
     """
 
     __slots__ = ("nbits", "words", "count", "_checked_out")
@@ -278,7 +273,7 @@ class VisitedSet:
 
         self.nbits = nbits
         self.words = np.zeros((nbits + 63) >> 6, dtype=np.uint64)
-        self.count = 0  # bits set, maintained by add()/set_many()
+        self.count = 0  # bits set, maintained by add()/checkin_words()
         self._checked_out = False
 
     def test(self, i: int) -> bool:
@@ -294,34 +289,6 @@ class VisitedSet:
         self.words[w] = old | bit
         self.count += 1
         return True
-
-    def test_many(self, indices: Any) -> Any:
-        """Boolean array: bit set for each index (vectorized)."""
-        import numpy as np
-
-        shifts = (indices & 63).astype(np.uint64)
-        return ((self.words[indices >> 6] >> shifts) & np.uint64(1)).astype(bool)
-
-    def fresh_indices(self, indices: Any) -> Any:
-        """Positions in ``indices`` whose bit is clear (vectorized)."""
-        import numpy as np
-
-        shifts = (indices & 63).astype(np.uint64)
-        hit = (self.words[indices >> 6] >> shifts) & np.uint64(1)
-        return (hit == 0).nonzero()[0]
-
-    def set_many(self, indices: Any) -> int:
-        """Set all bits in ``indices`` (need not be distinct); returns the
-        number that were fresh, updating :attr:`count`."""
-        import numpy as np
-
-        idx = np.unique(indices)
-        fresh = idx[self.fresh_indices(idx)]
-        np.bitwise_or.at(
-            self.words, fresh >> 6, np.uint64(1) << (fresh & 63).astype(np.uint64)
-        )
-        self.count += int(fresh.size)
-        return int(fresh.size)
 
     def checkout_words(self) -> list:
         """Borrow the words as a Python int list for a scalar hot loop.

@@ -22,10 +22,8 @@ the whole fleet, with the rare rejected lanes retried scalar
 exactly per lane, so a lane's generator can be placed at any instant's
 end-state.
 
-Lanes step in lockstep; a lane leaves the fleet the instant it covers
-(its RNG synced to its cover instant), and when only a handful of
-straggler lanes remain they are transplanted onto per-trial scalar
-engines which finish them bit-identically.
+Lanes step in lockstep until the last one covers; a lane leaves the
+fleet the instant it covers (its RNG synced to its cover instant).
 
 The driver pays its numpy dispatches per lockstep step, so it has a
 **native fused path**: when the optional C extension
@@ -97,12 +95,6 @@ DEFAULT_FLEET_SIZE = 128
 #: Steps per kernel block: the most lockstep steps one native call
 #: advances before the driver's bookkeeping runs.
 DEFAULT_BLOCK_STEPS = 2048
-
-#: When this few lanes remain, the fleet hands them to per-trial scalar
-#: engines (state transplanted exactly): a fleet step costs the same
-#: however few lanes ride it, so below the crossover the scalar engines
-#: finish the stragglers faster.
-TAIL_LANES = 6
 
 #: Raw Mersenne-Twister words buffered per lane by the numpy path's word
 #: bank; refills are per-lane ``random_raw`` bulk pulls.
@@ -581,10 +573,10 @@ class _StepwiseFleet(FleetWalkBase):
     active lane one step; return a bool cover mask or None) plus the
     state hooks (:meth:`_prepare`, :meth:`_init_rows`, :meth:`_begin_block`,
     :meth:`_end_block`, :meth:`_compact_state`, :meth:`_on_lane_exit`,
-    :meth:`_finish_lane`, :meth:`_left`).  The driver owns the lockstep
-    loop: block/budget bookkeeping, cover detection and lane retirement
-    (RNG synced to the cover instant), state compaction, the straggler
-    hand-off, and the abnormal-exit RNG sync.
+    :meth:`_left`).  The driver owns the lockstep loop: block/budget
+    bookkeeping, cover detection and lane retirement (RNG synced to the
+    cover instant), state compaction, and the abnormal-exit RNG sync.
+    Every lane, the last included, retires through that one loop.
 
     When the native fused kernel is available (built C extension, not
     opted out, ``native`` preference permitting), :meth:`_run_block`
@@ -592,10 +584,10 @@ class _StepwiseFleet(FleetWalkBase):
     python loop — bit-identical by contract (same word consumption per
     lane, same candidate order, same first-visit stamps and cover
     instants), so everything around the block (retirement, RNG sync,
-    compaction, tail hand-off, phase extraction) is shared verbatim by
-    both paths.  Subclasses opt in by setting :attr:`_NATIVE_WALK` and
-    providing the array-mapping hooks (:meth:`_native_state`,
-    :meth:`_native_tables`, :meth:`_native_phase`).
+    compaction, phase extraction) is shared verbatim by both paths.
+    Subclasses opt in by setting :attr:`_NATIVE_WALK` and providing the
+    array-mapping hooks (:meth:`_native_state`, :meth:`_native_tables`,
+    :meth:`_native_phase`).
     """
 
     #: Walk code of the native kernel (0 srw, 1 eprocess, 2 vprocess);
@@ -649,11 +641,6 @@ class _StepwiseFleet(FleetWalkBase):
 
     def _on_lane_exit(self, row: int, lane: int) -> None:
         pass
-
-    def _finish_lane(self, row: int, lane: int, steps: int, budget: int, target: str) -> int:
-        """Transplant a straggler lane onto a per-trial scalar engine
-        (its RNG is already synced); return its cover step."""
-        raise NotImplementedError
 
     def _left(self, row: int) -> int:
         """How many target ids the lane at ``row`` still has uncovered."""
@@ -841,28 +828,6 @@ class _StepwiseFleet(FleetWalkBase):
         block = self.block_steps
         try:
             while act:
-                if len(act) <= TAIL_LANES:
-                    if tel.enabled:
-                        tel.count("fleet.tail_handoffs")
-                        tel.count("fleet.tail_lanes", len(act))
-                        tel.gauge("fleet.tail_handoff_step", steps)
-                        for row in range(len(act)):
-                            tel.count("fleet.words_consumed", self._bank.consumed(row))
-                    for row in range(len(act)):
-                        self._bank.sync_row(row)
-                    # The bank's job ends at the hand-off sync: clear `act`
-                    # *before* the scalar runs so an abnormal exit below
-                    # (e.g. a straggler's CoverTimeout) cannot re-sync — and
-                    # thereby rewind — generators the scalar engines have
-                    # already advanced.  A lane that times out scalar-side
-                    # keeps the engine's own end-state, which is exactly its
-                    # reference twin's state at the timeout instant.
-                    tail = act
-                    act = []
-                    self._act = act
-                    for row, k in enumerate(tail):
-                        cover[k] = self._finish_lane(row, k, steps, budget, target)
-                    break
                 if steps >= budget:
                     raise CoverTimeout(
                         f"fleet lane {names[act[0]]!r} did not cover all {target} "
@@ -1018,45 +983,6 @@ class FleetSRW(_StepwiseFleet):
 
     def _left(self, row: int) -> int:
         return int(self._full - self._counts[row])
-
-    def _finish_lane(self, row: int, lane: int, steps: int, budget: int, target: str) -> int:
-        import numpy as np
-
-        from repro.engine.srw import ArraySRW
-
-        n, m = self.n, self.m
-        by_vertices = not self._by_edges
-        stride = self._stride
-        k = lane
-        walk = ArraySRW(
-            self.graphs[k],
-            self.starts[k],
-            rng=self.rngs[k],
-            track_edges=self._by_edges,
-        )
-        walk.current = int(self._cur[row])
-        walk.steps = steps
-        lo = k * stride
-        seg_vis = self._visited[lo : lo + stride]
-        seg_fv = self._fvn[lo : lo + stride]
-        if by_vertices:
-            walk.visited_vertices = bytearray(seg_vis.tobytes())
-            walk.num_visited_vertices = int(self._counts[row])
-            walk.first_visit_time = seg_fv.tolist()
-            cover = walk.run_until_vertex_cover(max_steps=budget)
-            seg_fv[:] = walk.first_visit_time
-            seg_vis[:] = np.frombuffer(bytes(walk.visited_vertices), dtype="uint8")
-        else:
-            walk.visited_edges = bytearray(seg_vis.tobytes())
-            walk.num_visited_edges = int(self._counts[row])
-            walk.first_edge_visit_time = seg_fv.tolist()
-            walk.visited_vertices = bytearray(b"\x01") * n
-            walk.num_visited_vertices = n
-            cover = walk.run_until_edge_cover(max_steps=budget)
-            seg_fv[:] = walk.first_edge_visit_time
-            seg_vis[:] = np.frombuffer(bytes(walk.visited_edges), dtype="uint8")
-        self._pos[k] = walk.current
-        return cover
 
     # -- post-run introspection ----------------------------------------------
 

@@ -223,9 +223,8 @@ class FleetEdgeProcess(_UnvisitedFleet):
     :class:`~repro.engine.eprocess.ArrayEdgeProcess` runs of the same
     seeds: cover times, first-visit tables (vertices *and* edges),
     red/blue step splits, phase marks (when ``record_phases``), last
-    colour, and RNG end-state all match.  Stragglers are transplanted
-    onto per-trial :class:`~repro.engine.eprocess.ArrayEdgeProcess`
-    engines mid-state and finish bit-identically.
+    colour, and RNG end-state all match.  Every lane runs in the fleet
+    to its own cover instant.
     """
 
     walk_name = "eprocess"
@@ -400,56 +399,6 @@ class FleetEdgeProcess(_UnvisitedFleet):
         self._red_out[lane] = self._cover[lane] - blue
         self._lastc_out[lane] = {0: None, 1: RED, 2: BLUE}[self._last_color_code(row)]
 
-    def _finish_lane(self, row: int, lane: int, steps: int, budget: int, target: str) -> int:
-        import numpy as np
-
-        from repro.engine.eprocess import ArrayEdgeProcess
-
-        k = lane
-        n, m = self.n, self.m
-        graph = self.graphs[k]
-        walk = ArrayEdgeProcess(
-            graph, self.starts[k], rng=self.rngs[k],
-            record_phases=self._record_phases,
-        )
-        walk.current = int(self._cur[row])
-        walk.steps = steps
-        lo_v, lo_e = k * n, k * m
-        seg_visu = self._visu[lo_v : lo_v + n]
-        seg_fv = self._fv[lo_v : lo_v + n]
-        seg_evu = self._evu[lo_e : lo_e + m]
-        seg_fe = self._fe[lo_e : lo_e + m]
-        walk.visited_vertices = bytearray((1 - seg_visu).tobytes())
-        walk.num_visited_vertices = int(self._nv[row])
-        walk.first_visit_time = seg_fv.tolist()
-        walk.visited_edges = bytearray((1 - seg_evu).tobytes())
-        walk.num_visited_edges = int(self._ne[row])
-        walk.first_edge_visit_time = seg_fe.tolist()
-        # Blue degrees follow from the unvisited-edge table (loop-free):
-        # each unvisited incident entry is one blue endpoint.
-        walk.blue_degree = np.add.reduceat(
-            seg_evu[graph.csr_edge_ids].astype(np.int64), graph.csr_offsets[:-1]
-        ).tolist()
-        blue = int(self._ne[row])
-        walk.blue_steps = blue
-        walk.red_steps = steps - blue
-        walk._last_color = {0: None, 1: RED, 2: BLUE}[self._last_color_code(row)]
-        walk.phase_marks = self._marks[k]
-        if self._by_edges:
-            cover = walk.run_until_edge_cover(max_steps=budget)
-        else:
-            cover = walk.run_until_vertex_cover(max_steps=budget)
-        seg_fv[:] = walk.first_visit_time
-        seg_visu[:] = 1 - np.frombuffer(bytes(walk.visited_vertices), dtype=np.uint8)
-        seg_fe[:] = walk.first_edge_visit_time
-        seg_evu[:] = 1 - np.frombuffer(bytes(walk.visited_edges), dtype=np.uint8)
-        self._pos[k] = walk.current
-        self._blue_out[k] = walk.blue_steps
-        self._red_out[k] = walk.red_steps
-        self._lastc_out[k] = walk._last_color
-        self._marks[k] = walk.phase_marks
-        return cover
-
     # -- post-run introspection ----------------------------------------------
 
     def first_visit_time(self, lane: int) -> List[int]:
@@ -487,9 +436,8 @@ class FleetVProcess(_UnvisitedFleet):
     Bit-identical to per-trial
     :class:`~repro.walks.choice.UnvisitedVertexWalk` runs of the same
     seeds (with ``track_edges=True``): cover times, vertex and edge
-    first-visit tables, and RNG end-state.  Stragglers finish on
-    transplanted reference walks (there is no per-trial array twin; the
-    reference per-step loop is exact by definition).
+    first-visit tables, and RNG end-state.  Every lane runs in the fleet
+    to its own cover instant.
     """
 
     walk_name = "vprocess"
@@ -544,38 +492,6 @@ class FleetVProcess(_UnvisitedFleet):
                     else:
                         self._vslack = self.n - int(nv.max())
         return covered
-
-    def _finish_lane(self, row: int, lane: int, steps: int, budget: int, target: str) -> int:
-        import numpy as np
-
-        from repro.walks.choice import UnvisitedVertexWalk
-
-        k = lane
-        n, m = self.n, self.m
-        walk = UnvisitedVertexWalk(
-            self.graphs[k], self.starts[k], rng=self.rngs[k], track_edges=True
-        )
-        walk.current = int(self._cur[row])
-        walk.steps = steps
-        lo_v, lo_e = k * n, k * m
-        seg_visu = self._visu[lo_v : lo_v + n]
-        seg_fv = self._fv[lo_v : lo_v + n]
-        seg_fe = self._fe[lo_e : lo_e + m]
-        walk.visited_vertices = bytearray((1 - seg_visu).tobytes())
-        walk.num_visited_vertices = int(self._nv[row])
-        walk.first_visit_time = seg_fv.tolist()
-        walk.visited_edges = bytearray((seg_fe >= 0).astype(np.uint8).tobytes())
-        walk.num_visited_edges = int(self._ne[row])
-        walk.first_edge_visit_time = seg_fe.tolist()
-        if self._by_edges:
-            cover = walk.run_until_edge_cover(max_steps=budget)
-        else:
-            cover = walk.run_until_vertex_cover(max_steps=budget)
-        seg_fv[:] = walk.first_visit_time
-        seg_visu[:] = 1 - np.frombuffer(bytes(walk.visited_vertices), dtype=np.uint8)
-        seg_fe[:] = walk.first_edge_visit_time
-        self._pos[k] = walk.current
-        return cover
 
     # -- post-run introspection ----------------------------------------------
 

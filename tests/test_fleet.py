@@ -121,20 +121,26 @@ class TestFleetSRWParity:
         with pytest.raises(CoverTimeout):
             fleet.run_until_cover("vertices", max_steps=25)
 
-    def test_tail_timeout_preserves_finished_lane_rng(self):
-        # A straggler's CoverTimeout during the scalar tail hand-off must
-        # not rewind the generators of lanes that already finished there.
+    def test_timeout_syncs_finished_and_timed_out_lanes(self):
+        # Lane 0 covers inside the budget and lane 1 does not: the finished
+        # lane keeps its cover-instant generator, and the timed-out lane's
+        # generator is synced to its reference twin's at the budget.
         from repro.graphs.generators import lollipop_graph
 
         graph = lollipop_graph(5, 12)
+        budget = 1075
         rngs = [random.Random(33), random.Random(21)]
         twins = [random.Random(33), random.Random(21)]
         fleet = FleetSRW([graph, graph], [0, 0], rngs)
         with pytest.raises(CoverTimeout):
-            fleet.run_until_cover("vertices", max_steps=1075)
+            fleet.run_until_cover("vertices", max_steps=budget)
         walk = SimpleRandomWalk(graph, 0, rng=twins[0], track_edges=True)
-        assert walk.run_until_vertex_cover() <= 1075  # lane 0 did finish
+        assert walk.run_until_vertex_cover() <= budget  # lane 0 did finish
         assert rngs[0].getstate() == twins[0].getstate()
+        walk = SimpleRandomWalk(graph, 0, rng=twins[1], track_edges=True)
+        with pytest.raises(CoverTimeout):
+            walk.run_until_vertex_cover(max_steps=budget)
+        assert rngs[1].getstate() == twins[1].getstate()
 
 
 class TestFleetEligibility:

@@ -235,7 +235,7 @@ class TestBitIdentity:
 
 
 class TestFleet:
-    K = 9  # above the regular kernel's hand-off threshold
+    K = 9
 
     @pytest.mark.parametrize("target", ["vertices", "edges"])
     def test_fleet_matches_reference_lanes(self, family, target):
@@ -414,19 +414,11 @@ class TestRunnerIntegration:
 
 
 class TestVisitedSet:
-    def test_scalar_and_vector_paths_agree(self):
-        import numpy as np
-
+    def test_add_and_test(self):
         bits = VisitedSet(200)
         assert bits.add(7) and not bits.add(7)
         assert bits.test(7) and not bits.test(8)
-        idx = np.array([7, 8, 9, 8, 199], dtype=np.int64)
-        assert bits.test_many(idx).tolist() == [1, 0, 0, 0, 0]
-        fresh = bits.fresh_indices(idx)
-        assert fresh.tolist() == [1, 2, 3, 4]
-        added = bits.set_many(idx)
-        assert added == 3  # 8, 9, 199 (8 deduped)
-        assert bits.count == 4
+        assert bits.count == 1
 
     def test_word_checkout_round_trip(self):
         bits = VisitedSet(100)

@@ -39,7 +39,6 @@ import pytest
 
 from repro.core.eprocess import EdgeProcess
 from repro.engine import FleetEdgeProcess, FleetSRW, FleetVProcess, native
-from repro.engine.fleet import TAIL_LANES
 from repro.errors import CoverTimeout, GenerationError, ReproError
 from repro.graphs import random_regular as rr
 from repro.graphs.generators import complete_graph, lollipop_graph
@@ -142,6 +141,18 @@ class TestNativeVsNumpyParity:
             assert cover_nat[k] == expected
             assert n_rngs[k].getstate() == twins[k].getstate()
 
+    @pytest.mark.parametrize("K", range(1, 7))
+    @pytest.mark.parametrize("walk", sorted(FLEETS))
+    def test_small_fleets_step_in_the_kernel(self, walk, K):
+        # However few lanes a fleet has, they step in the kernel to their
+        # cover instants: these suites must not pass without reaching C.
+        graph = _graph("irregular")
+        starts, rngs, _ = _lanes(graph, K, 7000)
+        tel = Telemetry()
+        with session(tel):
+            _make_fleet(walk, [graph] * K, starts, rngs, True).run_until_cover("vertices")
+        assert tel.counters.get("fleet.blocks", 0) >= 1
+
     @pytest.mark.parametrize("walk", ["eprocess", "vprocess"])
     def test_big_degree_regular_general_path(self, walk):
         # Regular but d > PACKED_DEGREE_MAX: the non-packed fixed-degree
@@ -177,7 +188,7 @@ class TestNativeVsNumpyParity:
     @pytest.mark.parametrize("walk", sorted(FLEETS))
     def test_timeout_syncs_rng_like_numpy(self, walk):
         graph = _graph("irregular")
-        K = 8  # above the tail hand-off, so the lockstep kernel times out
+        K = 8
         starts, n_rngs, p_rngs = _lanes(graph, K, 3000)
         budget = 37
         nat = _make_fleet(walk, [graph] * K, starts, n_rngs, True)
@@ -195,7 +206,7 @@ class TestNativeVsNumpyParity:
         # materialized fleet, so the fused kernel runs them — including a
         # mid-run budget timeout — bit-identical to the numpy path.
         graph = _graph("regular")
-        K = 8  # above the tail hand-off, so the timeout hits the kernel
+        K = 8
         starts, n_rngs, p_rngs = _lanes(graph, K, 6000)
         tel = Telemetry()
         with session(tel):
@@ -256,11 +267,11 @@ def _boundary_lanes(K, start, base_seed):
 @native_built
 class TestMersenneTwisterBoundaries:
     @pytest.mark.parametrize("start", MT_STARTS)
-    @pytest.mark.parametrize("K", [TAIL_LANES - 2, TAIL_LANES + 3])
+    @pytest.mark.parametrize("K", [4, 9])
     @pytest.mark.parametrize("target", ["vertices", "edges"])
     @pytest.mark.parametrize("walk", sorted(FLEETS))
     def test_fleet_matches_numpy_and_reference(self, walk, target, K, start):
-        graph = _graph("regular" if K > TAIL_LANES else "irregular")
+        graph = _graph("regular" if K == 9 else "irregular")
         starts = [k % graph.n for k in range(K)]
         n_rngs, p_rngs, twins = _boundary_lanes(K, start, 11_000)
         nat = _make_fleet(walk, [graph] * K, starts, n_rngs, True)
@@ -280,7 +291,7 @@ class TestMersenneTwisterBoundaries:
             assert n_rngs[k].getstate() == p_rngs[k].getstate() == twins[k].getstate()
 
     @pytest.mark.parametrize("start", MT_STARTS)
-    @pytest.mark.parametrize("K", [TAIL_LANES - 2, TAIL_LANES + 3])
+    @pytest.mark.parametrize("K", [4, 9])
     @pytest.mark.parametrize("walk", sorted(FLEETS))
     def test_timeout_matches_numpy_and_reference(self, walk, K, start):
         graph = _graph("irregular")
@@ -291,17 +302,13 @@ class TestMersenneTwisterBoundaries:
             fleet = _make_fleet(walk, [graph] * K, starts, rngs, native_pref)
             with pytest.raises(CoverTimeout):
                 fleet.run_until_cover("edges", max_steps=budget)
-        # Above the hand-off every lane is live when the lockstep budget
-        # runs out; below it the per-trial tail runs lane by lane and the
-        # first timeout ends the fleet, leaving later lanes' generators
-        # where the fleet found them.
-        timed_out = K if K > TAIL_LANES else 1
+        # Every lane is live when the budget runs out, so every lane's
+        # generator is synced to its reference twin's at the budget.
         for k in range(K):
             assert n_rngs[k].getstate() == p_rngs[k].getstate()
-            if k < timed_out:
-                ref = REFERENCES[walk](graph, starts[k], twins[k])
-                with pytest.raises(CoverTimeout):
-                    ref.run_until_edge_cover(max_steps=budget)
+            ref = REFERENCES[walk](graph, starts[k], twins[k])
+            with pytest.raises(CoverTimeout):
+                ref.run_until_edge_cover(max_steps=budget)
             assert n_rngs[k].getstate() == twins[k].getstate()
 
 
@@ -568,7 +575,7 @@ class TestNativeStegerWormald:
     @pytest.mark.parametrize("native_pref", [True, False])
     def test_fleet_never_builds_graph_tuples(self, native_pref):
         # The array-backed graphs are the gain: a fleet on native-built
-        # lanes, straggler hand-off included, must read only the arrays.
+        # lanes, run to its last lane's cover, must read only the arrays.
         K = 5
         graphs = [random_connected_regular_graph(60, 4, random.Random(k)) for k in range(K)]
         rngs = [random.Random(900 + k) for k in range(K)]

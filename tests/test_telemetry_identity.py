@@ -77,8 +77,8 @@ class TestFleetEngines:
     @pytest.mark.parametrize("shape", ["regular", "irregular"])
     def test_on_equals_off(self, walk_name, shape, regular_graph, irregular_graph):
         graph = regular_graph if shape == "regular" else irregular_graph
-        # K=10 > the tail hand-off threshold, so blocks, lane retirement,
-        # compaction AND the scalar tail all run instrumented.
+        # K=10 lanes, so blocks, lane retirement and compaction all run
+        # instrumented, down to the last lane's cover.
         baseline = _run_fleet(walk_name, graph, 10, 1000)
         tel = Telemetry()
         with session(tel):
@@ -101,11 +101,11 @@ class TestFleetEngines:
             if k.startswith("wordbank.degree[") and k.endswith("].draws")
         )
         assert per_degree == tel.counters["wordbank.draws"]
-        # Lane-steps reconcile with the covers: every lane's cover time is
-        # accounted as block lane-steps plus tail/retirement hand-offs, so
-        # the block total can never exceed the summed covers.
+        # Lane-steps reconcile with the covers: every lane steps in the
+        # fleet until its cover instant, so the block total is exactly
+        # the summed covers.
         covers, _ = _run_fleet("eprocess", irregular_graph, 10, 77)
-        assert tel.counters["fleet.lane_steps"] <= sum(covers)
+        assert tel.counters["fleet.lane_steps"] == sum(covers)
 
     @pytest.mark.skipif(not native.available(), reason="native fused kernel not built")
     @pytest.mark.parametrize("walk_name", FLEET_WALKS)

@@ -2,10 +2,13 @@
 
 The fused kernel is called through ctypes, which releases the GIL for the
 duration of each ``repro_fused_block`` call — so several fleets stepping
-from a :class:`~concurrent.futures.ThreadPoolExecutor` genuinely execute
-the C kernel *concurrently*, all reading the same cached CSR tiles
+from a :class:`~concurrent.futures.ThreadPoolExecutor` may run the C
+kernel at the same time, all reading the same cached CSR tiles
 (``Graph.scratch_cache()``), incidence tables, and packed bitmask tables.
-That sharing is safe only because every tile is frozen at creation
+Each fleet here steps its lanes to their cover instants in the kernel
+when it is built; :func:`_drive` asserts that every fleet took at least
+one native block, so the harness cannot silently stop reaching C.
+Sharing the tiles is safe only because every tile is frozen at creation
 (``setflags(write=False)`` — lint rule R6); this suite is the runtime
 counterpart of that static contract:
 
@@ -70,9 +73,23 @@ def _build(cls, graph, fleet_idx):
 
 
 def _drive(cls, graph, fleet_idx, target):
-    """Run one fleet to cover; returns its complete observable end-state."""
+    """Run one fleet to cover; returns its complete observable end-state.
+
+    With the kernel built, the fleet must have run at least one native
+    block (counted on this fleet alone, so concurrent fleets cannot mix
+    their counts).
+    """
     fleet, rngs = _build(cls, graph, fleet_idx)
+    blocks = []
+    native_block = fleet._native_block
+
+    def counted(T, steps):
+        blocks.append(T)
+        return native_block(T, steps)
+
+    fleet._native_block = counted
     cover = fleet.run_until_cover(target=target)
+    assert blocks or not native.available(), "fleet never reached the native kernel"
     state = {
         "cover": list(cover),
         "positions": list(fleet.positions),
