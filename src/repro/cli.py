@@ -749,8 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
     fig1.add_argument(
         "--durable",
         action="store_true",
-        help="fsync every store write (checkpoints survive power loss, "
-        "not just process crashes; slower)",
+        help="fsync every store checkpoint, one per trial or fleet batch "
+        "(checkpoints survive power loss, not just process crashes; slower)",
     )
     fig1.set_defaults(fn=_cmd_figure1)
 
@@ -787,8 +787,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument(
         "--durable",
         action="store_true",
-        help="fsync every store write (checkpoints survive power loss, "
-        "not just process crashes; slower)",
+        help="fsync every store checkpoint, one per trial or fleet batch "
+        "(checkpoints survive power loss, not just process crashes; slower)",
     )
     swp.add_argument(
         "--resume",

@@ -166,27 +166,28 @@ NAMED_WALK_FACTORIES: Dict[str, Dict[str, Callable]] = {
 }
 
 
-def _fleet_srw(graphs, starts, rngs):
-    return FleetSRW(graphs, starts, rngs)
+def _fleet_srw(graphs, starts, rngs, labels=None):
+    return FleetSRW(graphs, starts, rngs, labels=labels)
 
 
-def _fleet_eprocess(graphs, starts, rngs):
+def _fleet_eprocess(graphs, starts, rngs, labels=None):
     # record_phases=False mirrors the per-trial registry factories: the
     # runner measures cover times, and phase recording never touches the
     # draw stream, so the numbers are identical either way.
-    return FleetEdgeProcess(graphs, starts, rngs, record_phases=False)
+    return FleetEdgeProcess(graphs, starts, rngs, record_phases=False, labels=labels)
 
 
-def _fleet_vprocess(graphs, starts, rngs):
-    return FleetVProcess(graphs, starts, rngs)
+def _fleet_vprocess(graphs, starts, rngs, labels=None):
+    return FleetVProcess(graphs, starts, rngs, labels=labels)
 
 
 #: Lockstep fleet constructors by walk name — the classes the runner's
 #: ``engine="fleet"`` batches step, and the only record of which walks
-#: can fleet.  Each takes ``(graphs, starts, rngs)`` and runs the fastest
-#: bit-identical kernel it can observe (the fused C kernel when built;
-#: ``REPRO_NATIVE=0`` opts out);
-#: :func:`repro.engine.fleet.fleet_supported` guards per-batch eligibility.
+#: can fleet.  Each takes ``(graphs, starts, rngs, labels=None)`` and runs
+#: the fastest bit-identical kernel it can observe (the fused C kernel when
+#: built; ``REPRO_NATIVE=0`` opts out); construction checks the batch's
+#: eligibility once (:func:`repro.engine.fleet.fleet_supported`'s rules),
+#: raising :class:`repro.engine.fleet.FleetUnsupported`.
 FLEET_ENGINES: Dict[str, Callable] = {
     "srw": _fleet_srw,
     "eprocess": _fleet_eprocess,

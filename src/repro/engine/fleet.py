@@ -78,6 +78,7 @@ __all__ = [
     "FLEET_WALKS",
     "FleetWalkBase",
     "FleetSRW",
+    "FleetUnsupported",
     "fleet_supported",
     "materialized_lanes",
 ]
@@ -157,6 +158,29 @@ def fleet_supported(
     ``labels`` when given (the runner passes trial ids) — so errors point
     at the exact trial that broke fleet eligibility.
     """
+    reason = _refusal(materialized_lanes(graphs), rngs, walk, labels)
+    return not reason, reason
+
+
+class FleetUnsupported(ReproError):
+    """The lanes handed to a fleet cannot step as one; see :func:`fleet_supported`.
+
+    ``reason`` is :func:`fleet_supported`'s reason, naming the lane (and
+    its label) that broke eligibility.
+    """
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(f"fleet unsupported: {reason}")
+        self.reason = reason
+
+
+def _refusal(
+    graphs: Sequence[Graph],
+    rngs: Sequence[random.Random],
+    walk: str,
+    labels: Optional[Sequence[object]],
+) -> str:
+    """:func:`fleet_supported`'s check on already-materialized lanes; ``""`` if ok."""
 
     def lane(k: int) -> str:
         if labels is not None:
@@ -164,10 +188,9 @@ def fleet_supported(
         return f"lane {k}"
 
     if walk not in FLEET_WALKS:
-        return False, f"walk {walk!r} has no fleet kernel (fleet walks: {list(FLEET_WALKS)})"
+        return f"walk {walk!r} has no fleet kernel (fleet walks: {list(FLEET_WALKS)})"
     if not graphs:
-        return False, "empty fleet"
-    graphs = materialized_lanes(graphs)
+        return "empty fleet"
     first = graphs[0]
     n, m = first.n, first.m
     checked: List[Tuple[int, Graph]] = []
@@ -178,24 +201,24 @@ def fleet_supported(
         seen_graphs[id(g)] = k
         checked.append((k, g))
         if is_implicit(g):
-            return False, (
+            return (
                 f"{lane(k)}: implicit graph {g!r} has n·d = {g.n * g.max_degree} "
                 f"darts, past the {EDGE_TIMES_MAX_DARTS} a fleet materializes; "
                 "use engine='array' (the per-trial oracle engines step it in "
                 "O(n) bits)"
             )
         if g.n != n or g.m != m:
-            return False, (
+            return (
                 f"{lane(k)}: graph {g!r} breaks the fleet's shared shape "
                 f"(lane 0 has n={n}, m={m}; a fleet needs one (n, m) "
                 "across all lanes)"
             )
         if g.min_degree == 0 and g.n > 1:
-            return False, f"{lane(k)}: graph {g!r} has isolated vertices"
+            return f"{lane(k)}: graph {g!r} has isolated vertices"
     if walk == "eprocess":
         for k, g in checked:
             if g.has_loops():
-                return False, (
+                return (
                     f"{lane(k)}: graph {g!r} has self-loops (the E-process "
                     "blue-candidate dedup and double blue-degree decrement "
                     "are per-step state the fleet kernel does not model)"
@@ -203,14 +226,14 @@ def fleet_supported(
     elif walk == "vprocess":
         for k, g in checked:
             if g.has_loops() or g.has_parallel_edges():
-                return False, (
+                return (
                     f"{lane(k)}: graph {g!r} is not simple (the V-process "
                     "deduplicates distinct neighbours, which only matches "
                     "the incidence rows on loop-free, parallel-free graphs)"
                 )
     for k, rng in enumerate(rngs):
         if not MTWordStream.supports(rng):
-            return False, (
+            return (
                 f"{lane(k)}: rng {type(rng).__name__} is not a plain "
                 "Mersenne Twister random.Random"
             )
@@ -220,12 +243,12 @@ def fleet_supported(
             # One generator shared by two lanes would replay the same draw
             # stream twice (fully correlated "independent" trials) and the
             # later lane's end-state sync would clobber the earlier's.
-            return False, (
+            return (
                 f"lanes {seen_rngs[id(rng)]} and {k} share a random.Random "
                 "instance (need one per lane)"
             )
         seen_rngs[id(rng)] = k
-    return True, ""
+    return ""
 
 
 class _LaneWords:
@@ -445,6 +468,15 @@ class FleetWalkBase:
         if it cannot be loaded (benchmarks use this so a "native" number
         can never silently be numpy).  Either way every number is
         identical — the kernel replays the numpy path bit for bit.
+    labels:
+        Optional name per lane (the runner passes trial ids), used when an
+        error names a lane: :class:`FleetUnsupported` at construction,
+        :class:`~repro.errors.CoverTimeout` from :meth:`run_until_cover`.
+        Defaults to the lane indices.
+
+    Construction is the fleet's one eligibility check: lanes are
+    materialized and checked once, and an ineligible set raises
+    :class:`FleetUnsupported` carrying :func:`fleet_supported`'s reason.
     """
 
     walk_name = "srw"
@@ -456,6 +488,7 @@ class FleetWalkBase:
         rngs: Sequence[random.Random],
         block_steps: int = DEFAULT_BLOCK_STEPS,
         native: Optional[bool] = None,
+        labels: Optional[Sequence[object]] = None,
     ):
         if not (len(graphs) == len(starts) == len(rngs)):
             raise ReproError(
@@ -463,9 +496,9 @@ class FleetWalkBase:
                 f"{len(starts)} starts, {len(rngs)} rngs"
             )
         graphs = materialized_lanes(graphs)
-        ok, reason = fleet_supported(graphs, rngs, walk=self.walk_name)
-        if not ok:
-            raise ReproError(f"fleet unsupported: {reason}")
+        reason = _refusal(graphs, rngs, self.walk_name, labels)
+        if reason:
+            raise FleetUnsupported(reason)
         if block_steps < 1:
             raise ReproError(f"block_steps must be >= 1, got {block_steps}")
         for k, (g, s) in enumerate(zip(graphs, starts)):
@@ -479,6 +512,7 @@ class FleetWalkBase:
         self.block_steps = block_steps
         self._native_pref = native
         self.K = len(graphs)
+        self.labels = list(labels) if labels is not None else list(range(self.K))
         self.n = graphs[0].n
         self.m = graphs[0].m
         self.cover_steps: List[Optional[int]] = [None] * self.K
@@ -783,15 +817,12 @@ class _StepwiseFleet(FleetWalkBase):
         return t, covered
 
     def run_until_cover(
-        self,
-        target: str = "vertices",
-        max_steps: Optional[int] = None,
-        labels: Optional[Sequence[object]] = None,
+        self, target: str = "vertices", max_steps: Optional[int] = None
     ) -> List[int]:
         """Run every lane to its cover instant; returns per-lane cover steps.
 
         Raises :class:`~repro.errors.CoverTimeout` (naming the first
-        affected lane, via ``labels`` when given) if the budget — shared
+        affected lane by its :attr:`labels` entry) if the budget — shared
         by construction, every lane has the same ``(n, m)`` — runs out
         with lanes still uncovered.
         """
@@ -801,7 +832,6 @@ class _StepwiseFleet(FleetWalkBase):
             raise ReproError(f"target must be 'vertices' or 'edges', got {target!r}")
         tel = get_telemetry()
         K, n = self.K, self.n
-        names = list(labels) if labels is not None else list(range(K))
         budget = (
             max_steps if max_steps is not None else default_step_budget(self.graphs[0])
         )
@@ -830,7 +860,7 @@ class _StepwiseFleet(FleetWalkBase):
             while act:
                 if steps >= budget:
                     raise CoverTimeout(
-                        f"fleet lane {names[act[0]]!r} did not cover all {target} "
+                        f"fleet lane {self.labels[act[0]]!r} did not cover all {target} "
                         f"within {budget} steps ({self._left(0)} left)",
                         steps=steps,
                         remaining=self._left(0),
@@ -877,6 +907,8 @@ class _StepwiseFleet(FleetWalkBase):
             # reference twins would have consumed exactly the words drawn
             # so far.
             for row in range(len(act)):
+                if tel.enabled:
+                    tel.count("fleet.words_consumed", self._bank.consumed(row))
                 self._bank.sync_row(row)
             raise
         self.cover_steps = cover

@@ -238,8 +238,9 @@ class FleetEdgeProcess(_UnvisitedFleet):
         block_steps: int = DEFAULT_BLOCK_STEPS,
         record_phases: bool = True,
         native: Optional[bool] = None,
+        labels: Optional[Sequence[object]] = None,
     ):
-        super().__init__(graphs, starts, rngs, block_steps, native=native)
+        super().__init__(graphs, starts, rngs, block_steps, native=native, labels=labels)
         self._record_phases = record_phases
         self._marks = {k: [] for k in range(self.K)}
         self._blue_out = [0] * self.K

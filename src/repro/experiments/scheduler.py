@@ -9,10 +9,12 @@ walk engines as little as possible:
 2. schedule only the missing cells through
    :func:`repro.sim.runner.run_trials` (same seed tree, so a back-filled
    trial is bit-identical to one computed in an uninterrupted cold run);
-3. persist each fresh trial *the moment it finishes* (the runner's
-   ``on_result`` hook), so an interrupt — Ctrl-C, OOM, a killed pool —
-   loses at most the trials in flight, and the next run resumes from the
-   completed cells;
+3. persist fresh trials *the moment they finish* (the runner's
+   ``on_result`` hook), one store append per completed work item: a
+   whole fleet batch under ``engine="fleet"`` (its lanes finish at the
+   same instant), one trial otherwise.  An interrupt — Ctrl-C, OOM, a
+   killed pool — loses at most the work in flight, and the next run
+   resumes from the completed cells;
 4. assemble cached + fresh outcomes, in trial order, into aggregates.
 
 Consequences worth spelling out: a warm re-run schedules zero trials; an
@@ -38,7 +40,7 @@ import logging
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.experiments.spec import ExperimentSpec, SweepSpec
@@ -58,18 +60,21 @@ _CHECKPOINT_BACKOFF_CAP = 1.0
 def _checkpoint(
     store: ResultStore,
     spec: ExperimentSpec,
-    outcome: TrialOutcome,
+    outcomes: Sequence[TrialOutcome],
     policy: ExecutionPolicy,
 ) -> None:
-    """Persist one trial, riding out transient write failures.
+    """Persist one batch of trials, riding out transient write failures.
 
-    The record is stamped with ``policy.engine``.  A checkpoint that
-    cannot be written after ``policy.retries`` attempts fails
-    the run loudly — continuing would silently recompute the cell on
-    every future resume, which on campaign-scale sweeps is worse than
-    stopping.  After the successful write comes the
-    ``post_checkpoint_kill`` fault site: the kill-between-checkpoint-
-    and-ack window, where a crash must cost zero records on resume.
+    The batch (a whole fleet batch, or one trial of a per-trial engine)
+    is one store append, its records stamped with ``policy.engine``; a
+    failed write retries the whole batch, which is safe because reads
+    are first-record-wins.  A checkpoint that cannot be written after
+    ``policy.retries`` attempts fails the run loudly — continuing would
+    silently recompute the cells on every future resume, which on
+    campaign-scale sweeps is worse than stopping.  After the successful
+    write comes the ``post_checkpoint_kill`` fault site, once per trial:
+    the kill-between-checkpoint-and-ack window, where a crash must cost
+    zero records on resume.
     """
     tel = get_telemetry()
     retries = policy.retries
@@ -78,25 +83,27 @@ def _checkpoint(
         try:
             if tel.enabled:
                 t0 = time.perf_counter()  # repro: allow[R2] checkpoint timing telemetry
-                store.record(spec, outcome, policy.engine)
+                store.record(spec, outcomes, policy.engine)
                 tel.time_add("store.checkpoint_seconds", time.perf_counter() - t0)  # repro: allow[R2] checkpoint timing telemetry
-                tel.count("store.checkpoints")
+                tel.count("store.checkpoints", len(outcomes))
             else:
-                store.record(spec, outcome, policy.engine)
+                store.record(spec, outcomes, policy.engine)
             break
         except OSError as exc:
             attempt += 1
+            trials = [outcome.trial for outcome in outcomes]
+            what = f"trial {trials[0]}" if len(trials) == 1 else f"trials {trials}"
             if attempt > retries:
                 raise ReproError(
-                    f"could not checkpoint trial {outcome.trial} of "
+                    f"could not checkpoint {what} of "
                     f"{spec.describe()} after {retries} retr"
                     f"{'y' if retries == 1 else 'ies'}: {exc}"
                 ) from exc
             if tel.enabled:
                 tel.count("store.checkpoint_retries")
             logger.warning(
-                "checkpoint of trial %d failed (%s); retry %d/%d",
-                outcome.trial,
+                "checkpoint of %s failed (%s); retry %d/%d",
+                what,
                 exc,
                 attempt,
                 retries,
@@ -104,7 +111,8 @@ def _checkpoint(
             time.sleep(
                 min(_CHECKPOINT_BACKOFF_CAP, _CHECKPOINT_BACKOFF_BASE * (2 ** (attempt - 1)))
             )
-    faults.maybe_kill("post_checkpoint_kill", trial=outcome.trial)
+    for outcome in outcomes:
+        faults.maybe_kill("post_checkpoint_kill", trial=outcome.trial)
 
 
 __all__ = ["PointResult", "SweepRunResult", "run_point", "run_sweep", "print_progress"]
@@ -208,8 +216,8 @@ def run_point(
             store.clear_trials(spec, missing)
         # Cached cells were excluded from `missing`, so from here every
         # computed trial is a genuinely new cell: plain append.
-        def on_result(outcome: TrialOutcome, _spec=spec) -> None:
-            _checkpoint(store, _spec, outcome, policy)
+        def on_result(outcomes: List[TrialOutcome], _spec=spec) -> None:
+            _checkpoint(store, _spec, outcomes, policy)
 
     fresh = run_trials(
         workload=spec.workload(),

@@ -39,10 +39,16 @@ are created via atomic tmp + ``os.replace``; when two writers race, the
 loser's replace installs equivalent content — a tolerated overwrite, not
 a torn file.
 
-Durability: ``ResultStore(..., durability="fsync")`` fsyncs every shard
-append (and the directory after compaction rewrites), trading checkpoint
-latency for power-loss safety; the default flushes to the OS only, which
-already survives process crashes.
+Granularity: one :meth:`ResultStore.record` call is one checkpoint — a
+whole fleet batch (every trial of a lockstep batch finishes at the same
+instant), or one trial for the per-trial engines.  Its lines go out under
+one lock hold, one open and one write, so the fixed cost of an append
+(lock, spec-stub check, open, torn-tail check, flush) is paid per batch.
+
+Durability: ``ResultStore(..., durability="fsync")`` fsyncs every
+checkpoint (and the directory after compaction rewrites), trading
+checkpoint latency for power-loss safety; the default flushes to the OS
+only, which already survives process crashes.
 """
 
 from __future__ import annotations
@@ -214,7 +220,8 @@ class ResultStore:
     durability:
         ``"standard"`` (default) flushes appends to the OS — safe against
         process crashes; ``"fsync"`` additionally fsyncs every checkpoint
-        append — safe against power loss, at per-record latency cost.
+        (one per :meth:`record` call, so one per fleet batch) — safe
+        against power loss, at one fsync's latency per checkpoint.
     """
 
     def __init__(
@@ -330,50 +337,69 @@ class ResultStore:
             os.pwrite(fd, b"\n", size)
 
     def record(
-        self, spec: ExperimentSpec, outcome: TrialOutcome, engine: str = "reference"
-    ) -> TrialRecord:
-        """Append one finished trial (registers the spec on first write).
+        self,
+        spec: ExperimentSpec,
+        outcomes: Sequence[TrialOutcome],
+        engine: str = "reference",
+    ) -> List[TrialRecord]:
+        """Append a batch of finished trials as one checkpoint.
 
-        ``engine`` is the run's execution-policy engine, stamped on the
+        The batch is one write: the spec is hashed, ``meta.json`` checked
+        and the spec registered once, then every line goes out under one
+        hold of the spec's advisory file lock, in one write with one flush
+        (and one fsync under ``durability="fsync"``).  A fleet batch is
+        one call; a per-trial engine records ``[outcome]``.
+
+        ``engine`` is the run's execution-policy engine, stamped on each
         record as provenance; it never changes the bucket (the spec hash
         alone picks the shard).
 
-        The append happens under the spec's advisory file lock, so any
-        number of processes can record into one shard without interleaving
-        partial lines; a torn tail left by a previously killed writer is
-        repaired first.  Reads are first-record-wins, so re-recording an
-        existing cell is a no-op until gc; to supersede stored cells
+        The lock means any number of processes can record into one shard
+        without interleaving partial lines; a torn tail left by a
+        previously killed writer is repaired first.  A batch that fails
+        part-way may leave its leading lines written: retrying the whole
+        batch is safe, because reads are first-record-wins and a
+        re-recorded cell is a no-op until gc.  To supersede stored cells
         (forced recompute), call :meth:`clear_trials` first.
         """
         spec_hash = spec.spec_hash
         self._ensure_meta()
-        record = TrialRecord(
-            spec_hash=spec_hash,
-            trial=int(outcome.trial),
-            cover_time=int(outcome.steps),
-            extras={k: float(v) for k, v in outcome.extras.items()},
-            wall_time=float(outcome.wall_time),
-            engine=engine,
-            code_version=self.code_version,
-            peak_rss_bytes=int(getattr(outcome, "peak_rss_bytes", 0)),
-        )
-        line = json.dumps(
-            {
-                "schema": STORE_SCHEMA_VERSION,
-                "spec_hash": record.spec_hash,
-                "trial": record.trial,
-                "cover_time": record.cover_time,
-                "extras": record.extras,
-                "wall_time": record.wall_time,
-                "engine": record.engine,
-                "code_version": record.code_version,
-                "peak_rss_bytes": record.peak_rss_bytes,
-                "recorded_at": time.time(),  # repro: allow[R2] provenance stamp, result-inert
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        faults.maybe_ioerror("store_write", trial=record.trial)
+        recorded_at = time.time()  # repro: allow[R2] provenance stamp, result-inert
+        records = [
+            TrialRecord(
+                spec_hash=spec_hash,
+                trial=int(outcome.trial),
+                cover_time=int(outcome.steps),
+                extras={k: float(v) for k, v in outcome.extras.items()},
+                wall_time=float(outcome.wall_time),
+                engine=engine,
+                code_version=self.code_version,
+                peak_rss_bytes=int(getattr(outcome, "peak_rss_bytes", 0)),
+            )
+            for outcome in outcomes
+        ]
+        lines = [
+            json.dumps(
+                {
+                    "schema": STORE_SCHEMA_VERSION,
+                    "spec_hash": record.spec_hash,
+                    "trial": record.trial,
+                    "cover_time": record.cover_time,
+                    "extras": record.extras,
+                    "wall_time": record.wall_time,
+                    "engine": record.engine,
+                    "code_version": record.code_version,
+                    "peak_rss_bytes": record.peak_rss_bytes,
+                    "recorded_at": recorded_at,
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            + "\n"
+            for record in records
+        ]
+        for record in records:
+            faults.maybe_ioerror("store_write", trial=record.trial)
         shard = self._shard_path(spec_hash)
         shard.parent.mkdir(parents=True, exist_ok=True)
         with self._lock(spec_hash):
@@ -381,17 +407,21 @@ class ResultStore:
             # "a+" so the tail-repair pass can pread the existing bytes.
             with shard.open("a+") as handle:
                 self._repair_tail_locked(handle)
-                if faults.should_fire("store_write_torn", trial=record.trial):
-                    handle.write(line[: max(1, len(line) // 2)])
-                    handle.flush()
-                    raise faults.injected_ioerror(
-                        f"torn write at trial {record.trial}"
-                    )
-                handle.write(line + "\n")
+                for i, record in enumerate(records):
+                    if faults.should_fire("store_write_torn", trial=record.trial):
+                        # A crash mid-write: the lines before this trial
+                        # landed whole, this one only half.
+                        torn = lines[i][: max(1, (len(lines[i]) - 1) // 2)]
+                        handle.write("".join(lines[:i]) + torn)
+                        handle.flush()
+                        raise faults.injected_ioerror(
+                            f"torn write at trial {record.trial}"
+                        )
+                handle.write("".join(lines))
                 handle.flush()
                 if self.durability == "fsync":
                     os.fsync(handle.fileno())
-        return record
+        return records
 
     def clear_trials(
         self, spec: ExperimentSpec, trial_indices: Optional[Sequence[int]] = None

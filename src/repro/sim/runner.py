@@ -37,11 +37,11 @@ Two layers:
 
 * :func:`run_trials` — the per-trial surface: takes an explicit list of
   trial indices, returns one :class:`TrialOutcome` per index, and can
-  stream outcomes to a callback as they finish.  The experiment store
-  (:mod:`repro.experiments`) schedules *only missing* trials through this,
-  and because a trial's randomness depends only on its seed-tree path,
-  a trial computed in isolation is bit-identical to the same trial inside
-  a full run.
+  stream outcomes to a callback as each trial (or fleet batch) finishes.
+  The experiment store (:mod:`repro.experiments`) schedules *only
+  missing* trials through this, and because a trial's randomness depends
+  only on its seed-tree path, a trial computed in isolation is
+  bit-identical to the same trial inside a full run.
 * :func:`cover_time_trials` — the classic aggregate surface: trials
   ``0..trials-1``, summarized into a :class:`CoverRun`.
 """
@@ -295,13 +295,13 @@ def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialO
     decide (``engine="array"`` gives identical numbers per trial).  The
     one throughput substitution is :func:`_srw_per_trial`'s, counted as
     ``runner.srw_array_batches``.  ``template.walk_factory`` is the
-    walk's lockstep constructor from :data:`repro.engine.FLEET_ENGINES`.
-    Implicit lanes are swapped for their ``materialize()`` twins once per
-    batch (:func:`repro.engine.fleet.materialized_lanes`), before both the
-    eligibility check and the fleet see them.
+    walk's lockstep constructor from :data:`repro.engine.FLEET_ENGINES`;
+    constructing the fleet is the batch's one eligibility check, and
+    swaps implicit lanes for their ``materialize()`` twins once
+    (:func:`repro.engine.fleet.materialized_lanes`).
     """
     from repro.engine import NAMED_WALK_FACTORIES
-    from repro.engine.fleet import fleet_supported, materialized_lanes
+    from repro.engine.fleet import FleetUnsupported
 
     t0 = time.perf_counter()  # repro: allow[R2] reported wall time, result-inert
     if multiprocessing.parent_process() is not None:
@@ -326,17 +326,19 @@ def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialO
             starts.append(start_vertex)
             rngs.append(walk_rng)
         walk = template.walk_name
-        lanes = materialized_lanes(graphs)
-        ok, reason = fleet_supported(lanes, rngs, walk=walk, labels=list(trials))
-        if not ok:
+        # Constructing the fleet is the batch's one eligibility check, also
+        # for an SRW batch that then steps trial by trial.
+        try:
+            fleet = template.walk_factory(graphs, starts, rngs, labels=list(trials))
+        except FleetUnsupported as exc:
             alternatives = " or ".join(
                 f"engine={e!r}" for e in NAMED_WALK_FACTORIES[walk]
             )
             raise ReproError(
                 f"engine='fleet': trial batch {list(trials)} of walk {walk!r} "
-                f"cannot step as a fleet: {reason}. Use {alternatives} for "
+                f"cannot step as a fleet: {exc.reason}. Use {alternatives} for "
                 "identical per-trial results."
-            )
+            ) from None
         per_trial = _srw_per_trial(walk, graphs)
         if per_trial:
             twin = NAMED_WALK_FACTORIES["srw"]["array"]
@@ -348,9 +350,8 @@ def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialO
                 else:
                     cover.append(one.run_until_edge_cover(template.max_steps))
         else:
-            fleet = template.walk_factory(lanes, starts, rngs)
             cover = fleet.run_until_cover(
-                target=template.target, max_steps=template.max_steps, labels=list(trials)
+                target=template.target, max_steps=template.max_steps
             )
     wall = (time.perf_counter() - t0) / len(trials)  # repro: allow[R2] reported wall time, result-inert
     rss = peak_rss_bytes()
@@ -563,7 +564,7 @@ def run_trials(
     label: str = "cover",
     extra_metrics: Optional[Callable[[WalkProcess], Dict[str, float]]] = None,
     policy: ExecutionPolicy = ExecutionPolicy(),
-    on_result: Optional[Callable[[TrialOutcome], None]] = None,
+    on_result: Optional[Callable[[List[TrialOutcome]], None]] = None,
 ) -> List[TrialOutcome]:
     """Run an explicit set of trials; the per-trial core of the runner.
 
@@ -580,21 +581,24 @@ def run_trials(
         The trial numbers to run (each >= 0; duplicates rejected).  The
         returned list follows this order regardless of worker scheduling.
     on_result:
-        Optional callback invoked in the calling process with each
-        :class:`TrialOutcome` as it completes (completion order, not index
-        order, under ``workers > 1``) — the hook persistent stores use to
-        checkpoint trials the moment they finish.  A trial's callback
-        fires exactly once even when supervision re-runs it (only
-        unconsumed trials are requeued after a worker crash).
+        Optional callback invoked in the calling process once per
+        completed work item, with that item's :class:`TrialOutcome` list
+        (completion order, not index order, under ``workers > 1``) — the
+        hook persistent stores use to checkpoint trials the moment they
+        finish.  A work item is one trial (``[outcome]``) for the
+        per-trial engines and one whole batch under ``engine="fleet"``.
+        Each item's callback fires exactly once even when supervision
+        re-runs it (only unconsumed items are requeued after a worker
+        crash).
 
     Under ``policy.engine == "fleet"`` the requested indices are cut into
     batches of ``policy.fleet_size`` and each batch advances as one
     lockstep fleet; with ``workers > 1`` the pool distributes whole
     batches, so every worker drives a fleet.  ``on_result`` then fires
-    per batch (all of a batch's outcomes as the batch completes) — still
-    one call per trial.  SRW batches on materialized graphs run trial by
-    trial on ``ArraySRW`` when the fused kernel is unavailable, since the
-    numpy SRW fleet is no faster.
+    once per batch, with all of the batch's outcomes as it completes, so
+    the store writes each batch as one checkpoint.  SRW batches on
+    materialized graphs run trial by trial on ``ArraySRW`` when the fused
+    kernel is unavailable, since the numpy SRW fleet is no faster.
     """
     indices = [int(t) for t in trial_indices]
     if any(t < 0 for t in indices):
@@ -662,9 +666,9 @@ def run_trials(
             # Fire on_result the moment a batch lands (not after the whole
             # pool drains): the store-checkpoint contract — an interrupt
             # loses at most the trials in flight — holds per batch.
+            if on_result is not None:
+                on_result(outcomes)
             for outcome in outcomes:
-                if on_result is not None:
-                    on_result(outcome)
                 by_trial[outcome.trial] = outcome
 
         _supervised_run(
@@ -680,7 +684,7 @@ def run_trials(
 
         def consume_trial(outcome: TrialOutcome) -> None:
             if on_result is not None:
-                on_result(outcome)
+                on_result([outcome])
             by_trial[outcome.trial] = outcome
 
         _supervised_run(

@@ -23,16 +23,18 @@ Sites wired into the library:
     ``time.sleep(seconds)`` before the matching trial's walk, to trip
     the per-trial wall-clock timeout.
 ``store_write``
-    ``OSError(ENOSPC)`` raised before a shard append in
-    :meth:`repro.experiments.store.ResultStore.record`.
+    ``OSError(ENOSPC)`` raised in
+    :meth:`repro.experiments.store.ResultStore.record` before any line
+    of the batch holding the matching trial is written.
 ``store_write_torn``
-    Half of the record line is written (unterminated), then
-    ``OSError(EIO)`` — simulating a crash mid-append, to exercise the
-    torn-tail tolerance/repair paths.
+    The batch's lines before the matching trial are written whole, then
+    half of its line (unterminated), then ``OSError(EIO)`` — simulating
+    a crash mid-append, to exercise the torn-tail tolerance/repair paths.
 ``post_checkpoint_kill``
-    ``os._exit`` in the *orchestrating* process right after a trial is
-    checkpointed to the store — the kill-between-checkpoint-and-ack
-    window; a resumed run must neither lose nor duplicate that trial.
+    ``os._exit`` in the *orchestrating* process right after the
+    checkpoint holding the matching trial is written to the store — the
+    kill-between-checkpoint-and-ack window; a resumed run must neither
+    lose nor duplicate that trial.
 
 Keys (all optional):
 

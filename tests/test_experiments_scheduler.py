@@ -1,5 +1,7 @@
 """Tests for the resumable sweep orchestrator."""
 
+import os
+
 import pytest
 
 from repro.errors import ReproError
@@ -8,6 +10,7 @@ from repro.experiments.spec import ExperimentSpec, SweepSpec
 from repro.experiments.store import ResultStore
 from repro.sim.policy import ExecutionPolicy
 from repro.sim.runner import cover_time_trials
+from repro.telemetry import Telemetry, session
 
 
 def _spec(**overrides):
@@ -72,8 +75,8 @@ class TestRunPoint:
         # was interrupted after two cells).
         partial = ResultStore(store.root.parent / "partial")
         records = store.trials_for(spec)
-        partial.record(spec, records[0].to_outcome())
-        partial.record(spec, records[2].to_outcome())
+        partial.record(spec, [records[0].to_outcome()])
+        partial.record(spec, [records[2].to_outcome()])
 
         executed = []
         import repro.experiments.scheduler as scheduler_mod
@@ -142,6 +145,49 @@ class TestRunPoint:
         serial = run_point(spec, store=None)
         pooled = run_point(spec, store=store, policy=ExecutionPolicy(workers=2))
         assert pooled.run.cover_times == serial.run.cover_times
+
+
+class TestBatchCheckpoint:
+    """A fleet batch is one store append; per-trial engines append per trial."""
+
+    def test_fleet_point_records_once_per_batch(self, store, monkeypatch):
+        batches = []
+        real_record = ResultStore.record
+
+        def counting(self, spec, outcomes, engine="reference"):
+            batches.append([outcome.trial for outcome in outcomes])
+            return real_record(self, spec, outcomes, engine)
+
+        monkeypatch.setattr(ResultStore, "record", counting)
+        spec = _spec(trials=6)
+        tel = Telemetry()
+        with session(tel):
+            result = run_point(
+                spec, store=store, policy=ExecutionPolicy(engine="fleet", fleet_size=2)
+            )
+        assert batches == [[0, 1], [2, 3], [4, 5]]
+        assert tel.counters["store.checkpoints"] == 6  # still counts trials
+        assert result.run == run_point(spec, store=None).run
+        assert sorted(store.trials_for(spec)) == list(range(6))
+
+    @pytest.mark.parametrize("engine, appends", [("fleet", 3), ("array", 6)])
+    def test_durable_store_fsyncs_once_per_checkpoint(self, tmp_path, monkeypatch, engine, appends):
+        store = ResultStore(tmp_path / "store", durability="fsync")
+        synced = []
+        real_fsync = os.fsync
+
+        def counting(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        spec = _spec(trials=6)
+        run_point(spec, store=store, policy=ExecutionPolicy(engine=engine, fleet_size=2))
+        shard = store._shard_path(spec.spec_hash)
+        # Only the shard's own fsyncs: the spec stub's durable create
+        # fsyncs a different file and its directory.
+        assert synced.count(shard.stat().st_ino) == appends
+        assert len(shard.read_text().splitlines()) == 6
 
 
 class TestRunSweep:

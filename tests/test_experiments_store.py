@@ -37,8 +37,8 @@ class TestRecordAndRead:
 
     def test_round_trip(self, store):
         spec = _spec()
-        store.record(spec, _outcome(0, steps=42, extras={"red": 3.0}))
-        store.record(spec, _outcome(2, steps=57))
+        store.record(spec, [_outcome(0, steps=42, extras={"red": 3.0})])
+        store.record(spec, [_outcome(2, steps=57)])
         records = store.trials_for(spec)
         assert sorted(records) == [0, 2]
         assert records[0].cover_time == 42
@@ -49,12 +49,12 @@ class TestRecordAndRead:
     def test_float_extras_roundtrip_exactly(self, store):
         spec = _spec()
         value = 0.1 + 0.2  # not representable; repr round-trips exactly
-        store.record(spec, _outcome(0, extras={"x": value}))
+        store.record(spec, [_outcome(0, extras={"x": value})])
         assert store.trials_for(spec)[0].extras["x"] == value
 
     def test_specs_keyed_by_identity_not_execution_knobs(self, store):
         spec = _spec()
-        store.record(spec, _outcome(0))
+        store.record(spec, [_outcome(0)])
         assert 0 in store.trials_for(spec.with_trials(50))
         assert store.trials_for(_spec(root_seed=8)) == {}
 
@@ -78,16 +78,16 @@ class TestRecordAndRead:
 
     def test_first_record_wins_on_duplicates(self, store):
         spec = _spec()
-        store.record(spec, _outcome(0, steps=10))
-        store.record(spec, _outcome(0, steps=99))
+        store.record(spec, [_outcome(0, steps=10)])
+        store.record(spec, [_outcome(0, steps=99)])
         assert store.trials_for(spec)[0].cover_time == 10
 
     def test_clear_trials_supersedes_cells(self, store):
         spec = _spec()
-        store.record(spec, _outcome(0, steps=10))
-        store.record(spec, _outcome(1, steps=20))
+        store.record(spec, [_outcome(0, steps=10)])
+        store.record(spec, [_outcome(1, steps=20)])
         assert store.clear_trials(spec, [0]) == 1
-        store.record(spec, _outcome(0, steps=77))
+        store.record(spec, [_outcome(0, steps=77)])
         records = store.trials_for(spec)
         assert records[0].cover_time == 77
         assert records[1].cover_time == 20
@@ -97,21 +97,21 @@ class TestRecordAndRead:
     def test_clear_trials_defaults_to_spec_range(self, store):
         spec = _spec()  # trials=3
         for t in range(4):
-            store.record(spec, _outcome(t))
+            store.record(spec, [_outcome(t)])
         assert store.clear_trials(spec) == 3  # cells 0..2; trial 3 kept
         assert sorted(store.trials_for(spec)) == [3]
         assert store.clear_trials(_spec(root_seed=99)) == 0  # no shard
 
     def test_trials_survive_store_reopen(self, store):
         spec = _spec()
-        store.record(spec, _outcome(1, steps=23))
+        store.record(spec, [_outcome(1, steps=23)])
         reopened = ResultStore(store.root)
         assert reopened.trials_for(spec)[1].cover_time == 23
 
 
 class TestQuarantine:
     def _shard(self, store, spec):
-        store.record(spec, _outcome(0))
+        store.record(spec, [_outcome(0)])
         return store._shard_path(spec.spec_hash)
 
     def test_corrupted_line_quarantined_not_crashed(self, store):
@@ -184,8 +184,8 @@ class TestQuarantine:
 class TestInventoryAndGc:
     def test_entries_describe_contents(self, store):
         spec = _spec()
-        store.record(spec, _outcome(0, wall=1.5))
-        store.record(spec, _outcome(1, wall=0.5))
+        store.record(spec, [_outcome(0, wall=1.5)])
+        store.record(spec, [_outcome(1, wall=0.5)])
         (entry,) = list(store.entries())
         assert entry.spec_hash == spec.spec_hash
         assert entry.trials_cached == 2
@@ -194,8 +194,8 @@ class TestInventoryAndGc:
 
     def test_gc_dedupes_and_purges(self, store):
         spec = _spec()
-        store.record(spec, _outcome(0, steps=10))
-        store.record(spec, _outcome(0, steps=99))  # duplicate cell
+        store.record(spec, [_outcome(0, steps=10)])
+        store.record(spec, [_outcome(0, steps=99)])  # duplicate cell
         shard = store._shard_path(spec.spec_hash)
         with shard.open("a") as fh:
             fh.write("corrupt\n")
@@ -209,7 +209,7 @@ class TestInventoryAndGc:
 
     def test_gc_removes_orphan_shards(self, store):
         spec = _spec()
-        store.record(spec, _outcome(0))
+        store.record(spec, [_outcome(0)])
         shard = store._shard_path(spec.spec_hash)
         shard.write_text("junk only\n")
         stats = store.gc()

@@ -256,6 +256,31 @@ class TestCheckpointRetry:
             t: r.cover_time for t, r in clean.trials_for(spec).items()
         }
 
+    def test_torn_write_mid_batch_retried_whole(self, tmp_path):
+        # The torn append hits the third trial of a four-lane batch: two
+        # whole lines and half a line land, then the batch is retried.
+        spec = _spec()
+        store = ResultStore(tmp_path / "store")
+        tel = Telemetry()
+        policy = ExecutionPolicy(engine="fleet", fleet_size=4)
+        with fault_plan("store_write_torn:trial=2,count=1"):
+            with session(tel):
+                result = run_point(spec, store=store, policy=policy)
+        assert result.scheduled == spec.trials
+        assert tel.counters["store.checkpoint_retries"] == 1
+        assert tel.counters["store.truncated_tails"] == 1
+        assert sorted(store.trials_for(spec)) == list(range(spec.trials))
+        assert store.quarantined_count() == 0
+        # The retry rewrote the whole batch after the two whole lines;
+        # first-record-wins reads each trial once.
+        lines = store._shard_path(spec.spec_hash).read_text().splitlines()
+        assert [json.loads(line)["trial"] for line in lines] == [0, 1, 0, 1, 2, 3]
+        clean = ResultStore(tmp_path / "clean")
+        run_point(spec, store=clean)
+        assert {t: r.cover_time for t, r in store.trials_for(spec).items()} == {
+            t: r.cover_time for t, r in clean.trials_for(spec).items()
+        }
+
 
 class TestTornTailStoreLevel:
     def test_torn_tail_tolerated_on_read_and_repaired_on_write(self, tmp_path):
@@ -263,11 +288,11 @@ class TestTornTailStoreLevel:
 
         spec = _spec()
         store = ResultStore(tmp_path / "store")
-        store.record(spec, TrialOutcome(trial=0, steps=10, extras={}, wall_time=0.1))
+        store.record(spec, [TrialOutcome(trial=0, steps=10, extras={}, wall_time=0.1)])
         with fault_plan("store_write_torn:trial=1"):
             with pytest.raises(OSError):
                 store.record(
-                    spec, TrialOutcome(trial=1, steps=20, extras={}, wall_time=0.1)
+                    spec, [TrialOutcome(trial=1, steps=20, extras={}, wall_time=0.1)]
                 )
         shard = store._shard_path(spec.spec_hash)
         assert not shard.read_bytes().endswith(b"\n")
@@ -279,7 +304,7 @@ class TestTornTailStoreLevel:
         assert tel.counters["store.truncated_tails"] == 1
         assert cold.quarantined_count() == 0
         # The next locked append repairs the tail before writing.
-        store.record(spec, TrialOutcome(trial=2, steps=30, extras={}, wall_time=0.1))
+        store.record(spec, [TrialOutcome(trial=2, steps=30, extras={}, wall_time=0.1)])
         assert sorted(store.trials_for(spec)) == [0, 2]
         for line in shard.read_text().splitlines():
             json.loads(line)
@@ -306,8 +331,8 @@ spec = ExperimentSpec(family="cycle", family_params={"n": 16}, walk="srw",
                       trials=64, root_seed=7)
 store = ResultStore(root)
 for trial in range(lo, hi):
-    store.record(spec, TrialOutcome(trial=trial, steps=trial * 10,
-                                    extras={"x": float(trial)}, wall_time=0.01))
+    store.record(spec, [TrialOutcome(trial=trial, steps=trial * 10,
+                                     extras={"x": float(trial)}, wall_time=0.01)])
 """
 
     def test_two_processes_interleave_without_torn_lines(self, tmp_path):
@@ -335,6 +360,50 @@ for trial in range(lo, hi):
         assert len(lines) == 64  # no duplicates, no torn fragments
         for line in lines:
             json.loads(line)
+
+    _BATCH_WRITER = """
+import sys
+from repro.experiments.spec import ExperimentSpec
+from repro.experiments.store import ResultStore
+from repro.sim.runner import TrialOutcome
+
+root, lo, hi = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+spec = ExperimentSpec(family="cycle", family_params={"n": 16}, walk="srw",
+                      trials=256, root_seed=7)
+store = ResultStore(root)
+for first in range(lo, hi, 8):
+    store.record(spec, [TrialOutcome(trial=trial, steps=trial * 10,
+                                     extras={"x": float(trial)}, wall_time=0.01)
+                        for trial in range(first, first + 8)])
+"""
+
+    def test_two_processes_append_batches_without_torn_lines(self, tmp_path):
+        root = tmp_path / "store"
+        env = _subprocess_env()
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", self._BATCH_WRITER, str(root), str(lo), str(hi)],
+                env=env,
+            )
+            for lo, hi in [(0, 128), (128, 256)]
+        ]
+        assert [p.wait() for p in procs] == [0, 0]
+        spec = ExperimentSpec(
+            family="cycle", family_params={"n": 16}, walk="srw",
+            trials=256, root_seed=7,
+        )
+        store = ResultStore(root)
+        records = store.trials_for(spec)
+        assert sorted(records) == list(range(256))
+        assert all(records[t].cover_time == t * 10 for t in range(256))
+        assert store.quarantined_count() == 0
+        lines = store._shard_path(spec.spec_hash).read_bytes().split(b"\n")
+        assert lines.pop() == b""  # the shard ends on a whole line
+        assert len(lines) == 256
+        trials = [json.loads(line)["trial"] for line in lines]
+        # Each batch landed as one contiguous run of eight lines.
+        for i in range(0, 256, 8):
+            assert trials[i : i + 8] == list(range(trials[i], trials[i] + 8))
 
 
 class TestKillResume:
@@ -366,6 +435,36 @@ class TestKillResume:
         clean_store = tmp_path / "clean-store"
         clean = subprocess.run(
             self._sweep_args(clean_store), env=env, capture_output=True, text=True
+        )
+        assert clean.returncode == 0, clean.stderr
+        table = lambda out: out[out.index("\n") :]  # drop the N-scheduled line
+        assert table(resumed.stdout) == table(clean.stdout)
+
+    def test_fleet_kill_after_batch_checkpoint_resumes_unrecorded_batches(self, tmp_path):
+        # Fleet batches of two: [0, 1], [2, 3], [4, 5].  The kill fires
+        # right after the batch holding trial 3 is written, so the resume
+        # schedules only the last batch.
+        args = lambda store: [
+            sys.executable, "-m", "repro", "sweep",
+            "--family", "cycle", "--sizes", "40", "--walk", "srw",
+            "--trials", "6", "--seed", "11", "--store", str(store),
+            "--engine", "fleet", "--fleet-size", "2",
+        ]
+        env = _subprocess_env()
+        faulty = tmp_path / "faulty-store"
+        env_kill = dict(env)
+        env_kill[FAULTS_ENV_VAR] = "post_checkpoint_kill:trial=3"
+        first = subprocess.run(args(faulty), env=env_kill, capture_output=True, text=True)
+        assert first.returncode == KILL_EXIT_CODE, first.stderr
+        assert sorted(ResultStore(faulty).trials_for(
+            ExperimentSpec(family="cycle", family_params={"n": 40}, walk="srw",
+                           trials=6, root_seed=11)
+        )) == [0, 1, 2, 3]
+        resumed = subprocess.run(args(faulty), env=env, capture_output=True, text=True)
+        assert resumed.returncode == 0, resumed.stderr
+        assert "2 scheduled, 4 cached" in resumed.stdout
+        clean = subprocess.run(
+            args(tmp_path / "clean-store"), env=env, capture_output=True, text=True
         )
         assert clean.returncode == 0, clean.stderr
         table = lambda out: out[out.index("\n") :]  # drop the N-scheduled line

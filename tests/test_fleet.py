@@ -26,7 +26,7 @@ from repro.graphs.generators import cycle_graph, path_graph
 from repro.graphs.graph import Graph
 from repro.graphs.random_regular import random_connected_regular_graph
 from repro.sim.policy import ExecutionPolicy
-from repro.sim.runner import cover_time_trials
+from repro.sim.runner import cover_time_trials, run_trials
 from repro.walks.srw import SimpleRandomWalk
 
 FLEET_SIZES = [1, 2, 7, 32]
@@ -272,6 +272,15 @@ class TestFleetRunnerSurface:
         with pytest.raises(ReproError, match=r"lane \d+ \(trial \d+\).*shape"):
             cover_time_trials(
                 varying, "srw", trials=6, root_seed=1,
+                policy=ExecutionPolicy(engine="fleet"),
+            )
+
+    def test_budget_timeout_names_the_trial(self):
+        # The runner hands the fleet its trial ids as lane labels, so a
+        # budget timeout names the trial, not the lane index.
+        with pytest.raises(CoverTimeout, match="fleet lane 5 did not cover"):
+            run_trials(
+                cycle_graph(20), "eprocess", [5, 9], root_seed=1, max_steps=3,
                 policy=ExecutionPolicy(engine="fleet"),
             )
 

@@ -361,7 +361,7 @@ class TestStoreIntegration:
         outcome = TrialOutcome(
             trial=0, steps=42, extras={}, wall_time=0.5, peak_rss_bytes=123_456_789
         )
-        store.record(spec, outcome)
+        store.record(spec, [outcome])
         record = store.trials_for(spec)[0]
         assert record.peak_rss_bytes == 123_456_789
         assert record.to_outcome().peak_rss_bytes == 123_456_789
@@ -369,7 +369,7 @@ class TestStoreIntegration:
     def test_schema_v1_line_is_quarantined_not_reinterpreted(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         spec = _spec()
-        store.record(spec, TrialOutcome(trial=0, steps=42, extras={}, wall_time=0.1))
+        store.record(spec, [TrialOutcome(trial=0, steps=42, extras={}, wall_time=0.1)])
         shard = store._shard_path(spec.spec_hash)
         v1 = json.loads(shard.read_text().splitlines()[0])
         v1["schema"] = 1

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.errors import CoverTimeout
 from repro.engine import (
     FLEET_ENGINES,
     NAMED_WALK_FACTORIES,
@@ -127,6 +128,50 @@ class TestFleetEngines:
             assert tel.counters[kernel] == 1
             consumed[native_pref] = tel.counters["fleet.words_consumed"]
         assert consumed[True] == consumed[False] > 0
+
+    @pytest.mark.parametrize(
+        "native_pref",
+        [
+            False,
+            pytest.param(
+                True,
+                marks=pytest.mark.skipif(
+                    not native.available(), reason="native fused kernel not built"
+                ),
+            ),
+        ],
+    )
+    def test_timeout_counts_live_lanes_words(self, native_pref):
+        # A budget timeout ends the fleet with every lane still live; the
+        # words those lanes drew count as they are synced, so the total
+        # matches what the reference twins drew in the same 30 steps.
+        graph = lollipop_graph(6, 9)
+        K = 8
+        tel = Telemetry()
+        with session(tel):
+            rngs = [random.Random(40 + k) for k in range(K)]
+            fleet = FleetSRW([graph] * K, [0] * K, rngs, native=native_pref)
+            with pytest.raises(CoverTimeout):
+                fleet.run_until_cover("edges", max_steps=30)
+        drawn = 0
+        for k in range(K):
+            twin = random.Random(40 + k)
+            walk = NAMED_WALK_FACTORIES["srw"]["reference"](graph, 0, twin)
+            with pytest.raises(CoverTimeout):
+                walk.run_until_edge_cover(30)
+            drawn += _words_between(random.Random(40 + k), twin)
+        assert tel.counters["fleet.lane_steps"] == K * 30
+        assert tel.counters["fleet.words_consumed"] == drawn > 0
+
+
+def _words_between(start, end):
+    """Raw MT words ``end`` has drawn past ``start``'s state."""
+    target = end.getstate()
+    for words in range(100_000):
+        if start.getstate() == target:
+            return words
+        start.getrandbits(32)  # exactly one 32-bit word
+    raise AssertionError("end state is not reachable from start")
 
 
 class TestOracleEngines:
