@@ -24,9 +24,9 @@ Two modes:
   so the perf trajectory accumulates across PRs — see
   ``benchmarks/README.md`` for how to read it.
 
-Steady-state throughput is the headline number (walks warmed past cover,
-so both engines step the same saturated state); cold numbers (fresh walk,
-cover bookkeeping live) are reported alongside.
+Engine pairs are timed cold: a fresh walk per round, so the cover
+bookkeeping is live for the whole timed chunk.  The headline ``speedup``
+is the SRW pair's.
 
 ``--smoke`` (used by CI) swaps timing for correctness: on a small graph
 it asserts every engine pair — array twins and the srw/eprocess/vprocess
@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -71,7 +72,7 @@ from repro.graphs.random_regular import (
     random_even_degree_graph,
 )
 from repro.sim.rng import spawn
-from repro.telemetry import Telemetry, session
+from repro.telemetry import Telemetry, build_manifest, session
 from repro.walks.choice import RandomWalkWithChoice
 from repro.walks.rotor import RotorRouterWalk
 from repro.walks.srw import SimpleRandomWalk
@@ -97,6 +98,9 @@ FLEET_SECTIONS = {
 }
 #: Present in the dynamic symbols of any ASan- or TSan-instrumented build.
 SANITIZER_SYMBOLS = (b"__asan_init", b"__tsan_init")
+#: Steps per array/reference smoke pair: past one ``run()`` split
+#: boundary (:data:`~repro.engine.base.RUN_SPLIT_STEPS` = 65 536).
+SMOKE_STEPS = 70_000
 OUT_DIR = Path(__file__).parent / "out"
 OUTPUT_PATH = OUT_DIR / "BENCH_engine.json"
 HISTORY_PATH = OUT_DIR / "BENCH_engine_history.jsonl"
@@ -120,6 +124,21 @@ def sanitized_kernel() -> Optional[str]:
                 "rebuild it without REPRO_SANITIZE before timing"
             )
     return None
+
+
+def _git_sha() -> Optional[str]:
+    """The checked-out commit, or None outside a git checkout."""
+    try:
+        git = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except OSError:
+        return None
+    return git.stdout.strip() if git.returncode == 0 else None
 
 
 def _graph():
@@ -187,7 +206,7 @@ def bench_array_srw_steps(benchmark):
     walk = ArraySRW(graph, 0, rng=spawn(ROOT_SEED, "E12-s"))
 
     def chunk():
-        walk.run_chunk(CHUNK)
+        walk.run(CHUNK)
 
     benchmark.pedantic(chunk, rounds=3, iterations=1)
     benchmark.extra_info["steps_per_round"] = CHUNK
@@ -198,7 +217,7 @@ def bench_array_eprocess_steps(benchmark):
     walk = ArrayEdgeProcess(graph, 0, rng=spawn(ROOT_SEED, "E12-e"), record_phases=False)
 
     def chunk():
-        walk.run_chunk(CHUNK)
+        walk.run(CHUNK)
 
     benchmark.pedantic(chunk, rounds=3, iterations=1)
     benchmark.extra_info["steps_per_round"] = CHUNK
@@ -209,7 +228,7 @@ def bench_array_rotor_steps(benchmark):
     walk = ArrayRotorRouter(graph, 0, rng=spawn(ROOT_SEED, "E12-r"))
 
     def chunk():
-        walk.run_chunk(CHUNK)
+        walk.run(CHUNK)
 
     benchmark.pedantic(chunk, rounds=3, iterations=1)
     benchmark.extra_info["steps_per_round"] = CHUNK
@@ -220,7 +239,7 @@ def bench_array_rwc_steps(benchmark):
     walk = ArrayRWC(graph, 0, d=2, rng=spawn(ROOT_SEED, "E12-c"))
 
     def chunk():
-        walk.run_chunk(CHUNK)
+        walk.run(CHUNK)
 
     benchmark.pedantic(chunk, rounds=3, iterations=1)
     benchmark.extra_info["steps_per_round"] = CHUNK
@@ -229,43 +248,26 @@ def bench_array_rwc_steps(benchmark):
 # ----------------------------------------------------------------------
 # Standalone BENCH_engine.json emitter
 # ----------------------------------------------------------------------
-def _warmed(make_walk, warm: bool):
-    walk = make_walk()
-    if warm:
-        walk.run_until_vertex_cover()
-        walk.run_until_edge_cover()
-        walk.run(1024)
-    return walk
-
-
 def _timed_chunk(walk, chunk_steps: int) -> float:
     t0 = time.perf_counter()
     walk.run(chunk_steps)
     return chunk_steps / (time.perf_counter() - t0)
 
 
-def _measure_pair(make_reference, make_array, warm: bool, chunk_steps: int, rounds: int) -> dict:
-    """Throughput of a reference/array walk pair on identical seeds.
+def _measure_pair(make_reference, make_array, chunk_steps: int, rounds: int) -> dict:
+    """Cold throughput of a reference/array walk pair on identical seeds.
 
     Rounds are *interleaved* (reference chunk, then array chunk, per
     round) so slow thermal/load drift hits both sides alike instead of
-    whichever engine is measured second; best-of-rounds per side.
-
-    ``warm`` measures steady state: one walk per side, saturated (vertex
-    + edge cover plus a settling chunk) before timing, reused across
-    rounds.  Cold constructs **fresh walks per round** so every round
-    pays the live cover bookkeeping — reusing one walk would silently
-    measure steady state from round 2 on.
+    whichever engine is measured second; best-of-rounds per side.  Each
+    round constructs **fresh walks**, so every round pays the live cover
+    bookkeeping — reusing one walk would time a covered walk from round
+    2 on.
     """
     ref_sps = arr_sps = 0.0
-    reference = _warmed(make_reference, warm) if warm else None
-    array = _warmed(make_array, warm) if warm else None
     for _ in range(rounds):
-        if not warm:
-            reference = _warmed(make_reference, warm)
-            array = _warmed(make_array, warm)
-        ref_sps = max(ref_sps, _timed_chunk(reference, chunk_steps))
-        arr_sps = max(arr_sps, _timed_chunk(array, chunk_steps))
+        ref_sps = max(ref_sps, _timed_chunk(make_reference(), chunk_steps))
+        arr_sps = max(arr_sps, _timed_chunk(make_array(), chunk_steps))
     return {
         "reference_steps_per_sec": round(ref_sps),
         "array_steps_per_sec": round(arr_sps),
@@ -390,8 +392,8 @@ def run_smoke(n: int) -> int:
         variants = NAMED_WALK_FACTORIES[name]
         reference = variants["reference"](graph, 0, random.Random(99))
         array = variants["array"](graph, 0, random.Random(99))
-        reference.run(20_000)
-        array.run(20_000)
+        reference.run(SMOKE_STEPS)
+        array.run(SMOKE_STEPS)
         state_ref = (
             reference.current,
             reference.steps,
@@ -409,7 +411,7 @@ def run_smoke(n: int) -> int:
         if state_ref != state_arr:
             failures.append(f"{name}: array state diverged from reference")
         else:
-            print(f"smoke {name}: array == reference over 20k steps")
+            print(f"smoke {name}: array == reference over {SMOKE_STEPS} steps")
     # Implicit neighbor-oracle parity: the oracle engines on implicit
     # graphs must replay the reference walks on the materialized twins.
     from repro.graphs import ImplicitHypercube, ImplicitTorus
@@ -491,13 +493,13 @@ def main(argv=None) -> int:
         print(f"error: {refusal}", file=sys.stderr)
         return 2
 
+    git_sha = _git_sha()
     graph = random_connected_regular_graph(args.n, DEGREE, spawn(ROOT_SEED, "E12-json"))
     engines = {}
     for name in _PAIRS:
         make_reference, make_array = _pair_factories(name, graph, f"E12-json-{name}")
         engines[name] = {
-            "steady": _measure_pair(make_reference, make_array, True, args.chunk, args.rounds),
-            "cold": _measure_pair(make_reference, make_array, False, args.chunk, args.rounds),
+            "cold": _measure_pair(make_reference, make_array, args.chunk, args.rounds),
         }
     irregular = _irregular_graph(args.n, spawn(ROOT_SEED, "E12-json-irr"))
     # The fleet sections run under an *enabled* telemetry context so the
@@ -516,7 +518,6 @@ def main(argv=None) -> int:
             }
             for section, (walk, kind, sizes) in FLEET_SECTIONS.items()
         }
-    snap = tel.snapshot()
     report = {
         "benchmark": "engine_throughput",
         "n": args.n,
@@ -524,40 +525,33 @@ def main(argv=None) -> int:
         "chunk_steps": args.chunk,
         "rounds": args.rounds,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "native_kernel": native.kernel_path() or "unavailable",
         "engines": engines,
         "fleet": fleet,
-        "metrics": {
-            "counters": snap["counters"],
-            "gauges": snap["gauges"],
-            "note": (
-                "engine telemetry aggregated over every fleet round above "
-                "(numpy + native + the per-trial comparators); "
-                "wordbank.degree[q].rejected_words / wordbank.degree[q].draws "
-                "is the rejection-sampling waste per degree class"
-            ),
-        },
+        # Telemetry over every fleet round above (numpy + native + the
+        # per-trial comparators), with the native kernel's path and ABI
+        # and REPRO_NATIVE under "env".
+        "metrics": build_manifest(
+            tel, command="bench_engine_throughput", extra={"git_sha": git_sha}
+        ),
+        "speedup": engines["srw"]["cold"]["speedup"],
         "methodology": (
-            "best-of-rounds run() throughput on one shared graph; 'steady' "
-            "warms each walk past vertex+edge cover first, 'cold' starts "
-            "from a fresh walk with cover bookkeeping live; each 'fleet' "
-            "section compares aggregate vertex-cover-trial throughput "
-            "(total cover steps / wall) of one lockstep fleet against the "
-            "same trials on the walk's best per-trial engine (speedup = "
-            "median of per-round ratios; fleet side = native fused kernel "
-            "when built), and 'native_speedup' compares the same fleet's "
-            "native and numpy stepwise paths (null when the extension is "
-            "missing)"
+            "best-of-rounds run() throughput on one shared graph, each "
+            "'cold' round from a fresh walk with cover bookkeeping live; "
+            "each 'fleet' section compares aggregate vertex-cover-trial "
+            "throughput (total cover steps / wall) of one lockstep fleet "
+            "against the same trials on the walk's best per-trial engine "
+            "(speedup = median of per-round ratios; fleet side = native "
+            "fused kernel when built), and 'native_speedup' compares the "
+            "same fleet's native and numpy stepwise paths (null when the "
+            "extension is missing)"
         ),
     }
-    report["speedup"] = report["engines"]["srw"]["steady"]["speedup"]
     OUT_DIR.mkdir(exist_ok=True)
     OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     # Append the run to the across-PRs trajectory (one JSON line per run).
     summary = {
         "timestamp": report["timestamp"],
         "n": args.n,
-        "steady_speedups": {k: v["steady"]["speedup"] for k, v in engines.items()},
         "cold_speedups": {k: v["cold"]["speedup"] for k, v in engines.items()},
         "fleet_speedups": {
             f"{section}_{k}": entry["speedup"]

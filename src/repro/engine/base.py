@@ -46,7 +46,7 @@ a sequential chain).
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -72,14 +72,9 @@ DEFAULT_CHUNK_SIZE = 8192
 #: state-transplant overhead would exceed the per-draw savings.
 BATCH_MIN_STEPS = 1024
 
-#: ``run``/``run_chunk`` split long requests into pieces of this size so
-#: the kernel dispatch (notably steady-state eligibility) is re-evaluated
-#: at a bounded cadence while the per-chunk setup stays amortized.
+#: ``run`` splits long requests into chunks of this size, which bounds
+#: each chunk's word batches while the per-chunk setup stays amortized.
 RUN_SPLIT_STEPS = 65536
-
-#: Largest composition-table size (``n * d**width`` entries) the
-#: steady-state kernel will build; bounds its memory to tens of MB.
-COMP_TABLE_MAX_ENTRIES = 1_000_000
 
 # Chunk stop conditions (protocol between the runners and each engine's
 # ``_chunk``).
@@ -237,9 +232,9 @@ class MTWordStream:
         Unlike :meth:`end` — which can only return words from the *final*
         :meth:`take` batch — this supports rewinding across batch
         boundaries by replaying the consumed prefix from the captured base
-        state (MT cannot run backwards).  The fleet engine uses it: lanes
-        buffer draws several batches ahead and a lane may cover mid-way
-        through an old batch.  Closes the stream like :meth:`end`.
+        state (MT cannot run backwards).  :class:`~repro.engine.rwc.ArrayRWC`
+        uses it when a chunk's unconsumed words reach back past its final
+        batch.  Closes the stream like :meth:`end`.
         """
         if consumed:
             mt = self._mt
@@ -359,8 +354,6 @@ class ArrayWalkEngine:
         self._stream: Optional[MTWordStream] = (
             MTWordStream(self.rng) if MTWordStream.supports(self.rng) else None
         )
-        # Lazily built by _position_comp_table.
-        self._comp_table: Optional[Tuple[Any, int]] = None
 
     # ------------------------------------------------------------------
     # Per-engine chunk kernel
@@ -386,150 +379,21 @@ class ArrayWalkEngine:
                     return
 
     # ------------------------------------------------------------------
-    # Steady-state kernel (shared): nothing left to record
-    # ------------------------------------------------------------------
-    def _position_comp_table(self) -> Tuple[Optional[List[int]], int]:
-        """Multi-step composition table for regular graphs.
-
-        Returns ``(table, width)`` where
-        ``table[v*d**width + i_1*d**(width-1) + ... + i_width]`` is the
-        vertex reached from ``v`` by taking incidence entries ``i_1``
-        through ``i_width`` in order — so a steady-state walk advances
-        ``width`` steps per loop iteration.  ``width`` is the largest of
-        ``{3, 2}`` whose table fits :data:`COMP_TABLE_MAX_ENTRIES`; built
-        lazily and cached.  ``(None, 1)`` when the graph is irregular or
-        even the pair table would be too large.
-        """
-        if self._comp_table is None:
-            cache = self.graph.scratch_cache()
-            cached = cache.get("engine_comp_table")
-            if cached is not None:
-                self._comp_table = cached
-            else:
-                d = self._regular_degree
-                n = self.graph.n
-                if not d or n * d * d > COMP_TABLE_MAX_ENTRIES:
-                    self._comp_table = (False, 1)
-                else:
-                    nb = self.graph.csr_neighbors.reshape(n, d)
-                    pair = nb[nb]  # [v, i1, i2] -> two-step destination
-                    if n * d * d * d <= COMP_TABLE_MAX_ENTRIES:
-                        triple = nb[pair.reshape(n, d * d)]
-                        self._comp_table = (triple.reshape(-1).tolist(), 3)
-                    else:
-                        self._comp_table = (pair.reshape(-1).tolist(), 2)
-                cache["engine_comp_table"] = self._comp_table
-        assert self._comp_table is not None
-        table, width = self._comp_table
-        return (table, width) if table else (None, 1)
-
-    def _chunk_steady(self, num_steps: int) -> None:
-        """Advance ``num_steps`` with no visitation bookkeeping.
-
-        Only valid once every observable the walk still records is
-        saturated (the engine's ``_chunk`` dispatch guarantees this); the
-        walk is then a pure position chain, so the kernel consumes the
-        prefiltered draws ``width`` at a time through the composition
-        table.  Updates ``current``/``steps`` and leaves the RNG exactly
-        where the reference per-step loop would.
-        """
-        d = self._regular_degree
-        k = d.bit_length()
-        shift = 32 - k
-        factor = (1 << k) / d
-        off = self._off
-        nbrs = self._nbrs
-        table, width = self._position_comp_table()
-        dw = d**width
-        stream = self._stream
-        assert stream is not None  # steady dispatch requires word batching
-        cur = self.current
-        steps = self.steps
-        stream.begin()
-        unused = 0
-        remaining = num_steps
-        try:
-            while remaining:
-                # Cap the per-batch word pull so the numpy working set
-                # stays cache-sized; every accepted draw has the same
-                # modulus here, so an uncapped batch's surplus accepts
-                # would be valid anyway — the cap only matters when they
-                # would overshoot num_steps, which the truncation below
-                # (the final batch) handles.
-                goal = remaining if remaining < RUN_SPLIT_STEPS else RUN_SPLIT_STEPS
-                est = int(goal * factor) + 32
-                raw = stream.take(est)
-                cand = raw >> shift
-                pos = (cand < d).nonzero()[0]
-                if pos.size > remaining:
-                    pos = pos[:remaining]
-                count = int(pos.size)
-                seg = cand[pos]
-                grouped = count - count % width if table is not None else 0
-                if grouped:
-                    if width == 3:
-                        packed = (
-                            seg[0:grouped:3] * (d * d)
-                            + seg[1:grouped:3] * d
-                            + seg[2:grouped:3]
-                        )
-                    else:
-                        packed = seg[0:grouped:2] * d + seg[1:grouped:2]
-                    for word in packed.tolist():
-                        cur = table[cur * dw + word]
-                for i in seg[grouped:].tolist():
-                    cur = nbrs[off[cur] + i]
-                steps += count
-                if count == remaining:
-                    unused = est - (int(pos[count - 1]) + 1)
-                    remaining = 0
-                else:
-                    # Shortfall: all words (trailing rejects included, they
-                    # belong to the in-flight draw the next batch finishes)
-                    # are consumed.
-                    remaining -= count
-        finally:
-            self.current = cur
-            self.steps = steps
-            stream.end(unused)
-
-    # ------------------------------------------------------------------
     # Bulk runners (override the per-step loops of WalkProcess)
     # ------------------------------------------------------------------
-    def _steady_eligible(self) -> bool:
-        """Whether the walk is already in its steady state (see subclass).
+    def run(self, num_steps: int) -> int:
+        """Take exactly ``num_steps`` steps; returns the final vertex.
 
-        Steady eligibility is monotone — a saturated observable stays
-        saturated — so once this returns True the runners stop splitting
-        requests for dispatch re-evaluation.
+        Equivalent to ``num_steps`` calls of ``step()`` (same trajectory,
+        same RNG consumption), minus the dispatch overhead.
         """
-        return False
-
-    def _run_split(self, num_steps: int) -> None:
-        # Split long requests so kernel dispatch (entering the steady-state
-        # path after cover) is re-evaluated periodically; once steady, hand
-        # the whole remainder to one chunk.
-        remaining = num_steps
-        while remaining > 0:
-            if self._steady_eligible():
-                size = remaining
-            else:
-                size = RUN_SPLIT_STEPS if remaining > RUN_SPLIT_STEPS else remaining
-            self._chunk(size, STOP_NONE)
-            remaining -= size
-
-    def run_chunk(self, num_steps: int) -> int:
-        """Take exactly ``num_steps`` steps in one batch; returns the final
-        vertex.  Equivalent to ``num_steps`` calls of ``step()`` (same
-        trajectory, same RNG consumption), minus the dispatch overhead."""
         if num_steps < 0:
             raise ReproError(f"num_steps must be >= 0, got {num_steps}")
-        self._run_split(num_steps)
-        return self.current
-
-    def run(self, num_steps: int) -> int:
-        """Take exactly ``num_steps`` steps; returns the final vertex."""
-        self._run_split(num_steps)
+        remaining = num_steps
+        while remaining > 0:
+            size = RUN_SPLIT_STEPS if remaining > RUN_SPLIT_STEPS else remaining
+            self._chunk(size, STOP_NONE)
+            remaining -= size
         return self.current
 
     def _cover_advance(self, budget: int, target: str) -> None:

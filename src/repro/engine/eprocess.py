@@ -21,7 +21,6 @@ from typing import Optional
 from repro.core.eprocess import BLUE, RED, EdgeProcess, PhaseMark
 from repro.errors import GraphError
 from repro.engine.base import (
-    BATCH_MIN_STEPS,
     DEFAULT_CHUNK_SIZE,
     STOP_EDGES,
     STOP_VERTICES,
@@ -62,16 +61,6 @@ class ArrayEdgeProcess(ArrayWalkEngine, EdgeProcess):
         )
         self._init_arrays(chunk_size)
 
-    def _steady_eligible(self) -> bool:
-        return (
-            self._grb is not None
-            and self._stream is not None
-            and bool(self._regular_degree)
-            and self.num_visited_edges == self.graph.m
-            and self._last_color == RED
-            and not self._record_red_trajectory
-        )
-
     def _chunk(self, num_steps: int, stop: int) -> None:
         if num_steps <= 0:
             return
@@ -93,23 +82,6 @@ class ArrayEdgeProcess(ArrayWalkEngine, EdgeProcess):
             )
         if self._grb is None:
             self._chunk_steps(num_steps, stop)
-            return
-        if (
-            ne == m
-            and self._last_color == RED
-            and not self._record_red_trajectory
-            and self._regular_degree
-            and self._stream is not None
-            and num_steps >= BATCH_MIN_STEPS
-        ):
-            # All edges red: the E-process is a plain SRW from here on, and
-            # with the last phase already red there are no phase marks,
-            # edge visits, or vertex first-visits left to record (every
-            # reachable vertex is covered once every edge is) — a pure
-            # position chain.
-            before = self.steps
-            self._chunk_steady(num_steps)
-            self.red_steps += self.steps - before
             return
         off = self._off
         eids = self._eids

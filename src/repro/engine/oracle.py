@@ -206,17 +206,14 @@ class OracleWalkBase:
 
     def run(self, num_steps: int) -> int:
         """Take exactly ``num_steps`` steps; returns the final vertex."""
+        if num_steps < 0:
+            raise ReproError(f"num_steps must be >= 0, got {num_steps}")
         remaining = num_steps
         while remaining > 0:
             size = min(remaining, self.chunk_size)
             self._chunk(size, STOP_NONE)
             remaining -= size
         return self.current
-
-    def run_chunk(self, num_steps: int) -> int:
-        if num_steps < 0:
-            raise ReproError(f"num_steps must be >= 0, got {num_steps}")
-        return self.run(num_steps)
 
     def run_until_vertex_cover(self, max_steps: Optional[int] = None) -> int:
         budget = max_steps if max_steps is not None else default_step_budget(self.graph)

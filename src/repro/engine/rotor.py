@@ -105,13 +105,6 @@ class ArrayRotorRouter(ArrayWalkEngine, RotorRouterWalk):
         self._record_edge_visit(self._eids[j])
         return self._nbrs[j]
 
-    def _steady_eligible(self) -> bool:
-        # Deterministic process: once every tracked observable saturates,
-        # the walk is a pure (position, rotor) chain.
-        return self.num_visited_vertices == self.graph.n and (
-            not self._edge_tracking or self.num_visited_edges == self.graph.m
-        )
-
     def _chunk(self, num_steps: int, stop: int) -> None:
         if num_steps <= 0:
             return
@@ -126,12 +119,6 @@ class ArrayRotorRouter(ArrayWalkEngine, RotorRouterWalk):
             raise GraphError(
                 f"vertex {self.current} has no incident edges to step along"
             )
-        if self._steady_eligible():
-            self._chunk_saturated(num_steps)
-        else:
-            self._chunk_live(num_steps, stop)
-
-    def _chunk_live(self, num_steps: int, stop: int) -> None:
         n = self.graph.n
         m = self.graph.m
         nbrs = self._nbrs
@@ -173,65 +160,3 @@ class ArrayRotorRouter(ArrayWalkEngine, RotorRouterWalk):
             self.steps = steps
             self.num_visited_vertices = nv
             self.num_visited_edges = ne
-
-    def _chunk_saturated(self, num_steps: int) -> None:
-        # Nothing left to record: the walk is the pure deterministic
-        # (position, rotor) chain — three list reads and a write per step,
-        # unrolled 4x so the loop counter amortizes.
-        #
-        # Eventual periodicity makes long saturated runs almost free: a
-        # rotor-router on any connected graph settles into an Eulerian
-        # circulation of the symmetric digraph (Yanovski–Wagner–Bruckstein),
-        # traversing each of the 2m darts once per lap — so the full
-        # (position, rotors) state recurs with period exactly 2m.  The
-        # kernel snapshots the state every 2m steps; on exact recurrence it
-        # advances whole laps by bookkeeping alone (the skipped state is
-        # identical by periodicity, not approximation).  Before settling,
-        # the check costs one O(n) copy-and-compare per 2m steps.
-        nbrs = self._nbrs
-        rot = self._rotor_abs
-        succ = self._succ
-        cur = self.current
-        remaining = num_steps
-        done = 0  # steps actually executed or period-skipped so far
-        lap = len(nbrs)  # 2m darts per Eulerian lap
-        try:
-            while lap and remaining >= 2 * lap:
-                anchor_cur = cur
-                anchor_rot = rot[:]
-                for _ in range(lap):
-                    j = rot[cur]
-                    rot[cur] = succ[j]
-                    cur = nbrs[j]
-                remaining -= lap
-                done += lap
-                if cur == anchor_cur and rot == anchor_rot:
-                    # Settled: skip every whole remaining lap (the skipped
-                    # state is identical by periodicity, so skipped laps
-                    # count as executed).
-                    skipped = (remaining // lap) * lap
-                    remaining -= skipped
-                    done += skipped
-                    break
-            for _ in range(remaining >> 2):
-                j = rot[cur]
-                rot[cur] = succ[j]
-                cur = nbrs[j]
-                j = rot[cur]
-                rot[cur] = succ[j]
-                cur = nbrs[j]
-                j = rot[cur]
-                rot[cur] = succ[j]
-                cur = nbrs[j]
-                j = rot[cur]
-                rot[cur] = succ[j]
-                cur = nbrs[j]
-                done += 4
-            for _ in range(remaining & 3):
-                j = rot[cur]
-                rot[cur] = succ[j]
-                cur = nbrs[j]
-                done += 1
-        finally:
-            self.current = cur
-            self.steps += done

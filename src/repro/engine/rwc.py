@@ -22,9 +22,8 @@ Both constructions are bit-exact in IEEE doubles, so trajectories, visit
 counts, and the generator state after any number of steps all match the
 reference walk.
 
-Unlike the SRW, RWC never enters a steady state — ``visit_counts``
-updates on every step forever — so there is no saturated kernel; the
-speedup is all in the batched words and the hoisted scalar loop.
+``visit_counts`` update on every step, cover or no cover, so the speedup
+is all in the batched words and the hoisted scalar loop.
 """
 
 from __future__ import annotations
@@ -72,20 +71,6 @@ class ArrayRWC(ArrayWalkEngine, RandomWalkWithChoice):
             self, graph, start, d=d, rng=rng, track_edges=track_edges
         )
         self._init_arrays(chunk_size)
-
-    def _steady_eligible(self) -> bool:
-        # RWC never saturates its visit counts, but once every *tracked*
-        # observable (vertex/edge first visits) is recorded, the Tier-0
-        # kernel needs no dispatch re-evaluation: requests can run in one
-        # chunk, amortizing the per-chunk stream setup and RNG sync.
-        return (
-            self.d == 2
-            and 0 < self._regular_degree < 256
-            and self._stream is not None
-            and self._grb is not None
-            and self.num_visited_vertices == self.graph.n
-            and (not self._edge_tracking or self.num_visited_edges == self.graph.m)
-        )
 
     def _chunk(self, num_steps: int, stop: int) -> None:
         if num_steps <= 0:

@@ -48,15 +48,6 @@ class ArraySRW(ArrayWalkEngine, SimpleRandomWalk):
         SimpleRandomWalk.__init__(self, graph, start, rng=rng, track_edges=track_edges)
         self._init_arrays(chunk_size)
 
-    def _steady_eligible(self) -> bool:
-        return (
-            self._grb is not None
-            and self._stream is not None
-            and bool(self._regular_degree)
-            and self.num_visited_vertices == self.graph.n
-            and (not self._edge_tracking or self.num_visited_edges == self.graph.m)
-        )
-
     def _chunk(self, num_steps: int, stop: int) -> None:
         if num_steps <= 0:
             return
@@ -78,15 +69,7 @@ class ArraySRW(ArrayWalkEngine, SimpleRandomWalk):
             and self._stream is not None
             and num_steps >= BATCH_MIN_STEPS
         ):
-            if self.num_visited_vertices == self.graph.n and (
-                not self._edge_tracking or self.num_visited_edges == self.graph.m
-            ):
-                # Post-cover steady state: nothing left to record (any
-                # requested stop target returned above), the walk is a
-                # pure position chain.
-                self._chunk_steady(num_steps)
-            else:
-                self._chunk_batched(num_steps, stop)
+            self._chunk_batched(num_steps, stop)
         else:
             self._chunk_scalar(num_steps, stop)
 

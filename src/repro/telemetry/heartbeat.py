@@ -11,8 +11,9 @@ Rates and ETA come from deltas between consecutive emissions (steady-state
 rate, not lifetime average); RSS is the process peak.  The reporter is
 deliberately clock-driven — :meth:`tick` is called at every chunk/block
 boundary and early-exits on one monotonic clock read until the interval
-elapses, so wiring it into ``run_chunk``/``_run_block`` costs nothing
-measurable and no walk loop needs changes.
+elapses, so wiring it into the oracle cover chunks and the fleet's
+``_run_block`` loop costs nothing measurable and no walk loop needs
+changes.
 """
 
 from __future__ import annotations

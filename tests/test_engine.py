@@ -86,7 +86,7 @@ class TestArraySRWParity:
         reference.run(2000)
         # Uneven chunk sizes exercise every kernel boundary.
         for size in (1, 7, 500, 1492):
-            array.run_chunk(size)
+            array.run(size)
         assert _srw_state(array) == _srw_state(reference)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -95,7 +95,7 @@ class TestArraySRWParity:
         reference = SimpleRandomWalk(graph, 3, rng=random.Random(seed))
         array = ArraySRW(graph, 3, rng=random.Random(seed))
         ref_traj = [reference.step() for _ in range(300)]
-        arr_traj = [array.run_chunk(1) for _ in range(300)]
+        arr_traj = [array.run(1) for _ in range(300)]
         assert arr_traj == ref_traj
 
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
@@ -113,7 +113,8 @@ class TestArraySRWParity:
         assert array.run_until_edge_cover() == reference.run_until_edge_cover()
 
     def test_steady_state_batches_stay_identical(self):
-        # Long post-cover runs exercise the composition-table kernel.
+        # A long run crosses cover and several run() split boundaries;
+        # the batched kernel keeps stepping bit-exact past cover.
         graph = _regular(n=80)
         reference = SimpleRandomWalk(graph, 0, rng=random.Random(2))
         array = ArraySRW(graph, 0, rng=random.Random(2))
@@ -127,10 +128,10 @@ class TestArraySRWParity:
         reference = SimpleRandomWalk(graph, 0, rng=random.Random(9))
         array = ArraySRW(graph, 0, rng=random.Random(9))
         reference.run(600)
-        array.run_chunk(200)
+        array.run(200)
         for _ in range(100):
             array.step()
-        array.run_chunk(300)
+        array.run(300)
         assert _srw_state(array) == _srw_state(reference)
 
 
@@ -153,12 +154,18 @@ class TestArrayEdgeProcessParity:
         array = ArrayEdgeProcess(graph, 5, rng=random.Random(seed))
         assert array.run_until_vertex_cover() == reference.run_until_vertex_cover()
 
-    def test_post_cover_srw_phase_stays_identical(self):
-        # Past edge cover the E-process degenerates to an SRW; the array
-        # engine switches to the steady kernel and must stay bit-exact.
+    @pytest.mark.parametrize("record_phases", [True, False])
+    def test_post_cover_srw_phase_stays_identical(self, record_phases):
+        # Past edge cover the E-process degenerates to an SRW whose every
+        # step is red; the array engine must stay bit-exact there, both
+        # with phase marks and without them (the runner's configuration).
         graph = _regular(n=64, seed=1)
-        reference = EdgeProcess(graph, 0, rng=random.Random(4), record_phases=True)
-        array = ArrayEdgeProcess(graph, 0, rng=random.Random(4), record_phases=True)
+        reference = EdgeProcess(
+            graph, 0, rng=random.Random(4), record_phases=record_phases
+        )
+        array = ArrayEdgeProcess(
+            graph, 0, rng=random.Random(4), record_phases=record_phases
+        )
         reference.run(200_000)
         array.run(200_000)
         assert _ep_state(array) == _ep_state(reference)
@@ -173,25 +180,25 @@ class TestArrayEdgeProcessParity:
 
     def test_surface_properties_present(self):
         array = ArrayEdgeProcess(GRAPHS["cycle"], 0, rng=random.Random(1))
-        array.run_chunk(4)
+        array.run(4)
         assert array.next_color in ("blue", "red")
         assert array.num_blue_edges == array.graph.m - array.num_visited_edges
         assert isinstance(array.blue_edge_ids(), list)
 
 
 class TestChunkSemantics:
-    def test_run_chunk_exact_steps_and_return(self):
+    def test_run_exact_steps_and_return(self):
         array = ArraySRW(GRAPHS["regular"], 0, rng=random.Random(0))
-        out = array.run_chunk(137)
+        out = array.run(137)
         assert array.steps == 137
         assert out == array.current
-        assert array.run_chunk(0) == array.current
+        assert array.run(0) == array.current
         assert array.steps == 137
 
-    def test_run_chunk_negative_rejected(self):
+    def test_run_negative_rejected(self):
         array = ArraySRW(GRAPHS["cycle"], 0, rng=random.Random(0))
         with pytest.raises(ReproError):
-            array.run_chunk(-1)
+            array.run(-1)
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ReproError):

@@ -78,7 +78,7 @@ class TestArrayRotorRouterParity:
         )
         reference.run(3000)
         for size in (1, 7, 500, 2492):
-            array.run_chunk(size)
+            array.run(size)
         assert _walk_state(array) == _walk_state(reference)
         assert array.rotor_positions() == reference.rotor_positions()
 
@@ -87,7 +87,7 @@ class TestArrayRotorRouterParity:
         reference = RotorRouterWalk(graph, 3, rng=random.Random(1))
         array = ArrayRotorRouter(graph, 3, rng=random.Random(1))
         ref_traj = [reference.step() for _ in range(300)]
-        arr_traj = [array.run_chunk(1) for _ in range(300)]
+        arr_traj = [array.run(1) for _ in range(300)]
         assert arr_traj == ref_traj
 
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
@@ -100,7 +100,8 @@ class TestArrayRotorRouterParity:
         assert array.rotor_positions() == reference.rotor_positions()
 
     def test_saturated_long_run_stays_identical(self):
-        # Exercises the unrolled no-bookkeeping kernel past cover.
+        # A long run past vertex and edge cover, across a run() split
+        # boundary, with rotor state and visit bookkeeping exact.
         graph = _regular(n=64, seed=1)
         reference = RotorRouterWalk(graph, 0, rng=random.Random(2), track_edges=True)
         array = ArrayRotorRouter(graph, 0, rng=random.Random(2), track_edges=True)
@@ -114,10 +115,10 @@ class TestArrayRotorRouterParity:
         reference = RotorRouterWalk(graph, 0, rng=random.Random(9), randomize_rotors=True)
         array = ArrayRotorRouter(graph, 0, rng=random.Random(9), randomize_rotors=True)
         reference.run(600)
-        array.run_chunk(200)
+        array.run(200)
         for _ in range(100):
             array.step()
-        array.run_chunk(300)
+        array.run(300)
         assert _walk_state(array) == _walk_state(reference)
         assert array.rotor_positions() == reference.rotor_positions()
 
@@ -147,7 +148,7 @@ class TestArrayRWCParity:
         )
         reference.run(5000)
         for size in (1, 1500, 7, 3492):
-            array.run_chunk(size)
+            array.run(size)
         assert _walk_state(array) == _walk_state(reference)
         assert array.visit_counts == reference.visit_counts
 
@@ -164,7 +165,7 @@ class TestArrayRWCParity:
 
     def test_tier0_long_post_cover_run_stays_identical(self):
         # The RWC(2)-on-regular kernel (precomputed word roles) past
-        # saturation, odd lengths included.
+        # cover and across run() split boundaries, odd lengths included.
         graph = _regular(n=100, seed=4)
         reference = RandomWalkWithChoice(graph, 0, d=2, rng=random.Random(8))
         array = ArrayRWC(graph, 0, d=2, rng=random.Random(8))
@@ -179,10 +180,10 @@ class TestArrayRWCParity:
         reference = RandomWalkWithChoice(graph, 0, d=2, rng=random.Random(9))
         array = ArrayRWC(graph, 0, d=2, rng=random.Random(9))
         reference.run(9000)
-        array.run_chunk(4000)
+        array.run(4000)
         for _ in range(100):
             array.step()
-        array.run_chunk(4900)
+        array.run(4900)
         assert _walk_state(array) == _walk_state(reference)
         assert array.visit_counts == reference.visit_counts
 
