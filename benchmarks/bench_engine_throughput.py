@@ -24,9 +24,9 @@ Two modes:
   so the perf trajectory accumulates across PRs — see
   ``benchmarks/README.md`` for how to read it.
 
-Engine pairs are timed cold: a fresh walk per round, so the cover
-bookkeeping is live for the whole timed chunk.  The headline ``speedup``
-is the SRW pair's.
+Engine pairs are timed cold: a fresh walk per round, timed over one
+vertex-cover run (``run_until_vertex_cover``), the unit of work every
+``repro`` command performs.  The headline ``speedup`` is the SRW pair's.
 
 ``--smoke`` (used by CI) swaps timing for correctness: on a small graph
 it asserts every engine pair — array twins and the srw/eprocess/vprocess
@@ -83,7 +83,6 @@ CHUNK = 50_000
 
 #: Standalone-report configuration (the acceptance workload).
 JSON_N = 10_000
-JSON_CHUNK = 400_000
 JSON_ROUNDS = 5
 FLEET_SIZES = (32, 64, 128)
 #: Fleet sections measured standalone: section -> (walk, graph kind,
@@ -248,27 +247,33 @@ def bench_array_rwc_steps(benchmark):
 # ----------------------------------------------------------------------
 # Standalone BENCH_engine.json emitter
 # ----------------------------------------------------------------------
-def _timed_chunk(walk, chunk_steps: int) -> float:
+def _timed_cover(walk):
+    """``(cover steps, steps/s)`` of one vertex-cover run of ``walk``."""
     t0 = time.perf_counter()
-    walk.run(chunk_steps)
-    return chunk_steps / (time.perf_counter() - t0)
+    steps = walk.run_until_vertex_cover()
+    return steps, steps / (time.perf_counter() - t0)
 
 
-def _measure_pair(make_reference, make_array, chunk_steps: int, rounds: int) -> dict:
-    """Cold throughput of a reference/array walk pair on identical seeds.
+def _measure_pair(make_reference, make_array, rounds: int) -> dict:
+    """Cold cover throughput of a reference/array walk pair on identical seeds.
 
-    Rounds are *interleaved* (reference chunk, then array chunk, per
-    round) so slow thermal/load drift hits both sides alike instead of
-    whichever engine is measured second; best-of-rounds per side.  Each
-    round constructs **fresh walks**, so every round pays the live cover
-    bookkeeping — reusing one walk would time a covered walk from round
-    2 on.
+    Each round constructs **fresh walks** and times one vertex-cover run
+    of each, so the timed steps are exactly a cover run's — no stepping
+    past the cover instant, which no ``repro`` command performs.  Rounds
+    are *interleaved* (reference, then array, per round) so slow
+    thermal/load drift hits both sides alike instead of whichever engine
+    is measured second; best-of-rounds per side.  The twins are
+    bit-identical, so both sides must report the same cover time.
     """
     ref_sps = arr_sps = 0.0
     for _ in range(rounds):
-        ref_sps = max(ref_sps, _timed_chunk(make_reference(), chunk_steps))
-        arr_sps = max(arr_sps, _timed_chunk(make_array(), chunk_steps))
+        cover, sps = _timed_cover(make_reference())
+        ref_sps = max(ref_sps, sps)
+        arr_cover, sps = _timed_cover(make_array())
+        arr_sps = max(arr_sps, sps)
+        assert arr_cover == cover, "array cover time diverged from reference"
     return {
+        "cover_steps": cover,
         "reference_steps_per_sec": round(ref_sps),
         "array_steps_per_sec": round(arr_sps),
         "speedup": round(arr_sps / ref_sps, 2),
@@ -387,31 +392,33 @@ def run_smoke(n: int) -> int:
     graph (array twins: full state; fleet: cover times + RNG end-state).
     Returns a process exit code."""
     graph = random_connected_regular_graph(n, DEGREE, spawn(ROOT_SEED, "E12-smoke"))
+    irregular = _irregular_graph(min(n, 200), spawn(ROOT_SEED, "E12-smoke-irr"))
     failures = []
-    for name in _PAIRS:
+
+    def state(walk):
+        return (
+            walk.current,
+            walk.steps,
+            list(walk.first_visit_time),
+            list(walk.first_edge_visit_time),
+            walk.rng.getstate(),
+        )
+
+    # Every pair on the regular graph, plus rwc2 on the irregular one:
+    # there ArrayRWC takes its general per-draw tier, not the RWC(2)
+    # regular-graph kernel.
+    pairs = [(name, "regular", graph) for name in _PAIRS]
+    pairs.append(("rwc2", "irregular", irregular))
+    for name, shape, g in pairs:
         variants = NAMED_WALK_FACTORIES[name]
-        reference = variants["reference"](graph, 0, random.Random(99))
-        array = variants["array"](graph, 0, random.Random(99))
+        reference = variants["reference"](g, 0, random.Random(99))
+        array = variants["array"](g, 0, random.Random(99))
         reference.run(SMOKE_STEPS)
         array.run(SMOKE_STEPS)
-        state_ref = (
-            reference.current,
-            reference.steps,
-            list(reference.first_visit_time),
-            list(reference.first_edge_visit_time),
-            reference.rng.getstate(),
-        )
-        state_arr = (
-            array.current,
-            array.steps,
-            list(array.first_visit_time),
-            list(array.first_edge_visit_time),
-            array.rng.getstate(),
-        )
-        if state_ref != state_arr:
-            failures.append(f"{name}: array state diverged from reference")
+        if state(reference) != state(array):
+            failures.append(f"{name} ({shape}): array state diverged from reference")
         else:
-            print(f"smoke {name}: array == reference over {SMOKE_STEPS} steps")
+            print(f"smoke {name} ({shape}): array == reference over {SMOKE_STEPS} steps")
     # Implicit neighbor-oracle parity: the oracle engines on implicit
     # graphs must replay the reference walks on the materialized twins.
     from repro.graphs import ImplicitHypercube, ImplicitTorus
@@ -441,7 +448,6 @@ def run_smoke(n: int) -> int:
         "smoke native kernel: "
         + (native.kernel_path() if use_native else f"unavailable ({native.unavailable_reason()})")
     )
-    irregular = _irregular_graph(min(n, 200), spawn(ROOT_SEED, "E12-smoke-irr"))
     kernels = [("numpy", False)] + ([("native", True)] if use_native else [])
     for shape, g in (("regular", graph), ("irregular", irregular)):
         starts = [random.Random(100 + k).randrange(g.n) for k in range(K)]
@@ -480,8 +486,6 @@ def main(argv=None) -> int:
                         help="best-of rounds per measurement")
     parser.add_argument("--n", type=int, default=JSON_N,
                         help="benchmark graph size (4-regular)")
-    parser.add_argument("--chunk", type=int, default=JSON_CHUNK,
-                        help="steps per timed chunk")
     parser.add_argument("--smoke", action="store_true",
                         help="correctness-only: assert every engine pair "
                         "bit-identical on a small graph; write nothing")
@@ -499,7 +503,7 @@ def main(argv=None) -> int:
     for name in _PAIRS:
         make_reference, make_array = _pair_factories(name, graph, f"E12-json-{name}")
         engines[name] = {
-            "cold": _measure_pair(make_reference, make_array, args.chunk, args.rounds),
+            "cold": _measure_pair(make_reference, make_array, args.rounds),
         }
     irregular = _irregular_graph(args.n, spawn(ROOT_SEED, "E12-json-irr"))
     # The fleet sections run under an *enabled* telemetry context so the
@@ -522,7 +526,6 @@ def main(argv=None) -> int:
         "benchmark": "engine_throughput",
         "n": args.n,
         "degree": DEGREE,
-        "chunk_steps": args.chunk,
         "rounds": args.rounds,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "engines": engines,
@@ -535,8 +538,9 @@ def main(argv=None) -> int:
         ),
         "speedup": engines["srw"]["cold"]["speedup"],
         "methodology": (
-            "best-of-rounds run() throughput on one shared graph, each "
-            "'cold' round from a fresh walk with cover bookkeeping live; "
+            "best-of-rounds vertex-cover throughput (cover steps / wall) "
+            "on one shared graph, each 'cold' round one "
+            "run_until_vertex_cover() of a fresh walk; "
             "each 'fleet' section compares aggregate vertex-cover-trial "
             "throughput (total cover steps / wall) of one lockstep fleet "
             "against the same trials on the walk's best per-trial engine "

@@ -21,11 +21,16 @@ implement this, fastest first:
    (``word >> (32 - b)``).  Transplanting the state into a numpy
    ``MT19937`` lets a chunk draw its words with one ``random_raw`` call
    and do the rejection filter vectorized; the state is synced back when
-   the chunk ends.  Used for constant-modulus draw runs (regular graphs).
+   the chunk ends.  Used by :class:`~repro.engine.srw.ArraySRW` on
+   regular graphs and by :class:`~repro.engine.rwc.ArrayRWC` with
+   ``d = 2`` on regular graphs, where a constant modulus lets the word
+   roles be derived vectorized.
 
 2. *Inlined rejection*.  ``r = getrandbits(k)`` / ``while r >= q`` with a
    hoisted bound method — the body of CPython's ``_randbelow``, minus the
-   per-call function overhead.  Used when the modulus varies per step.
+   per-call function overhead.  Used by every other chunk: irregular
+   graphs, state-dependent moduli (the E-process), RWC with ``d != 2``,
+   and the oracle walks.
 
 3. *Reference stepping*.  For RNGs that are not plain Mersenne-Twister
    ``random.Random`` instances (``_randbelow`` overridden, no state

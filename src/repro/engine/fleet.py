@@ -28,7 +28,7 @@ fleet the instant it covers (its RNG synced to its cover instant).
 The driver pays its numpy dispatches per lockstep step, so it has a
 **native fused path**: when the optional C extension
 (:mod:`repro.engine.native`) is built, whole blocks of lockstep steps run
-as one C call over the same CSR tiles and bitmask tables —
+as one C call over the same CSR tiles and visitation masks —
 bit-identical to the numpy path by contract, selected per fleet at
 runtime (``native=`` preference, ``REPRO_NATIVE=0`` opt-out, graceful
 fallback when the build is unavailable).  The kernel runs each lane's
@@ -620,8 +620,7 @@ class _StepwiseFleet(FleetWalkBase):
     instants), so everything around the block (retirement, RNG sync,
     compaction, phase extraction) is shared verbatim by both paths.
     Subclasses opt in by setting :attr:`_NATIVE_WALK` and providing the
-    array-mapping hooks (:meth:`_native_state`, :meth:`_native_tables`,
-    :meth:`_native_phase`).
+    array-mapping hooks (:meth:`_native_state`, :meth:`_native_phase`).
     """
 
     #: Walk code of the native kernel (0 srw, 1 eprocess, 2 vprocess);
@@ -695,11 +694,6 @@ class _StepwiseFleet(FleetWalkBase):
         ``(maskA, fvA, cntA, maskB, fvB, cntB)`` (unused slots None)."""
         raise NotImplementedError
 
-    def _native_tables(self):
-        """``(packed, tmod, tsel)`` — the 2^d bitmask tables, when this
-        fleet runs the packed regular-degree path."""
-        return 0, None, None
-
     def _native_phase(self):
         """Per-step recording buffers ``(col_rows, vtx_rows, isb_last)``
         for this block (all None when unused)."""
@@ -756,7 +750,6 @@ class _StepwiseFleet(FleetWalkBase):
         states = self._bank
         A = int(self._cur.shape[0])
         self._native_begin(A)
-        packed, tmod, tsel = self._native_tables()
         maskA, fvA, cntA, maskB, fvB, cntB = self._native_state()
         col, vtx, isb = self._native_phase()
         covered = np.zeros(A, dtype=np.uint8)
@@ -765,7 +758,6 @@ class _StepwiseFleet(FleetWalkBase):
             [
                 self._NATIVE_WALK,
                 int(self._by_edges),
-                int(bool(packed)),
                 int(self._tiled),
                 A,
                 T,
@@ -781,7 +773,6 @@ class _StepwiseFleet(FleetWalkBase):
         arrays = (
             self._cur, self._voff, self._eoff, states.mt, states.drawn,
             self._eids_t, self._nbrs_t, self._rowstart_t, self._degs_t,
-            tmod, tsel,
             maskA, fvA, cntA, maskB, fvB, cntB,
             col, vtx, isb, covered, out,
         )

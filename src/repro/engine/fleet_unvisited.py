@@ -29,12 +29,15 @@ from each lane's generator state):
    every blue V-step visits exactly one new vertex, and red steps can
    visit nothing new.
 
-On regular graphs of modest degree the whole mask→modulus→candidate
-chain collapses into bitmask table lookups: the row's unvisited flags
-dot into a Δ-bit code, and precomputed tables give the modulus, the
-draw's word shift, and the ``r``-th-candidate incidence slot per
-``(code, r)`` — no axis reductions in the hot loop.  Irregular (or
-high-degree) lanes use the general cumulative-rank path.  Phase colours
+On the numpy path, regular graphs of modest degree collapse the whole
+mask→modulus→candidate chain into bitmask table lookups: the row's
+unvisited flags dot into a Δ-bit code, and precomputed tables give the
+modulus, the draw's word shift, and the ``r``-th-candidate incidence
+slot per ``(code, r)`` — no axis reductions in the hot loop.  Irregular
+(or high-degree) lanes use the general cumulative-rank path.  The native
+kernel runs the cumulative-rank path on every row: in C a scan of the
+row costs no more than the table lookups, which pay off in numpy only
+because they save dispatches.  Phase colours
 are recorded into a per-block matrix and phase marks extracted per block
 (rare scalar appends), keeping the per-step cost at a fixed number of
 numpy dispatches for the whole fleet.
@@ -103,8 +106,9 @@ class _UnvisitedFleet(_StepwiseFleet):
     """Shared kernel skeleton: blue-mask → modulus → draw → select.
 
     Subclasses define what "unvisited" means (which table the row mask
-    reads) and the per-step bookkeeping; array assembly, the packed /
-    general dispatch, and the draw-and-select chain are common.
+    reads) and the per-step bookkeeping; array assembly, the numpy
+    path's packed / general dispatch, and the draw-and-select chain are
+    common.
     """
 
     def _prepare(self, target: str, budget: int) -> List[int]:
@@ -168,11 +172,6 @@ class _UnvisitedFleet(_StepwiseFleet):
         if self._ne.size:
             self._eslack = self.m - int(self._ne.max())
             self._vslack = self.n - int(self._nv.max())
-
-    def _native_tables(self):
-        if self._packed:
-            return 1, self._tqs, self._tsel
-        return 0, None, None
 
     def _mask_table(self):
         """The inverted visitation table row masks are gathered from."""

@@ -11,6 +11,9 @@
  * consumed in the same order per lane (CPython's `_randbelow` rejection
  * loop), candidates are selected in the same incidence order, first-visit
  * tables get the same step stamps, and cover fires at the same instant.
+ * Every E-/V-process row, regular or not, takes the cumulative-rank
+ * path below.  The numpy path's 2^d bitmask tables pay off only there,
+ * where they save dispatches; in C the row scan costs the same.
  *
  * The randomness is each trial's own generator, transplanted: python
  * hands every lane's `random.Random` state in as a row laid out exactly
@@ -40,23 +43,22 @@
 /* Bumped whenever the par[] layout, slot table, or semantics change (of
  * either entry point); the python loader refuses a stale .so instead of
  * mis-reading it. */
-#define REPRO_FUSED_ABI 3
+#define REPRO_FUSED_ABI 4
 
 /* par[] indices (all int64). */
 enum {
     P_WALK = 0,      /* 0 srw, 1 eprocess, 2 vprocess */
     P_BY_EDGES = 1,  /* cover target is edges */
-    P_PACKED = 2,    /* regular d<=16: use the 2^d bitmask tables */
-    P_TILED = 3,     /* distinct-graph fleet: incidence rows lane-major */
-    P_A = 4,         /* active lanes */
-    P_T = 5,         /* max lockstep steps this call */
-    P_STEP0 = 6,     /* global step count before the first step here */
-    P_N = 7,
-    P_M = 8,
-    P_D = 9,         /* common regular degree; 0 = irregular lanes */
-    P_FULL = 10,     /* target ids per lane (n or m) */
-    P_ALL_V = 11,    /* eprocess: every lane's vertex set complete */
-    P_COUNT = 12
+    P_TILED = 2,     /* distinct-graph fleet: incidence rows lane-major */
+    P_A = 3,         /* active lanes */
+    P_T = 4,         /* max lockstep steps this call */
+    P_STEP0 = 5,     /* global step count before the first step here */
+    P_N = 6,
+    P_M = 7,
+    P_D = 8,         /* common regular degree; 0 = irregular lanes */
+    P_FULL = 9,      /* target ids per lane (n or m) */
+    P_ALL_V = 10,    /* eprocess: every lane's vertex set complete */
+    P_COUNT = 11
 };
 
 /* arr[] slot indices (void pointers; unused slots NULL). */
@@ -70,20 +72,18 @@ enum {
     S_NBRS = 6,      /* i64         incidence neighbours (padded) */
     S_ROWSTART = 7,  /* i64         CSR row starts (irregular) */
     S_DEGS = 8,      /* i64         degrees (irregular) */
-    S_TMOD = 9,      /* i8[2^d]     packed: code -> modulus */
-    S_TSEL = 10,     /* i8[2^d*d]   packed: (code, r) -> winner slot */
-    S_MASKA = 11,    /* u8      rw  srw: visited; e: edge-unvisited; v: vertex-unvisited */
-    S_FVA = 12,      /* i64     rw  srw: target first-visits; e: edge fv; v: vertex fv */
-    S_CNTA = 13,     /* i64[A]  rw  srw: target counts; e: ne; v: nv */
-    S_MASKB = 14,    /* u8      rw  e: vertex-unvisited */
-    S_FVB = 15,      /* i64     rw  e: vertex fv; v: edge fv */
-    S_CNTB = 16,     /* i64[A]  rw  e: nv; v: ne */
-    S_COL = 17,      /* u8[T*A] w   e(record_phases): per-step colours */
-    S_VTX = 18,      /* i64[T*A] w  e(record_phases): per-step vertices */
-    S_ISB = 19,      /* u8[A]   w   e: last step's blue flags */
-    S_COVERED = 20,  /* u8[A]   w   lanes covered at the final step */
-    S_OUT = 21,      /* i64[2]  w   0: steps done, 1: all_v */
-    S_COUNT = 22
+    S_MASKA = 9,     /* u8      rw  srw: visited; e: edge-unvisited; v: vertex-unvisited */
+    S_FVA = 10,      /* i64     rw  srw: target first-visits; e: edge fv; v: vertex fv */
+    S_CNTA = 11,     /* i64[A]  rw  srw: target counts; e: ne; v: nv */
+    S_MASKB = 12,    /* u8      rw  e: vertex-unvisited */
+    S_FVB = 13,      /* i64     rw  e: vertex fv; v: edge fv */
+    S_CNTB = 14,     /* i64[A]  rw  e: nv; v: ne */
+    S_COL = 15,      /* u8[T*A] w   e(record_phases): per-step colours */
+    S_VTX = 16,      /* i64[T*A] w  e(record_phases): per-step vertices */
+    S_ISB = 17,      /* u8[A]   w   e: last step's blue flags */
+    S_COVERED = 18,  /* u8[A]   w   lanes covered at the final step */
+    S_OUT = 19,      /* i64[2]  w   0: steps done, 1: all_v */
+    S_COUNT = 20
 };
 
 /* Return status. */
@@ -174,7 +174,6 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
 {
     const int64_t walk = par[P_WALK];
     const int64_t by_edges = par[P_BY_EDGES];
-    const int64_t packed = par[P_PACKED];
     const int64_t tiled = par[P_TILED];
     const int64_t A = par[P_A];
     const int64_t T = par[P_T];
@@ -194,8 +193,6 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
     const int64_t *nbrs = (const int64_t *)arr[S_NBRS];
     const int64_t *rowstart = (const int64_t *)arr[S_ROWSTART];
     const int64_t *degs = (const int64_t *)arr[S_DEGS];
-    const signed char *tmod = (const signed char *)arr[S_TMOD];
-    const signed char *tsel = (const signed char *)arr[S_TSEL];
     unsigned char *maskA = (unsigned char *)arr[S_MASKA];
     int64_t *fvA = (int64_t *)arr[S_FVA];
     int64_t *cntA = (int64_t *)arr[S_CNTA];
@@ -238,24 +235,15 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
             const int64_t gc = tiled ? c + voff[i] : c;
             const int64_t base = d ? gc * d : rowstart[gc];
             const int64_t dg = d ? d : degs[gc];
-            int64_t q, r, jsel, nxt, code = 0;
+            int64_t q, r, jsel, nxt;
             int isb = 0;
 
-            /* ---- the draw: modulus, one accepted word, winner slot ---- */
+            /* ---- the draw: modulus, one accepted word, winner slot ----
+             * E-/V-process: the modulus is the row's count of unvisited
+             * edges / neighbours (the degree on a red step), and a blue
+             * winner is the r-th candidate in incidence order. */
             if (walk == 0) {
                 q = dg;
-            } else if (packed) {
-                if (walk == 1) {
-                    for (j = 0; j < d; j++)
-                        if (maskA[eids[base + j] + eoff[i]])
-                            code |= (int64_t)1 << j;
-                } else {
-                    for (j = 0; j < d; j++)
-                        if (maskA[nbrs[base + j] + voff[i]])
-                            code |= (int64_t)1 << j;
-                }
-                q = tmod[code];
-                isb = code != 0;
             } else {
                 int64_t qb = 0;
                 if (walk == 1) {
@@ -274,8 +262,6 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
             /* winner slot, in incidence order */
             if (walk == 0 || !isb) {
                 jsel = base + r;
-            } else if (packed) {
-                jsel = base + tsel[code * d + r];
             } else {
                 int64_t cnt = 0, slot = 0;
                 if (walk == 1) {

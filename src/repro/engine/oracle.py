@@ -39,8 +39,6 @@ from repro.core.rules import UniformEdgeRule
 from repro.core.eprocess import BLUE, RED, PhaseMark
 from repro.errors import CoverTimeout, EvenDegreeError, GraphError, ReproError
 from repro.engine.base import (
-    BATCH_MIN_STEPS,
-    MTWordStream,
     STOP_EDGES,
     STOP_NONE,
     STOP_VERTICES,
@@ -134,7 +132,6 @@ class OracleWalkBase:
             self._grb = self.rng.getrandbits
         else:
             self._grb = None
-        self._stream = MTWordStream(self.rng) if MTWordStream.supports(self.rng) else None
         self.chunk_size = ORACLE_CHUNK_SIZE
 
     # ------------------------------------------------------------------
@@ -278,9 +275,9 @@ class OracleSRW(OracleWalkBase):
     """Simple random walk on an implicit graph.
 
     Reference twin: :class:`~repro.walks.srw.SimpleRandomWalk` — one
-    ``randrange(d)`` per step.  Two chunk tiers: batched raw words through
-    :class:`~repro.engine.base.MTWordStream` (regular modulus, so the
-    rejection filter vectorizes), else the inlined rejection loop.
+    ``randrange(d)`` per step, drawn one at a time by the inlined
+    rejection loop (``kth_neighbor`` dominates the step, so batching the
+    words buys nothing).
     """
 
     def _transition(self) -> int:
@@ -293,116 +290,6 @@ class OracleSRW(OracleWalkBase):
         if self._grb is None:
             super()._chunk(num_steps, stop)
             return
-        if self._stream is not None and num_steps >= BATCH_MIN_STEPS:
-            self._chunk_batched(num_steps, stop)
-        else:
-            self._chunk_scalar(num_steps, stop)
-
-    # NOTE: draws must happen one at a time in the scalar tier — drawing
-    # ahead would over-consume words when a cover stop exits mid-chunk,
-    # leaving the RNG ahead of the reference twin.
-
-    def _apply_moves(self, moves: List[int], stop: int) -> int:
-        """Apply prefiltered slot draws; returns how many were applied
-        (fewer than ``len(moves)`` only on a ``stop`` early exit)."""
-        graph = self.graph
-        kth = graph.kth_neighbor
-        eslot = graph.edge_slot
-        tracking = self._edge_tracking
-        n = graph.n
-        m = graph.m
-        fv = self._fv
-        cur = self.current
-        steps = self.steps
-        vwords = self.visited.checkout_words()
-        vadded = 0
-        nvv = self.visited.count
-        nve = self.num_visited_edges
-        if tracking:
-            ewords = self.visited_edge_darts.checkout_words()
-            eadded = 0
-            record_times = self._record_edge_times
-            etimes = self.first_edge_visit_dart_time
-        applied = 0
-        try:
-            for mv in moves:
-                applied += 1
-                if tracking:
-                    dart = eslot(cur, mv)
-                    wi = dart >> 6
-                    bit = 1 << (dart & 63)
-                    if not ewords[wi] & bit:
-                        ewords[wi] |= bit
-                        eadded += 1
-                        nve += 1
-                        if record_times:
-                            etimes[dart] = steps + 1
-                cur = kth(cur, mv)
-                steps += 1
-                wi = cur >> 6
-                bit = 1 << (cur & 63)
-                if not vwords[wi] & bit:
-                    vwords[wi] |= bit
-                    vadded += 1
-                    fv[cur] = steps
-                if stop == STOP_VERTICES:
-                    if nvv + vadded == n:
-                        break
-                elif stop == STOP_EDGES:
-                    if nve == m:
-                        break
-        finally:
-            self.visited.checkin_words(vwords, vadded)
-            if tracking:
-                self.visited_edge_darts.checkin_words(ewords, eadded)
-                self.num_visited_edges = nve
-            self.current = cur
-            self.steps = steps
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("oracle.kth_calls", applied)
-            if tracking:
-                tel.count("oracle.edge_slot_calls", applied)
-        return applied
-
-    def _chunk_batched(self, num_steps: int, stop: int) -> None:
-        stream = self._stream
-        d = self._d
-        k = self._kbits[d]
-        shift = 32 - k
-        factor = (1 << k) / d
-        stream.begin()
-        unused = 0
-        remaining = num_steps
-        try:
-            while remaining:
-                goal = remaining if remaining < ORACLE_CHUNK_SIZE else ORACLE_CHUNK_SIZE
-                est = int(goal * factor) + 32
-                raw = stream.take(est)
-                cand = raw >> shift
-                pos = (cand < d).nonzero()[0]
-                if pos.size > remaining:
-                    pos = pos[:remaining]
-                moves = cand[pos].tolist()
-                applied = self._apply_moves(moves, stop)
-                if applied < len(moves):
-                    # Early cover exit: words past the last applied draw
-                    # were never consumed by the reference.
-                    unused = est - (int(pos[applied - 1]) + 1)
-                    return
-                count = len(moves)
-                if count == remaining:
-                    unused = est - (int(pos[count - 1]) + 1) if count else est
-                    remaining = 0
-                else:
-                    # Shortfall: every word (trailing rejects included) is
-                    # consumed — they belong to the in-flight draw the next
-                    # batch finishes.
-                    remaining -= count
-        finally:
-            stream.end(unused)
-
-    def _chunk_scalar(self, num_steps: int, stop: int) -> None:
         steps0 = self.steps
         grb = self._grb
         d = self._d

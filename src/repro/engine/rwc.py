@@ -3,8 +3,7 @@
 Same process as :class:`~repro.walks.choice.RandomWalkWithChoice`: each
 step samples ``d`` incident edges uniformly at random and moves to the
 endpoint with the smallest visit count, ties broken uniformly
-(reservoir-style).  Stepped in chunks over the graph's flat CSR arrays
-with every RNG draw batched through :class:`~repro.engine.base.MTWordStream`.
+(reservoir-style).  Stepped in chunks over the graph's flat CSR arrays.
 
 RWC consumes *two kinds* of draws, interleaved data-dependently:
 
@@ -14,16 +13,22 @@ RWC consumes *two kinds* of draws, interleaved data-dependently:
   CPython's ``genrand_res53``: exactly two words,
   ``((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53``.
 
-Because a tie decision depends on visit counts, the word split cannot be
-prefiltered vectorized the way the SRW kernel does; instead the chunk
-pulls large raw-word batches with one ``random_raw`` call each and
-consumes them scalar, in exactly the order the reference walk would.
-Both constructions are bit-exact in IEEE doubles, so trajectories, visit
-counts, and the generator state after any number of steps all match the
-reference walk.
+Two chunk tiers replay them in the reference walk's order:
 
-``visit_counts`` update on every step, cover or no cover, so the speedup
-is all in the batched words and the hoisted scalar loop.
+* :meth:`ArrayRWC._chunk_choice2` — RWC(2) on a regular graph of degree
+  below 256.  Raw words come in large batches through
+  :class:`~repro.engine.base.MTWordStream`, and the constant modulus lets
+  every word's role (draw, rejection, tie word) be derived vectorized per
+  batch, leaving the scalar loop with list reads only.
+* :meth:`ArrayRWC._chunk_scalar` — every other graph and ``d``: the
+  reference's ``getrandbits``/``random`` calls with the loop state
+  hoisted.  A tie decision depends on visit counts, so the word split
+  cannot be precomputed here, and consuming batched words one at a time
+  in Python is slower than the generator calls themselves.
+
+Both are bit-exact, so trajectories, visit counts, and the generator
+state after any number of steps all match the reference walk.
+``visit_counts`` update on every step, cover or no cover.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from typing import Optional
 from repro.engine.base import (
     BATCH_MIN_STEPS,
     DEFAULT_CHUNK_SIZE,
-    RUN_SPLIT_STEPS,
     STOP_EDGES,
     STOP_VERTICES,
     ArrayWalkEngine,
@@ -44,9 +48,6 @@ from repro.graphs.graph import Graph
 from repro.walks.choice import RandomWalkWithChoice
 
 __all__ = ["ArrayRWC"]
-
-#: ``1 / 2**53`` — the exact scale factor of CPython's ``genrand_res53``.
-_INV_2_53 = 1.0 / 9007199254740992.0
 
 
 class ArrayRWC(ArrayWalkEngine, RandomWalkWithChoice):
@@ -95,13 +96,11 @@ class ArrayRWC(ArrayWalkEngine, RandomWalkWithChoice):
             and num_steps >= BATCH_MIN_STEPS
         ):
             self._chunk_choice2(num_steps, stop)
-        elif self._stream is not None and num_steps >= BATCH_MIN_STEPS:
-            self._chunk_words(num_steps, stop)
         else:
             self._chunk_scalar(num_steps, stop)
 
     # ------------------------------------------------------------------
-    # Tier 2: per-draw rng calls with everything hoisted (any graph)
+    # Per-draw rng calls with everything hoisted (any graph, any d)
     # ------------------------------------------------------------------
     def _chunk_scalar(self, num_steps: int, stop: int) -> None:
         n = self.graph.n
@@ -175,7 +174,7 @@ class ArrayRWC(ArrayWalkEngine, RandomWalkWithChoice):
             self.num_visited_edges = ne
 
     # ------------------------------------------------------------------
-    # Tier 0: RWC(2) on regular graphs — fully precomputed word roles
+    # RWC(2) on regular graphs: batched words, precomputed word roles
     # ------------------------------------------------------------------
     def _chunk_choice2(self, num_steps: int, stop: int) -> None:
         """RWC(2)-on-regular-graph kernel: vectorized draw/tie precompute.
@@ -438,120 +437,3 @@ class ArrayRWC(ArrayWalkEngine, RandomWalkWithChoice):
                 stream.end(unused)
             else:
                 stream.sync_to(base_words + cursor())
-
-    # ------------------------------------------------------------------
-    # Tier 1: batched raw words, consumed scalar (plain MT rng)
-    # ------------------------------------------------------------------
-    def _chunk_words(self, num_steps: int, stop: int) -> None:
-        n = self.graph.n
-        m = self.graph.m
-        d = self.d
-        off = self._off
-        nbrs = self._nbrs
-        eids = self._eids
-        deg = self._deg
-        kbits = self._kbits
-        vc = self.visit_counts
-        visited = self.visited_vertices
-        first = self.first_visit_time
-        track = self._edge_tracking
-        ev = self.visited_edges
-        fe = self.first_edge_visit_time
-        stream = self._stream
-        cur = self.current
-        steps = self.steps
-        steps0 = steps
-        nv = self.num_visited_vertices
-        ne = self.num_visited_edges
-        tv = n if stop == STOP_VERTICES else -1
-        te = m if stop == STOP_EDGES else -1
-        inv53 = _INV_2_53
-        take = stream.take
-        # Words per step: d draws, each costing `factor` words after
-        # rejection on the worst-case modulus, plus at most (d-1) ties at
-        # two words each.  Over-estimating only grows the final batch's
-        # `unused` tail; under-estimating costs another take() round trip.
-        max_deg = self.graph.max_degree
-        factor = (1 << kbits[max_deg]) / max_deg if max_deg else 1.0
-        wps = d * factor + 1.0
-        stream.begin()
-        # A refill may only happen when the previous batch is exhausted
-        # (wi == wlen): MTWordStream.end rewinds within the final take.
-        words = take(min(int(num_steps * wps) + 64, RUN_SPLIT_STEPS)).tolist()
-        wlen = len(words)
-        wi = 0
-        try:
-            for _ in range(num_steps):
-                base = off[cur]
-                dq = deg[cur]
-                kq = kbits[dq]
-                shift = 32 - kq
-                while True:
-                    if wi == wlen:
-                        est = int((num_steps - (steps - steps0)) * wps) + 64
-                        words = take(min(est, RUN_SPLIT_STEPS)).tolist()
-                        wlen = len(words)
-                        wi = 0
-                    r = words[wi] >> shift
-                    wi += 1
-                    if r < dq:
-                        break
-                best_j = base + r
-                best_count = vc[nbrs[best_j]]
-                ties = 1
-                for _ in range(d - 1):
-                    while True:
-                        if wi == wlen:
-                            est = int((num_steps - (steps - steps0)) * wps) + 64
-                            words = take(min(est, RUN_SPLIT_STEPS)).tolist()
-                            wlen = len(words)
-                            wi = 0
-                        r = words[wi] >> shift
-                        wi += 1
-                        if r < dq:
-                            break
-                    j = base + r
-                    count = vc[nbrs[j]]
-                    if count < best_count:
-                        best_count = count
-                        best_j = j
-                        ties = 1
-                    elif count == best_count:
-                        ties += 1
-                        # rng.random(): genrand_res53 from the next two
-                        # words, reproduced exactly in IEEE doubles.
-                        if wi == wlen:
-                            words = take(64).tolist()
-                            wlen = len(words)
-                            wi = 0
-                        a = words[wi] >> 5
-                        wi += 1
-                        if wi == wlen:
-                            words = take(64).tolist()
-                            wlen = len(words)
-                            wi = 0
-                        b = words[wi] >> 6
-                        wi += 1
-                        if (a * 67108864.0 + b) * inv53 < 1.0 / ties:
-                            best_j = j
-                steps += 1
-                if track:
-                    e = eids[best_j]
-                    if not ev[e]:
-                        ev[e] = 1
-                        ne += 1
-                        fe[e] = steps
-                cur = nbrs[best_j]
-                vc[cur] += 1
-                if not visited[cur]:
-                    visited[cur] = 1
-                    nv += 1
-                    first[cur] = steps
-                if nv == tv or ne == te:
-                    break
-        finally:
-            self.current = cur
-            self.steps = steps
-            self.num_visited_vertices = nv
-            self.num_visited_edges = ne
-            stream.end(wlen - wi)

@@ -17,6 +17,7 @@ satisfy the schema below — the CI check for the ``--telemetry`` path.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
@@ -44,6 +45,21 @@ __all__ = [
 MANIFEST_SCHEMA_VERSION = 1
 
 _STATUSES = ("ok", "error")
+
+
+def _kernel_identity(path: Optional[str]) -> Optional[Dict[str, str]]:
+    """The loaded native kernel as ``{"path", "sha256"}``, or None.
+
+    The loader only loads the extension inside this package, so its path
+    is given relative to the directory holding ``repro`` and reads the
+    same from every checkout and install; the hash tells two builds (say,
+    before and after an ABI bump) apart.
+    """
+    if path is None:
+        return None
+    so = Path(path).resolve()
+    rel = so.relative_to(Path(__file__).resolve().parents[2]).as_posix()
+    return {"path": rel, "sha256": hashlib.sha256(so.read_bytes()).hexdigest()}
 
 
 def build_manifest(
@@ -80,7 +96,7 @@ def build_manifest(
 
         if getattr(_native, "_probed", False):
             env["native_available"] = _native.available()
-            env["native_kernel"] = _native.kernel_path()
+            env["native_kernel"] = _kernel_identity(_native.kernel_path())
             # The loader only accepts a kernel stamped with this ABI.
             env["native_abi"] = (
                 _native.ABI_VERSION if env["native_kernel"] is not None else None

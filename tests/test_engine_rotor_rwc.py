@@ -163,12 +163,21 @@ class TestArrayRWCParity:
         assert array.run_until_edge_cover() == reference.run_until_edge_cover()
         assert array.rng.getstate() == reference.rng.getstate()
 
-    def test_tier0_long_post_cover_run_stays_identical(self):
-        # The RWC(2)-on-regular kernel (precomputed word roles) past
-        # cover and across run() split boundaries, odd lengths included.
-        graph = _regular(n=100, seed=4)
-        reference = RandomWalkWithChoice(graph, 0, d=2, rng=random.Random(8))
-        array = ArrayRWC(graph, 0, d=2, rng=random.Random(8))
+    @pytest.mark.parametrize(
+        "graph, d",
+        [
+            (_regular(n=100, seed=4), 2),  # RWC(2) kernel: precomputed word roles
+            (GRAPHS["path"], 2),  # irregular: the per-draw tier
+            (GRAPHS["loopy"], 2),  # loops and parallel edges, per-draw tier
+            (GRAPHS["regular"], 3),  # d != 2 on a regular graph, per-draw tier
+        ],
+        ids=["regular-d2", "path-d2", "loopy-d2", "regular-d3"],
+    )
+    def test_tier0_long_post_cover_run_stays_identical(self, graph, d):
+        # Each chunk tier past cover and across run() split boundaries
+        # (RUN_SPLIT_STEPS = 65 536), odd lengths included.
+        reference = RandomWalkWithChoice(graph, 0, d=d, rng=random.Random(8))
+        array = ArrayRWC(graph, 0, d=d, rng=random.Random(8))
         reference.run(150_001)
         array.run(150_001)
         assert array.current == reference.current

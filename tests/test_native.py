@@ -9,8 +9,10 @@ final positions, and every generator's end-state are identical between
 reference walks.
 
 The suite covers every fleet walk (srw / eprocess / vprocess), regular
-and irregular lanes (packed bitmask tables, the general cumulative-rank
-path, and the >16-degree regular path), shared and distinct-graph
+and irregular lanes (the kernel takes its one cumulative-rank path on
+all of them; the numpy side it is checked against takes its packed
+bitmask tables, its general path, and its >16-degree regular path),
+shared and distinct-graph
 (tiled) fleets, K in {1, 2, 7, 32}, both cover targets, budget timeouts,
 and the loader's fallback behaviour (numpy path + one RuntimeWarning)
 when the extension is missing.
@@ -71,11 +73,12 @@ native_built = pytest.mark.skipif(
 
 def _graph(shape: str):
     if shape == "regular":
-        # 4-regular: the packed 2^d bitmask path for the E-/V-process.
+        # 4-regular: the numpy E-/V-process fleets take their packed 2^d
+        # bitmask tables; the kernel its cumulative-rank path.
         return random_connected_regular_graph(60, 4, random.Random(7))
     if shape == "bigdegree":
-        # 17-regular: regular but past PACKED_DEGREE_MAX, so the E-/V-
-        # process fleets run the general candidate scan with d fixed.
+        # 17-regular: regular but past PACKED_DEGREE_MAX, so the numpy
+        # E-/V-process fleets run the general candidate scan with d fixed.
         return complete_graph(18)
     # Clique + pendant path: degrees 1..6, the per-degree prefilter path.
     return lollipop_graph(6, 9)
@@ -155,8 +158,8 @@ class TestNativeVsNumpyParity:
 
     @pytest.mark.parametrize("walk", ["eprocess", "vprocess"])
     def test_big_degree_regular_general_path(self, walk):
-        # Regular but d > PACKED_DEGREE_MAX: the non-packed fixed-degree
-        # branch of the kernel.
+        # Regular but d > PACKED_DEGREE_MAX: the numpy side's general
+        # fixed-degree path (the kernel's one path reads d fixed too).
         graph = _graph("bigdegree")
         K = 7
         starts, n_rngs, p_rngs = _lanes(graph, K, 4000)

@@ -5,9 +5,11 @@ per engine) lives in ``tests/test_telemetry_identity.py``; this module
 covers the instrumentation machinery itself.
 """
 
+import hashlib
 import io
 import json
 import os
+from pathlib import Path
 
 import numpy
 import pytest
@@ -250,7 +252,13 @@ class TestManifest:
         native.load()  # the manifest reports a kernel only once probed
         env = self._manifest()["env"]
         if native.available():
-            assert env["native_kernel"] == native.kernel_path()
+            # Package-relative path plus the .so's hash: the same in every
+            # checkout, and different for every build.
+            so = Path(native.kernel_path())
+            assert env["native_kernel"] == {
+                "path": f"repro/engine/native/{so.name}",
+                "sha256": hashlib.sha256(so.read_bytes()).hexdigest(),
+            }
             assert env["native_abi"] == native.ABI_VERSION
         else:
             assert env["native_kernel"] is None and env["native_abi"] is None

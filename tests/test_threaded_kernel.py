@@ -4,7 +4,7 @@ The fused kernel is called through ctypes, which releases the GIL for the
 duration of each ``repro_fused_block`` call — so several fleets stepping
 from a :class:`~concurrent.futures.ThreadPoolExecutor` may run the C
 kernel at the same time, all reading the same cached CSR tiles
-(``Graph.scratch_cache()``), incidence tables, and packed bitmask tables.
+(``Graph.scratch_cache()``) and incidence tables.
 Each fleet here steps its lanes to their cover instants in the kernel
 when it is built; :func:`_drive` asserts that every fleet took at least
 one native block, so the harness cannot silently stop reaching C.
