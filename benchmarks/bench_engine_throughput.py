@@ -41,7 +41,9 @@ number meaningless.  ``--smoke`` checks parity only and still runs on one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -62,9 +64,6 @@ from repro.engine import (
     ArraySRW,
     FLEET_ENGINES,
     NAMED_WALK_FACTORIES,
-    FleetEdgeProcess,
-    FleetSRW,
-    FleetVProcess,
     native,
 )
 from repro.graphs.random_regular import (
@@ -285,16 +284,34 @@ def _median(values):
     return ordered[len(ordered) // 2]
 
 
-def _fleet(walk: str, graphs, starts, rngs, native_pref):
-    """The lockstep fleet the runner builds for ``walk``
-    (:data:`FLEET_ENGINES`), with the numpy/native kernel choice forced."""
-    if walk == "eprocess":
-        return FleetEdgeProcess(
-            graphs, starts, rngs, record_phases=False, native=native_pref
-        )
-    return {"srw": FleetSRW, "vprocess": FleetVProcess}[walk](
-        graphs, starts, rngs, native=native_pref
-    )
+@contextlib.contextmanager
+def _kernel(use_native: bool):
+    """Fleets run in this block step on the fused kernel if ``use_native``,
+    else on the numpy path.
+
+    ``REPRO_NATIVE=0`` is the one switch between them.  A native block
+    first checks that the kernel loads, so a row labelled native is never
+    timed on the numpy path.
+    """
+    previous = os.environ.get("REPRO_NATIVE")
+    if use_native:
+        os.environ.pop("REPRO_NATIVE", None)
+    else:
+        os.environ["REPRO_NATIVE"] = "0"
+    native._reset_probe_for_testing()
+    try:
+        if use_native and not native.available():
+            raise RuntimeError(
+                f"native fleet row, but the fused kernel is unavailable: "
+                f"{native.unavailable_reason()}"
+            )
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_NATIVE", None)
+        else:
+            os.environ["REPRO_NATIVE"] = previous
+        native._reset_probe_for_testing()
 
 
 def _per_trial_twin(walk: str):
@@ -327,12 +344,14 @@ def _measure_fleet(graph, walk: str, fleet_size: int, rounds: int) -> dict:
     use_native = native.available()
     starts = [random.Random(100 + k).randrange(graph.n) for k in range(fleet_size)]
 
-    def timed_fleet(native_pref):
+    def timed_fleet(use_native):
         rngs = [random.Random(1000 + k) for k in range(fleet_size)]
-        t0 = time.perf_counter()
-        fleet = _fleet(walk, [graph] * fleet_size, starts, rngs, native_pref)
-        cover = fleet.run_until_cover("vertices")
-        return sum(cover), sum(cover) / (time.perf_counter() - t0)
+        with _kernel(use_native):
+            t0 = time.perf_counter()
+            fleet = FLEET_ENGINES[walk]([graph] * fleet_size, starts, rngs)
+            cover = fleet.run_until_cover("vertices")
+            elapsed = time.perf_counter() - t0
+        return sum(cover), sum(cover) / elapsed
 
     numpy_best = native_best = seq_best = 0.0
     ratios, native_ratios = [], []
@@ -452,12 +471,13 @@ def run_smoke(n: int) -> int:
     for shape, g in (("regular", graph), ("irregular", irregular)):
         starts = [random.Random(100 + k).randrange(g.n) for k in range(K)]
         for walk_name in sorted(FLEET_ENGINES):
-            for kernel, pref in kernels:
+            for kernel, use_native in kernels:
                 reference = NAMED_WALK_FACTORIES[walk_name]["reference"]
                 rngs = [random.Random(1000 + k) for k in range(K)]
                 twins = [random.Random(1000 + k) for k in range(K)]
-                fleet = _fleet(walk_name, [g] * K, starts, rngs, pref)
-                cover = fleet.run_until_cover("vertices")
+                with _kernel(use_native):
+                    fleet = FLEET_ENGINES[walk_name]([g] * K, starts, rngs)
+                    cover = fleet.run_until_cover("vertices")
                 bad = False
                 for k in range(K):
                     walk = reference(g, starts[k], twins[k])

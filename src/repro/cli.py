@@ -48,6 +48,7 @@ from repro.experiments import (
     print_progress,
     regular_degree_series,
     run_sweep,
+    sweep_runs_from_store,
 )
 from repro.graphs import Graph, random_connected_regular_graph
 from repro.graphs.properties import girth
@@ -385,14 +386,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 130
     print(result.summary())
     print()
-    print(format_sweep_report(store, sweep_spec))
+    print(format_sweep_report(result.name, [(p.spec, p.run) for p in result.points]))
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     sweep_spec = _sweep_spec_from_args(args)
     store = ResultStore(args.store)
-    print(format_sweep_report(store, sweep_spec))
+    print(format_sweep_report(sweep_spec.name, sweep_runs_from_store(store, sweep_spec)))
     return 0
 
 

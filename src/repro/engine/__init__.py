@@ -18,10 +18,11 @@ Three engines exist:
   (:class:`~repro.engine.fleet.FleetSRW`,
   :class:`~repro.engine.fleet_unvisited.FleetEdgeProcess`,
   :class:`~repro.engine.fleet_unvisited.FleetVProcess`): the runner
-  batches trials through the walk's entry in :data:`FLEET_ENGINES`;
-  batches that fail :func:`~repro.engine.fleet.fleet_supported` raise
-  :class:`~repro.errors.ReproError` naming the offending lane.  A walk
-  can fleet exactly when it has an entry there.
+  batches trials through the walk's class in :data:`FLEET_ENGINES`; a
+  batch the class cannot step raises
+  :class:`~repro.engine.fleet.FleetUnsupported` at construction, naming
+  the offending lane.  A walk can fleet exactly when it has an entry
+  there.
 
 The registries at the bottom are the single source of truth for every
 walk the CLI and experiment specs can name: :data:`NAMED_WALK_FACTORIES`
@@ -39,7 +40,7 @@ from typing import Callable, Dict, List, Union
 from repro.core.eprocess import EdgeProcess
 from repro.engine.base import DEFAULT_CHUNK_SIZE, ArrayWalkEngine, MTWordStream
 from repro.engine.eprocess import ArrayEdgeProcess
-from repro.engine.fleet import DEFAULT_FLEET_SIZE, FleetSRW, fleet_supported
+from repro.engine.fleet import DEFAULT_FLEET_SIZE, FleetSRW
 from repro.engine.fleet_unvisited import FleetEdgeProcess, FleetVProcess
 from repro.engine.oracle import OracleEdgeProcess, OracleSRW, OracleVProcess
 from repro.engine.rotor import ArrayRotorRouter
@@ -64,7 +65,6 @@ __all__ = [
     "FleetSRW",
     "FleetEdgeProcess",
     "FleetVProcess",
-    "fleet_supported",
     "MTWordStream",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_FLEET_SIZE",
@@ -166,32 +166,16 @@ NAMED_WALK_FACTORIES: Dict[str, Dict[str, Callable]] = {
 }
 
 
-def _fleet_srw(graphs, starts, rngs, labels=None):
-    return FleetSRW(graphs, starts, rngs, labels=labels)
-
-
-def _fleet_eprocess(graphs, starts, rngs, labels=None):
-    # record_phases=False mirrors the per-trial registry factories: the
-    # runner measures cover times, and phase recording never touches the
-    # draw stream, so the numbers are identical either way.
-    return FleetEdgeProcess(graphs, starts, rngs, record_phases=False, labels=labels)
-
-
-def _fleet_vprocess(graphs, starts, rngs, labels=None):
-    return FleetVProcess(graphs, starts, rngs, labels=labels)
-
-
-#: Lockstep fleet constructors by walk name — the classes the runner's
+#: Lockstep fleet classes by walk name — what the runner's
 #: ``engine="fleet"`` batches step, and the only record of which walks
 #: can fleet.  Each takes ``(graphs, starts, rngs, labels=None)`` and runs
-#: the fastest bit-identical kernel it can observe (the fused C kernel when
-#: built; ``REPRO_NATIVE=0`` opts out); construction checks the batch's
-#: eligibility once (:func:`repro.engine.fleet.fleet_supported`'s rules),
-#: raising :class:`repro.engine.fleet.FleetUnsupported`.
+#: the fused C kernel when it is built (``REPRO_NATIVE=0`` switches it
+#: off); construction checks the batch's eligibility once, raising
+#: :class:`repro.engine.fleet.FleetUnsupported`.
 FLEET_ENGINES: Dict[str, Callable] = {
-    "srw": _fleet_srw,
-    "eprocess": _fleet_eprocess,
-    "vprocess": _fleet_vprocess,
+    "srw": FleetSRW,
+    "eprocess": FleetEdgeProcess,
+    "vprocess": FleetVProcess,
 }
 
 
@@ -210,8 +194,8 @@ def resolve_walk_factory(walk: Union[str, Callable], engine: str = "reference") 
     (allowed only with ``engine="reference"`` — a callable already commits
     to a concrete walk class, so asking for a fast engine on top of it
     would be silently ignored at best).  Under ``engine="fleet"`` the
-    result is the walk's lockstep constructor from :data:`FLEET_ENGINES`,
-    ``f(graphs, starts, rngs)``.
+    result is the walk's lockstep class from :data:`FLEET_ENGINES`,
+    ``cls(graphs, starts, rngs, labels=None)``.
 
     Requesting an engine a walk does not implement raises
     :class:`~repro.errors.ReproError` naming the walk, its available

@@ -239,14 +239,15 @@ class MTWordStream:
         boundaries by replaying the consumed prefix from the captured base
         state (MT cannot run backwards).  :class:`~repro.engine.rwc.ArrayRWC`
         uses it when a chunk's unconsumed words reach back past its final
-        batch.  Closes the stream like :meth:`end`.
+        batch, and the fleets' numpy word bank when a lane retires.  Ends
+        the batch accounting like :meth:`end` but keeps the base state, so
+        a repeated call places the generator at the same instant.
         """
         if consumed:
             mt = self._mt
             mt.state = mt_state_to_numpy(self._base[1])
             mt.random_raw(consumed)
             self._rng.setstate(mt_state_from_numpy(mt, self._base))
-        self._base = None
         self._handed = 0
         self._pre_take_state = None
         self._last_count = 0

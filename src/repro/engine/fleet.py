@@ -29,13 +29,14 @@ The driver pays its numpy dispatches per lockstep step, so it has a
 **native fused path**: when the optional C extension
 (:mod:`repro.engine.native`) is built, whole blocks of lockstep steps run
 as one C call over the same CSR tiles and visitation masks —
-bit-identical to the numpy path by contract, selected per fleet at
-runtime (``native=`` preference, ``REPRO_NATIVE=0`` opt-out, graceful
-fallback when the build is unavailable).  The kernel runs each lane's
-Mersenne Twister itself: the lane's ``getstate()`` words go in as one
-state row (:class:`~repro.engine.base.MTStateRows`) and come back out
-through ``setstate``, so only the numpy path buffers word rows
-(:class:`_WordBank`).
+bit-identical to the numpy path by contract.  Every fleet takes it when
+it loads; ``REPRO_NATIVE=0`` is the one switch that turns it off, and an
+unavailable build falls back to numpy with one warning.  The kernel runs
+each lane's Mersenne Twister itself: the lane's ``getstate()`` words go
+in as one state row (:class:`~repro.engine.base.MTStateRows`) and come
+back out through ``setstate``, so only the numpy path buffers word rows
+(:class:`_WordBank`, one :class:`~repro.engine.base.MTWordStream` per
+lane).
 
 Implicit neighbor-oracle lanes (:mod:`repro.graphs.implicit`) run the
 same driver on their ``materialize()`` twin (:func:`materialized_lanes`):
@@ -59,12 +60,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.base import (
-    MTStateRows,
-    MTWordStream,
-    mt_state_from_numpy,
-    mt_state_to_numpy,
-)
+from repro.engine.base import MTStateRows, MTWordStream
 from repro.engine.oracle import EDGE_TIMES_MAX_DARTS
 from repro.errors import CoverTimeout, GraphError, ReproError
 from repro.graphs.graph import Graph
@@ -75,11 +71,9 @@ from repro.walks.base import default_step_budget
 __all__ = [
     "DEFAULT_FLEET_SIZE",
     "DEFAULT_BLOCK_STEPS",
-    "FLEET_WALKS",
     "FleetWalkBase",
     "FleetSRW",
     "FleetUnsupported",
-    "fleet_supported",
     "materialized_lanes",
 ]
 
@@ -101,10 +95,6 @@ DEFAULT_BLOCK_STEPS = 2048
 #: bank; refills are per-lane ``random_raw`` bulk pulls.
 WORD_BANK_WIDTH = 4096
 
-#: Walks with a lockstep fleet kernel (the eligibility rules of
-#: :func:`fleet_supported` are per walk).
-FLEET_WALKS = ("srw", "eprocess", "vprocess")
-
 
 def materialized_lanes(graphs: Sequence[Graph]) -> List[Graph]:
     """``graphs`` with every implicit lane swapped for its ``materialize()`` twin.
@@ -114,7 +104,7 @@ def materialized_lanes(graphs: Sequence[Graph]) -> List[Graph]:
     object — the driver's shared-tile path.  A lane whose dart space
     ``n·d`` exceeds :data:`~repro.engine.oracle.EDGE_TIMES_MAX_DARTS` stays
     implicit: the check is analytic, so a giant graph is never built, and
-    :func:`fleet_supported` refuses the lane.
+    the fleet refuses the lane.
     """
     twins: Dict[object, Graph] = {}
     lanes = []
@@ -127,13 +117,25 @@ def materialized_lanes(graphs: Sequence[Graph]) -> List[Graph]:
     return lanes
 
 
-def fleet_supported(
+class FleetUnsupported(ReproError):
+    """The lanes handed to a fleet cannot step as one.
+
+    ``reason`` names the lane (and its label) that broke eligibility; see
+    :func:`_refusal` for the rules.
+    """
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(f"fleet unsupported: {reason}")
+        self.reason = reason
+
+
+def _refusal(
     graphs: Sequence[Graph],
     rngs: Sequence[random.Random],
-    walk: str = "srw",
-    labels: Optional[Sequence[object]] = None,
-) -> Tuple[bool, str]:
-    """Whether these lanes can step as one ``walk`` fleet; ``(ok, reason)``.
+    walk: str,
+    labels: Optional[Sequence[object]],
+) -> str:
+    """Why these materialized lanes cannot step as one ``walk`` fleet; ``""`` if they can.
 
     Common requirements: at least one lane, every lane graph of one shared
     ``(n, m)`` shape with no isolated vertices (unless trivial, ``n == 1``,
@@ -149,46 +151,17 @@ def fleet_supported(
     deduplicates *distinct* neighbours, which is the identity exactly when
     there are no loops or parallel edges).
 
-    Implicit neighbor-oracle lanes are checked on their
-    :func:`materialized_lanes` twins, the graphs the fleet steps on; an
-    implicit lane too large to materialize is refused with a reason
-    pointing at ``engine='array'``.
-
-    A failed check names the offending lane — annotated with its entry in
-    ``labels`` when given (the runner passes trial ids) — so errors point
-    at the exact trial that broke fleet eligibility.
+    An implicit lane still here was too large to materialize and is
+    refused with a reason pointing at ``engine='array'``.  A failed check
+    names the offending lane — annotated with its entry in ``labels`` when
+    given (the runner passes trial ids).
     """
-    reason = _refusal(materialized_lanes(graphs), rngs, walk, labels)
-    return not reason, reason
-
-
-class FleetUnsupported(ReproError):
-    """The lanes handed to a fleet cannot step as one; see :func:`fleet_supported`.
-
-    ``reason`` is :func:`fleet_supported`'s reason, naming the lane (and
-    its label) that broke eligibility.
-    """
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(f"fleet unsupported: {reason}")
-        self.reason = reason
-
-
-def _refusal(
-    graphs: Sequence[Graph],
-    rngs: Sequence[random.Random],
-    walk: str,
-    labels: Optional[Sequence[object]],
-) -> str:
-    """:func:`fleet_supported`'s check on already-materialized lanes; ``""`` if ok."""
 
     def lane(k: int) -> str:
         if labels is not None:
             return f"lane {k} (trial {labels[k]!r})"
         return f"lane {k}"
 
-    if walk not in FLEET_WALKS:
-        return f"walk {walk!r} has no fleet kernel (fleet walks: {list(FLEET_WALKS)})"
     if not graphs:
         return "empty fleet"
     first = graphs[0]
@@ -251,40 +224,6 @@ def _refusal(
     return ""
 
 
-class _LaneWords:
-    """One lane's raw MT word supply for the stepwise kernels.
-
-    :meth:`pull` hands out the lane's upcoming tempered 32-bit words in
-    bulk (the :class:`_WordBank` buffers them); :meth:`sync` places the
-    wrapped ``random.Random`` exactly ``consumed`` words past the capture
-    point — the state its reference twin leaves after the draws those
-    words fed (MT cannot run backwards, so the consumed prefix is
-    replayed from the captured base state).
-    """
-
-    __slots__ = ("rng", "base", "mt")
-
-    def __init__(self, rng: random.Random):
-        import numpy as np
-
-        self.rng = rng
-        self.base = rng.getstate()
-        self.mt = np.random.MT19937(0)
-        self.mt.state = mt_state_to_numpy(self.base[1])
-
-    def pull(self, count: int):
-        return self.mt.random_raw(count)
-
-    def sync(self, consumed: int) -> None:
-        if not consumed:
-            self.rng.setstate(self.base)
-            return
-        mt = self.mt
-        mt.state = mt_state_to_numpy(self.base[1])
-        mt.random_raw(consumed)
-        self.rng.setstate(mt_state_from_numpy(mt, self.base))
-
-
 #: Speculative words resolved per lane per draw by the word bank's panel.
 #: ``_randbelow`` accepts each word with probability >= 1/2 (exactly 1/2
 #: for power-of-two moduli — the common case: a red E-process step or an
@@ -309,8 +248,10 @@ class _WordBank:
     roles speculatively in one vectorized pass; the first accepted word
     wins and exactly the words up to it count as consumed, so the rare
     lane that rejects the whole panel falls through to a scalar retry
-    loop.  Word consumption is tracked exactly per lane, so any lane's
-    generator can be synced to its current instant at any time.
+    loop.  Word consumption is tracked exactly per lane, and each lane's
+    words come from its own :class:`~repro.engine.base.MTWordStream`, so
+    :meth:`sync_row` can place a lane's generator at its current instant
+    at any time.
 
     The native kernel draws from the generators' own states instead
     (:class:`~repro.engine.base.MTStateRows`); the bank only serves the
@@ -322,14 +263,15 @@ class _WordBank:
 
         self.np = np
         self._tel = get_telemetry()
-        self.lanes = [_LaneWords(rng) for rng in rngs]
+        self.streams = [MTWordStream(rng) for rng in rngs]
         self.width = width
-        A = len(self.lanes)
+        A = len(self.streams)
         # Flat row-major storage: lane i's words live at [i*width : (i+1)*width],
         # so the hot gathers are cheap `take` calls on flat indices.
         self.words = np.empty(A * width, dtype=np.int64)
-        for i, lane in enumerate(self.lanes):
-            self.words[i * width : (i + 1) * width] = lane.pull(width)
+        for i, stream in enumerate(self.streams):
+            stream.begin()
+            self.words[i * width : (i + 1) * width] = stream.take(width)
         self.ptr = np.zeros(A, dtype=np.int64)
         self.used = np.zeros(A, dtype=np.int64)  # words consumed before the row
         self.rowbase = np.arange(A, dtype=np.int64) * width
@@ -341,7 +283,7 @@ class _WordBank:
         w, lo, p = self.width, i * self.width, int(self.ptr[i])
         tail = w - p
         self.words[lo : lo + tail] = self.words[lo + p : lo + w]
-        self.words[lo + tail : lo + w] = self.lanes[i].pull(p)
+        self.words[lo + tail : lo + w] = self.streams[i].take(p)
         self.used[i] += p
         self.ptr[i] = 0
         if self._tel.enabled:
@@ -423,7 +365,7 @@ class _WordBank:
 
     def sync_row(self, row: int) -> None:
         """Place lane ``row``'s generator at its current instant."""
-        self.lanes[row].sync(self.consumed(row))
+        self.streams[row].sync_to(self.consumed(row))
 
     def compact(self, keep) -> None:
         """Drop the rows where ``keep`` (bool array) is False."""
@@ -432,7 +374,7 @@ class _WordBank:
         self.words = self.words.reshape(-1, self.width)[keep].reshape(-1)
         self.ptr = self.ptr[keep]
         self.used = self.used[keep]
-        self.lanes = [lane for lane, k in zip(self.lanes, keep.tolist()) if k]
+        self.streams = [s for s, k in zip(self.streams, keep.tolist()) if k]
         self.rowbase = np.arange(A, dtype=np.int64) * self.width
         self._out_base = np.arange(A, dtype=np.int64) * _PANEL
 
@@ -440,7 +382,7 @@ class _WordBank:
 class FleetWalkBase:
     """Shared lane machinery for the lockstep fleet engines.
 
-    Handles lane validation (:func:`fleet_supported` for the subclass's
+    Handles lane validation (:func:`_refusal`'s rules for the subclass's
     :attr:`walk_name`), start-vertex checks, the stepwise kernels'
     incidence arrays (cached per shared graph), and the post-run
     introspection surface (:attr:`cover_steps`, :attr:`positions`).
@@ -459,15 +401,6 @@ class FleetWalkBase:
         One plain Mersenne-Twister ``random.Random`` per lane.  After
         :meth:`run_until_cover`, each generator's state equals what the
         reference walk's would be at that lane's cover instant.
-    native:
-        Native fused-kernel preference for the stepwise lockstep driver:
-        ``None`` (default) uses the C kernel when it is built and not
-        disabled via ``REPRO_NATIVE=0``, falling back to the numpy path
-        otherwise; ``False`` always steps the numpy path; ``True``
-        requires the kernel and raises :class:`~repro.errors.ReproError`
-        if it cannot be loaded (benchmarks use this so a "native" number
-        can never silently be numpy).  Either way every number is
-        identical — the kernel replays the numpy path bit for bit.
     labels:
         Optional name per lane (the runner passes trial ids), used when an
         error names a lane: :class:`FleetUnsupported` at construction,
@@ -476,7 +409,7 @@ class FleetWalkBase:
 
     Construction is the fleet's one eligibility check: lanes are
     materialized and checked once, and an ineligible set raises
-    :class:`FleetUnsupported` carrying :func:`fleet_supported`'s reason.
+    :class:`FleetUnsupported` naming the offending lane.
     """
 
     walk_name = "srw"
@@ -487,7 +420,6 @@ class FleetWalkBase:
         starts: Sequence[int],
         rngs: Sequence[random.Random],
         block_steps: int = DEFAULT_BLOCK_STEPS,
-        native: Optional[bool] = None,
         labels: Optional[Sequence[object]] = None,
     ):
         if not (len(graphs) == len(starts) == len(rngs)):
@@ -510,7 +442,6 @@ class FleetWalkBase:
         self.starts = list(starts)
         self.rngs = list(rngs)
         self.block_steps = block_steps
-        self._native_pref = native
         self.K = len(graphs)
         self.labels = list(labels) if labels is not None else list(range(self.K))
         self.n = graphs[0].n
@@ -605,27 +536,25 @@ class _StepwiseFleet(FleetWalkBase):
 
     Subclasses implement the per-step hook :meth:`_step` (advance every
     active lane one step; return a bool cover mask or None) plus the
-    state hooks (:meth:`_prepare`, :meth:`_init_rows`, :meth:`_begin_block`,
-    :meth:`_end_block`, :meth:`_compact_state`, :meth:`_on_lane_exit`,
-    :meth:`_left`).  The driver owns the lockstep loop: block/budget
-    bookkeeping, cover detection and lane retirement (RNG synced to the
-    cover instant), state compaction, and the abnormal-exit RNG sync.
-    Every lane, the last included, retires through that one loop.
+    state hooks (:meth:`_prepare`, :meth:`_init_rows`,
+    :meth:`_compact_state`, :meth:`_on_lane_exit`, :meth:`_left`).  The
+    driver owns the lockstep loop: block/budget bookkeeping, cover
+    detection and lane retirement (RNG synced to the cover instant),
+    state compaction, and the abnormal-exit RNG sync.  Every lane, the
+    last included, retires through that one loop.
 
-    When the native fused kernel is available (built C extension, not
-    opted out, ``native`` preference permitting), :meth:`_run_block`
-    routes whole blocks through one C call instead of the per-step
-    python loop — bit-identical by contract (same word consumption per
-    lane, same candidate order, same first-visit stamps and cover
-    instants), so everything around the block (retirement, RNG sync,
-    compaction, phase extraction) is shared verbatim by both paths.
-    Subclasses opt in by setting :attr:`_NATIVE_WALK` and providing the
-    array-mapping hooks (:meth:`_native_state`, :meth:`_native_phase`).
+    When the native fused kernel loads (built C extension, not switched
+    off by ``REPRO_NATIVE=0``), :meth:`_run_block` routes whole blocks
+    through one C call instead of the per-step python loop —
+    bit-identical by contract (same word consumption per lane, same
+    candidate order, same first-visit stamps and cover instants), so
+    everything around the block (retirement, RNG sync, compaction) is
+    shared verbatim by both paths.  Subclasses set :attr:`_NATIVE_WALK`
+    and map their arrays onto the kernel's slots (:meth:`_native_state`).
     """
 
-    #: Walk code of the native kernel (0 srw, 1 eprocess, 2 vprocess);
-    #: None = this subclass has no native path.
-    _NATIVE_WALK: Optional[int] = None
+    #: Walk code of the native kernel (0 srw, 1 eprocess, 2 vprocess).
+    _NATIVE_WALK: int
 
     # -- subclass hooks ------------------------------------------------------
 
@@ -657,16 +586,10 @@ class _StepwiseFleet(FleetWalkBase):
             return gcur * d, d
         return self._rowstart_t.take(gcur), self._degs_t.take(gcur)
 
-    def _step(self, step_no: int, trel: int):
+    def _step(self, step_no: int):
         """Advance every active lane one step; returns a bool mask of
         rows that covered at this step, or None."""
         raise NotImplementedError
-
-    def _begin_block(self, T: int) -> None:
-        pass
-
-    def _end_block(self, t_used: int, steps_end: int) -> None:
-        pass
 
     def _compact_state(self, keep) -> None:
         self._voff = self._voff[keep]
@@ -694,17 +617,6 @@ class _StepwiseFleet(FleetWalkBase):
         ``(maskA, fvA, cntA, maskB, fvB, cntB)`` (unused slots None)."""
         raise NotImplementedError
 
-    def _native_phase(self):
-        """Per-step recording buffers ``(col_rows, vtx_rows, isb_last)``
-        for this block (all None when unused)."""
-        return None, None, None
-
-    def _native_begin(self, A: int) -> None:
-        """Per-block native scratch setup (e.g. last-colour buffers)."""
-
-    def _native_end(self, t_used: int) -> None:
-        """Per-block native post-processing (e.g. last-colour export)."""
-
     def _native_all_v(self) -> int:
         return 0
 
@@ -712,24 +624,12 @@ class _StepwiseFleet(FleetWalkBase):
         pass
 
     def _native_setup(self):
-        """Probe for the fused kernel; returns its ctypes handle or None.
-
-        ``native=False`` skips the probe; ``native=True`` makes an
-        unavailable kernel a hard :class:`ReproError` (no silent numpy
-        behind an explicitly requested native run); the default ``None``
-        auto-selects with the loader's one-time fallback warning.
-        """
-        if self._NATIVE_WALK is None or self._native_pref is False:
-            return None
+        """The fused kernel's ctypes handle, or None for the numpy path
+        (``REPRO_NATIVE=0``, or no loadable build: the loader warns once)."""
         from repro.engine import native
 
         fn = native.load()
-        if fn is None and self._native_pref is True:
-            raise ReproError(
-                f"native=True but the fused kernel is unavailable: "
-                f"{native.unavailable_reason()}"
-            )
-        if fn is None and self._native_pref is None:
+        if fn is None:
             tel = get_telemetry()
             if tel.enabled:
                 tel.count("fleet.native_unavailable")
@@ -749,9 +649,7 @@ class _StepwiseFleet(FleetWalkBase):
 
         states = self._bank
         A = int(self._cur.shape[0])
-        self._native_begin(A)
         maskA, fvA, cntA, maskB, fvB, cntB = self._native_state()
-        col, vtx, isb = self._native_phase()
         covered = np.zeros(A, dtype=np.uint8)
         out = np.zeros(2, dtype=np.int64)
         par = np.array(
@@ -774,7 +672,7 @@ class _StepwiseFleet(FleetWalkBase):
             self._cur, self._voff, self._eoff, states.mt, states.drawn,
             self._eids_t, self._nbrs_t, self._rowstart_t, self._degs_t,
             maskA, fvA, cntA, maskB, fvB, cntB,
-            col, vtx, isb, covered, out,
+            covered, out,
         )
         slots = (ctypes.c_void_p * len(arrays))(
             *[None if a is None else ctypes.c_void_p(a.ctypes.data) for a in arrays]
@@ -785,7 +683,6 @@ class _StepwiseFleet(FleetWalkBase):
         t = int(out[0])
         self._native_set_all_v(bool(out[1]))
         self._retighten()
-        self._native_end(t)
         return t, covered.astype(bool) if status == 1 else None
 
     # -- the lockstep driver -------------------------------------------------
@@ -801,7 +698,7 @@ class _StepwiseFleet(FleetWalkBase):
         t = 0
         covered = None
         while t < T:
-            covered = self._step(steps + t + 1, t)
+            covered = self._step(steps + t + 1)
             t += 1
             if covered is not None:
                 break
@@ -831,7 +728,6 @@ class _StepwiseFleet(FleetWalkBase):
         for k in self._prepare(target, budget):
             cover[k] = 0
         act = [k for k in range(K) if cover[k] is None]
-        self._act = act
         self._cur = np.array([self.starts[k] for k in act], dtype=np.int64)
         self._init_rows(act)
         self._native = self._native_setup() if act else None
@@ -857,10 +753,8 @@ class _StepwiseFleet(FleetWalkBase):
                         remaining=self._left(0),
                     )
                 T = min(block, budget - steps)
-                self._begin_block(T)
                 t, covered = self._run_block(T, steps)
                 steps += t
-                self._end_block(t, steps)
                 if tel.enabled:
                     lane_steps += t * len(act)
                     tel.count("fleet.blocks")
@@ -892,7 +786,6 @@ class _StepwiseFleet(FleetWalkBase):
                     self._cur = self._cur[keep]
                     self._compact_state(keep)
                     act = [k for row, k in enumerate(act) if keep[row]]
-                    self._act = act
         except BaseException:
             # Lanes still live on an abnormal exit (budget timeout): their
             # reference twins would have consumed exactly the words drawn
@@ -967,8 +860,7 @@ class FleetSRW(_StepwiseFleet):
         # against the actual leader).
         self._slack = self._full - (0 if self._by_edges else 1)
 
-    def _step(self, step_no: int, trel: int):
-        np = self._bank.np
+    def _step(self, step_no: int):
         base, deg = self._row_base()
         r = self._bank.draw(deg, self._shift.take(deg))
         jsel = base + r

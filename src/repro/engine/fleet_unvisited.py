@@ -5,7 +5,10 @@
 :class:`FleetVProcess` does the same for the vertex-analogue V-process
 (:class:`~repro.walks.choice.UnvisitedVertexWalk`).  Both are
 bit-identical to their per-trial reference walks — trajectories, cover
-times, visit bookkeeping, phase statistics, and RNG end-state.
+times, visit bookkeeping, red/blue step splits, and RNG end-state.  The
+E-process colour sequence needs no recording of its own: every blue step
+visits exactly one new edge, so the edge first-visit table names the
+blue steps.
 
 Why the draws cannot be prefiltered per lane up front: a blue step's
 modulus is the current vertex's *unvisited-edge* (resp. unvisited-
@@ -37,20 +40,14 @@ slot per ``(code, r)`` — no axis reductions in the hot loop.  Irregular
 (or high-degree) lanes use the general cumulative-rank path.  The native
 kernel runs the cumulative-rank path on every row: in C a scan of the
 row costs no more than the table lookups, which pay off in numpy only
-because they save dispatches.  Phase colours
-are recorded into a per-block matrix and phase marks extracted per block
-(rare scalar appends), keeping the per-step cost at a fixed number of
-numpy dispatches for the whole fleet.
+because they save dispatches.
 """
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional, Sequence
+from typing import List
 
-from repro.core.eprocess import BLUE, RED, PhaseMark
-from repro.engine.fleet import DEFAULT_BLOCK_STEPS, _StepwiseFleet
-from repro.graphs.graph import Graph
+from repro.engine.fleet import _StepwiseFleet
 
 __all__ = ["FleetEdgeProcess", "FleetVProcess"]
 
@@ -221,30 +218,13 @@ class FleetEdgeProcess(_UnvisitedFleet):
     :class:`~repro.core.eprocess.EdgeProcess`/
     :class:`~repro.engine.eprocess.ArrayEdgeProcess` runs of the same
     seeds: cover times, first-visit tables (vertices *and* edges),
-    red/blue step splits, phase marks (when ``record_phases``), last
-    colour, and RNG end-state all match.  Every lane runs in the fleet
-    to its own cover instant.
+    red/blue step splits, and RNG end-state all match.  The edge
+    first-visit table fixes which steps were blue.  Every lane runs in
+    the fleet to its own cover instant.
     """
 
     walk_name = "eprocess"
     _NATIVE_WALK = 1
-
-    def __init__(
-        self,
-        graphs: Sequence[Graph],
-        starts: Sequence[int],
-        rngs: Sequence[random.Random],
-        block_steps: int = DEFAULT_BLOCK_STEPS,
-        record_phases: bool = True,
-        native: Optional[bool] = None,
-        labels: Optional[Sequence[object]] = None,
-    ):
-        super().__init__(graphs, starts, rngs, block_steps, native=native, labels=labels)
-        self._record_phases = record_phases
-        self._marks = {k: [] for k in range(self.K)}
-        self._blue_out = [0] * self.K
-        self._red_out = [0] * self.K
-        self._lastc_out: List[Optional[str]] = [None] * self.K
 
     def _mask_table(self):
         return self._evu
@@ -258,41 +238,14 @@ class FleetEdgeProcess(_UnvisitedFleet):
         at_zero = super()._prepare(target, budget)
         self._evu = np.ones(self.K * self.m, dtype=np.uint8)
         self._all_v = self.n == 1
-        self._lastisb = None
+        self._blue_out = [0] * self.K
+        self._red_out = [0] * self.K
         return at_zero
 
-    def _init_rows(self, act: List[int]) -> None:
-        import numpy as np
-
-        super()._init_rows(act)
-        self._lastc = np.zeros(len(act), dtype=np.int8)  # 0 none, 1 red, 2 blue
-
-    def _compact_state(self, keep) -> None:
-        super()._compact_state(keep)
-        self._lastc = self._lastc[keep]
-        if self._lastisb is not None:
-            self._lastisb = self._lastisb[keep]
-
-    def _begin_block(self, T: int) -> None:
-        import numpy as np
-
-        if self._record_phases:
-            A = self._cur.shape[0]
-            self._col = np.empty((T, A), dtype=bool)
-            self._vtx = np.empty((T, A), dtype=np.int64)
-        else:
-            self._col = None
-
-    def _step(self, step_no: int, trel: int):
-        np = self._bank.np
-        cur = self._cur
+    def _step(self, step_no: int):
         isb, jsel = self._choose()
         e = self._eids_t.take(jsel) + self._eoff
         nxt = self._nbrs_t.take(jsel)
-        if self._col is not None:
-            self._col[trel] = isb
-            self._vtx[trel] = cur
-        self._lastisb = isb
         self._cur = nxt
         covered = None
         # Every blue step visits exactly one new edge (its candidates are
@@ -339,46 +292,8 @@ class FleetEdgeProcess(_UnvisitedFleet):
                         self._vslack = max(self.n - int(nv.max()), 0)
         return covered
 
-    def _end_block(self, t_used: int, steps_end: int) -> None:
-        import numpy as np
-
-        if not self._record_phases:
-            return
-        col = self._col[:t_used]
-        colors = col.astype(np.int8) + 1  # False -> 1 (red), True -> 2 (blue)
-        prev = self._lastc
-        changed = colors != np.concatenate([prev[None, :], colors[:-1]], axis=0)
-        if changed.any():
-            step0 = steps_end - t_used
-            act, marks, vtx = self._act, self._marks, self._vtx
-            for t, i in np.argwhere(changed).tolist():
-                marks[act[i]].append(
-                    PhaseMark(
-                        step0 + t + 1,
-                        BLUE if col[t, i] else RED,
-                        int(vtx[t, i]),
-                    )
-                )
-        self._lastc = colors[-1].copy()
-
     def _native_state(self):
         return self._evu, self._fe, self._ne, self._visu, self._fv, self._nv
-
-    def _native_begin(self, A: int) -> None:
-        import numpy as np
-
-        # The kernel records every step's blue flag here; after the block
-        # it becomes `_lastisb` (the no-record-phases last-colour source).
-        self._isb_buf = np.zeros(A, dtype=np.uint8)
-
-    def _native_phase(self):
-        if self._col is not None:
-            return self._col, self._vtx, self._isb_buf
-        return None, None, self._isb_buf
-
-    def _native_end(self, t_used: int) -> None:
-        if t_used:
-            self._lastisb = self._isb_buf != 0
 
     def _native_all_v(self) -> int:
         return int(self._all_v)
@@ -386,18 +301,10 @@ class FleetEdgeProcess(_UnvisitedFleet):
     def _native_set_all_v(self, value: bool) -> None:
         self._all_v = value
 
-    def _last_color_code(self, row: int) -> int:
-        if self._record_phases:
-            return int(self._lastc[row])
-        if self._lastisb is None:
-            return 0
-        return 2 if bool(self._lastisb[row]) else 1
-
     def _on_lane_exit(self, row: int, lane: int) -> None:
         blue = int(self._ne[row])
         self._blue_out[lane] = blue
         self._red_out[lane] = self._cover[lane] - blue
-        self._lastc_out[lane] = {0: None, 1: RED, 2: BLUE}[self._last_color_code(row)]
 
     # -- post-run introspection ----------------------------------------------
 
@@ -411,10 +318,6 @@ class FleetEdgeProcess(_UnvisitedFleet):
         m = self.m
         return self._fe[lane * m : (lane + 1) * m].tolist()
 
-    def phase_marks(self, lane: int) -> List[PhaseMark]:
-        """Lane's phase marks (empty unless ``record_phases``)."""
-        return list(self._marks[lane])
-
     @property
     def red_steps(self) -> List[int]:
         """Per-lane red (SRW) step counts at the cover instants."""
@@ -424,10 +327,6 @@ class FleetEdgeProcess(_UnvisitedFleet):
     def blue_steps(self) -> List[int]:
         """Per-lane blue (unvisited-edge) step counts at the cover instants."""
         return list(self._blue_out)
-
-    def last_color(self, lane: int) -> Optional[str]:
-        """Colour of the lane's final transition (None if it never stepped)."""
-        return self._lastc_out[lane]
 
 
 class FleetVProcess(_UnvisitedFleet):
@@ -452,8 +351,7 @@ class FleetVProcess(_UnvisitedFleet):
     def _mask_values(self, j2d):
         return self._nbrs_t.take(j2d) + self._voff[:, None]
 
-    def _step(self, step_no: int, trel: int):
-        np = self._bank.np
+    def _step(self, step_no: int):
         isb, jsel = self._choose()
         e = self._eids_t.take(jsel) + self._eoff
         nxt = self._nbrs_t.take(jsel)

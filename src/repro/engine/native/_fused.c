@@ -15,6 +15,12 @@
  * path below.  The numpy path's 2^d bitmask tables pay off only there,
  * where they save dispatches; in C the row scan costs the same.
  *
+ * The kernel writes only what the driver reads back: positions,
+ * visitation masks, first-visit tables, counts, generator states and the
+ * covered lanes.  Nothing records per-step colours: every blue E-process
+ * step visits exactly one new edge, so the edge first-visit table already
+ * names the blue steps.
+ *
  * The randomness is each trial's own generator, transplanted: python
  * hands every lane's `random.Random` state in as a row laid out exactly
  * like `rng.getstate()[1]` (624 key words plus the read position), the
@@ -43,7 +49,7 @@
 /* Bumped whenever the par[] layout, slot table, or semantics change (of
  * either entry point); the python loader refuses a stale .so instead of
  * mis-reading it. */
-#define REPRO_FUSED_ABI 4
+#define REPRO_FUSED_ABI 5
 
 /* par[] indices (all int64). */
 enum {
@@ -78,12 +84,9 @@ enum {
     S_MASKB = 12,    /* u8      rw  e: vertex-unvisited */
     S_FVB = 13,      /* i64     rw  e: vertex fv; v: edge fv */
     S_CNTB = 14,     /* i64[A]  rw  e: nv; v: ne */
-    S_COL = 15,      /* u8[T*A] w   e(record_phases): per-step colours */
-    S_VTX = 16,      /* i64[T*A] w  e(record_phases): per-step vertices */
-    S_ISB = 17,      /* u8[A]   w   e: last step's blue flags */
-    S_COVERED = 18,  /* u8[A]   w   lanes covered at the final step */
-    S_OUT = 19,      /* i64[2]  w   0: steps done, 1: all_v */
-    S_COUNT = 20
+    S_COVERED = 15,  /* u8[A]   w   lanes covered at the final step */
+    S_OUT = 16,      /* i64[2]  w   0: steps done, 1: all_v */
+    S_COUNT = 17
 };
 
 /* Return status. */
@@ -199,9 +202,6 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
     unsigned char *maskB = (unsigned char *)arr[S_MASKB];
     int64_t *fvB = (int64_t *)arr[S_FVB];
     int64_t *cntB = (int64_t *)arr[S_CNTB];
-    unsigned char *col = (unsigned char *)arr[S_COL];
-    int64_t *vtx = (int64_t *)arr[S_VTX];
-    unsigned char *isb_last = (unsigned char *)arr[S_ISB];
     unsigned char *covered = (unsigned char *)arr[S_COVERED];
     int64_t *out = (int64_t *)arr[S_OUT];
 
@@ -296,14 +296,10 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
                 }
             } else if (walk == 1) {
                 const int64_t e = eids[jsel] + eoff[i];
-                if (col) {
-                    col[(size_t)t * (size_t)A + (size_t)i] = (unsigned char)isb;
-                    vtx[(size_t)t * (size_t)A + (size_t)i] = c;
-                }
-                isb_last[i] = (unsigned char)isb;
                 cur[i] = nxt;
                 if (isb) {
-                    /* every blue step visits exactly one new edge */
+                    /* every blue step visits exactly one new edge (so the
+                     * edge first-visit table records the colour sequence) */
                     maskA[e] = 0;
                     fvA[e] = step_no;
                     if (++cntA[i] == m && by_edges) {

@@ -106,13 +106,19 @@ def regular_degree_series(
 
 
 def format_sweep_report(
-    store: ResultStore,
-    sweep: SweepSpec,
+    name: str,
+    runs: Sequence[Tuple[ExperimentSpec, CoverRun]],
     title: Optional[str] = None,
 ) -> str:
-    """A full per-point table of a sweep, straight from the store."""
+    """A full per-point table of sweep ``name``'s ``(spec, run)`` pairs.
+
+    The pairs are the store's aggregates: :func:`sweep_runs_from_store`
+    rebuilds them, and a sweep that just ran already holds them (its
+    points were aggregated from the store's records and the fresh
+    trials), so printing them costs no second read.
+    """
     rows = []
-    for spec, run in sweep_runs_from_store(store, sweep):
+    for spec, run in runs:
         inner = ",".join(f"{k}={v}" for k, v in spec.family_params)
         rows.append(
             [
@@ -130,5 +136,5 @@ def format_sweep_report(
     return format_table(
         ["point", "walk", "target", "trials", "mean", "std", "ci95", "min", "max"],
         rows,
-        title=title or f"sweep {sweep.name!r} (from store)",
+        title=title or f"sweep {name!r} (from store)",
     )

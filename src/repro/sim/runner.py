@@ -287,15 +287,15 @@ def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialO
 
     Fleet eligibility is a property of the *data*, not the request: the
     lanes must share one graph shape, satisfy the walk's structural
-    requirements, and carry plain MT generators (see
-    :func:`repro.engine.fleet.fleet_supported`).  An ineligible batch is
-    an explicit :class:`ReproError` carrying ``fleet_supported``'s reason
-    — which names the offending lane and its trial — never a silent
+    requirements, and carry plain MT generators.  An ineligible batch is
+    an explicit :class:`ReproError` carrying the fleet's
+    :class:`~repro.engine.fleet.FleetUnsupported` reason — which names
+    the offending lane and its trial — never a silent
     change of stepping strategy: the caller asked for fleets and should
     decide (``engine="array"`` gives identical numbers per trial).  The
     one throughput substitution is :func:`_srw_per_trial`'s, counted as
     ``runner.srw_array_batches``.  ``template.walk_factory`` is the
-    walk's lockstep constructor from :data:`repro.engine.FLEET_ENGINES`;
+    walk's lockstep class from :data:`repro.engine.FLEET_ENGINES`;
     constructing the fleet is the batch's one eligibility check, and
     swaps implicit lanes for their ``materialize()`` twins once
     (:func:`repro.engine.fleet.materialized_lanes`).

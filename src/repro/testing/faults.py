@@ -55,8 +55,10 @@ Keys (all optional):
 
 The environment variable is the transport on purpose: pool workers and
 CLI subprocesses inherit it for free, no plumbing through picklable
-specs.  With ``REPRO_FAULTS`` unset every injection point is one dict
-lookup and a ``None`` check.
+specs.  A process reads the variable once, at its first injection
+point; :func:`fault_plan` drops that reading when it installs or removes
+a plan.  With ``REPRO_FAULTS`` unset every injection point is then one
+flag test and a ``None`` check.
 """
 
 from __future__ import annotations
@@ -200,21 +202,27 @@ def parse_plan(text: str) -> Optional[FaultPlan]:
     return FaultPlan(rules) if rules else None
 
 
-# Cache keyed on the raw env string so repeated injection-point calls
-# reuse one plan (and its fired counts); a test changing the variable
-# mid-process gets a fresh parse on the next call.
-_cached_raw: Optional[str] = None
+# The plan parsed at the process's first injection point; every later
+# call reuses it (and its fired counts).  Forked pool workers inherit it.
+_plan_read = False
 _cached_plan: Optional[FaultPlan] = None
 
 
 def active_plan() -> Optional[FaultPlan]:
     """The process's current plan (parsed from ``REPRO_FAULTS``), if any."""
-    global _cached_raw, _cached_plan
-    raw = os.environ.get(FAULTS_ENV_VAR)
-    if raw != _cached_raw:
-        _cached_raw = raw
+    global _plan_read, _cached_plan
+    if not _plan_read:
+        raw = os.environ.get(FAULTS_ENV_VAR)
         _cached_plan = parse_plan(raw) if raw else None
+        _plan_read = True
     return _cached_plan
+
+
+def _forget_plan() -> None:
+    """Make the next :func:`active_plan` re-read ``REPRO_FAULTS``."""
+    global _plan_read, _cached_plan
+    _plan_read = False
+    _cached_plan = None
 
 
 @contextmanager
@@ -225,6 +233,7 @@ def fault_plan(text: Optional[str]):
         os.environ.pop(FAULTS_ENV_VAR, None)
     else:
         os.environ[FAULTS_ENV_VAR] = text
+    _forget_plan()
     try:
         yield
     finally:
@@ -232,6 +241,7 @@ def fault_plan(text: Optional[str]):
             os.environ.pop(FAULTS_ENV_VAR, None)
         else:
             os.environ[FAULTS_ENV_VAR] = previous
+        _forget_plan()
 
 
 def should_fire(site: str, trial: Optional[int] = None) -> Optional[FaultRule]:

@@ -92,6 +92,28 @@ class TestSweepCommand:
         assert main(self._args(store)) == 0
         assert "0 scheduled, 4 cached" in capsys.readouterr().out
 
+    def test_warm_sweep_reads_each_shard_once(self, capsys, tmp_path, monkeypatch):
+        # The printed table comes from the sweep's own aggregates, not a
+        # second pass over the store.
+        from repro.experiments import ResultStore
+
+        store = str(tmp_path / "s")
+        assert main(self._args(store)) == 0
+        cold = capsys.readouterr().out
+        reads = []
+        load_shard = ResultStore._load_shard
+
+        def counted(self, spec_hash):
+            reads.append(spec_hash)
+            return load_shard(self, spec_hash)
+
+        monkeypatch.setattr(ResultStore, "_load_shard", counted)
+        assert main(self._args(store)) == 0
+        warm = capsys.readouterr().out
+        assert "0 scheduled, 4 cached" in warm
+        assert len(reads) == len(set(reads)) == 2  # one per point
+        assert warm.splitlines()[1:] == cold.splitlines()[1:]
+
     def test_resume_flag_accepted(self, capsys, tmp_path):
         store = str(tmp_path / "s")
         assert main(self._args(store)) == 0

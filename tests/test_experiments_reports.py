@@ -88,12 +88,15 @@ class TestSeries:
 class TestFormatSweepReport:
     def test_full_table(self, store):
         sweep = _grid_sweep()
-        run_sweep(sweep, store=store)
-        text = format_sweep_report(store, sweep)
+        result = run_sweep(sweep, store=store)
+        text = format_sweep_report(sweep.name, sweep_runs_from_store(store, sweep))
         assert "sweep 'grid'" in text
         assert "regular(degree=3,n=20)" in text
         assert "eprocess" in text
+        # The sweep's own aggregates print the same table, byte for byte.
+        pairs = [(p.spec, p.run) for p in result.points]
+        assert format_sweep_report(result.name, pairs) == text
 
     def test_incomplete_store_raises(self, store):
         with pytest.raises(ReproError, match="repro sweep"):
-            format_sweep_report(store, _grid_sweep())
+            format_sweep_report("grid", sweep_runs_from_store(store, _grid_sweep()))

@@ -118,6 +118,43 @@ class TestRuleSemantics:
             assert active_plan() is not None
         assert active_plan() is None
 
+    def test_no_plan_fleet_sweep_reads_the_variable_at_most_once(self, tmp_path):
+        # The plan is read at the first injection point and reused: a
+        # sweep without one pays no environment lookup per trial.
+        from repro.testing import faults
+
+        class CountingEnviron:
+            reads = 0
+
+            def get(self, key, default=None):
+                if key == FAULTS_ENV_VAR:
+                    CountingEnviron.reads += 1
+                return os.environ.get(key, default)
+
+        class CountingOs:
+            environ = CountingEnviron()
+
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+        spec = ExperimentSpec(
+            family="implicit_hypercube", family_params={"r": 4}, walk="srw",
+            trials=64, root_seed=7,
+        )
+        tel = Telemetry()
+        with fault_plan(None):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(faults, "os", CountingOs())
+                with session(tel):
+                    result = run_sweep(
+                        SweepSpec("no-plan", (spec,)),
+                        store=ResultStore(tmp_path / "s"),
+                        policy=ExecutionPolicy(engine="fleet", fleet_size=16),
+                    )
+        assert result.scheduled == 64
+        assert tel.counters["fleet.fleets"] == 4
+        assert CountingEnviron.reads <= 1
+
     def test_injection_helpers(self):
         with fault_plan("store_write:count=1"):
             with pytest.raises(OSError) as err:

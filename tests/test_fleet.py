@@ -20,7 +20,8 @@ import random
 
 import pytest
 
-from repro.engine import DEFAULT_FLEET_SIZE, FleetSRW, fleet_supported
+from repro.engine import DEFAULT_FLEET_SIZE, FLEET_ENGINES, FleetSRW, resolve_walk_factory
+from repro.engine.fleet import FleetUnsupported
 from repro.errors import CoverTimeout, GraphError, ReproError
 from repro.graphs.generators import cycle_graph, path_graph
 from repro.graphs.graph import Graph
@@ -143,60 +144,69 @@ class TestFleetSRWParity:
         assert rngs[1].getstate() == twins[1].getstate()
 
 
+def _refusal(walk, graphs, rngs, labels=None):
+    """The :class:`FleetUnsupported` reason constructing ``walk``'s fleet raises."""
+    with pytest.raises(FleetUnsupported) as info:
+        FLEET_ENGINES[walk](graphs, [0] * len(graphs), rngs, labels=labels)
+    return info.value.reason
+
+
 class TestFleetEligibility:
     def test_irregular_graph_supported(self):
         # Irregular lanes fleet since the per-degree word-role prefilter:
         # the stepwise kernel handles state-dependent draw moduli.
-        ok, reason = fleet_supported([path_graph(5)], [random.Random(0)])
-        assert ok and reason == ""
+        rng, twin = random.Random(0), random.Random(0)
+        fleet = FleetSRW([path_graph(5)], [0], [rng])
+        walk = SimpleRandomWalk(path_graph(5), 0, rng=twin)
+        assert fleet.run_until_cover() == [walk.run_until_vertex_cover()]
 
     def test_unknown_walk_unsupported(self):
-        ok, reason = fleet_supported(
-            [cycle_graph(10)], [random.Random(0)], walk="rotor"
-        )
-        assert not ok and "no fleet kernel" in reason
+        # FLEET_ENGINES is the one record of which walks can fleet.
+        assert "rotor" not in FLEET_ENGINES
+        with pytest.raises(ReproError, match="no 'fleet' engine"):
+            resolve_walk_factory("rotor", "fleet")
 
     def test_eprocess_rejects_self_loops(self):
         looped = Graph(3, [(0, 0), (0, 1), (1, 2)])  # same (n, m) as C_3
-        ok, reason = fleet_supported(
-            [cycle_graph(3), looped], [random.Random(0), random.Random(1)],
-            walk="eprocess",
+        reason = _refusal(
+            "eprocess", [cycle_graph(3), looped], [random.Random(0), random.Random(1)]
         )
-        assert not ok and "lane 1" in reason and "self-loops" in reason
+        assert "lane 1" in reason and "self-loops" in reason
 
     def test_vprocess_rejects_parallel_edges(self):
         multi = Graph(3, [(0, 1), (0, 1), (1, 2)])
-        ok, reason = fleet_supported([multi], [random.Random(0)], walk="vprocess")
-        assert not ok and "lane 0" in reason and "simple" in reason
+        reason = _refusal("vprocess", [multi], [random.Random(0)])
+        assert "lane 0" in reason and "simple" in reason
 
     def test_labels_name_the_offending_trial(self):
-        ok, reason = fleet_supported(
+        reason = _refusal(
+            "srw",
             [cycle_graph(10), cycle_graph(12)],
             [random.Random(0), random.Random(1)],
             labels=[17, 23],
         )
-        assert not ok and "lane 1 (trial 23)" in reason
+        assert "lane 1 (trial 23)" in reason
 
     def test_mixed_shapes_unsupported(self):
-        ok, reason = fleet_supported(
-            [cycle_graph(10), cycle_graph(12)], [random.Random(0)]
+        reason = _refusal(
+            "srw", [cycle_graph(10), cycle_graph(12)], [random.Random(0), random.Random(1)]
         )
-        assert not ok and "shape" in reason
+        assert "shape" in reason
 
     def test_shared_rng_instance_unsupported(self):
         # One generator driving two lanes would correlate the "independent"
         # trials and double-sync its end state; must be an explicit error.
         rng = random.Random(1)
-        ok, reason = fleet_supported([cycle_graph(10)] * 2, [rng, rng])
-        assert not ok and "share" in reason
+        reason = _refusal("srw", [cycle_graph(10)] * 2, [rng, rng])
+        assert "share" in reason
 
     def test_exotic_rng_unsupported(self):
         class Custom(random.Random):
             def random(self):
                 return 0.5
 
-        ok, reason = fleet_supported([cycle_graph(10)], [Custom(1)])
-        assert not ok and "Mersenne" in reason
+        reason = _refusal("srw", [cycle_graph(10)], [Custom(1)])
+        assert "Mersenne" in reason
 
     def test_constructor_validates_starts(self):
         with pytest.raises(GraphError):
@@ -264,7 +274,7 @@ class TestFleetRunnerSurface:
 
     def test_ineligible_batch_raises_naming_lane_and_trial(self):
         # A workload factory whose graphs disagree on (n, m) cannot fleet;
-        # the error carries fleet_supported's reason, which names the
+        # the error carries the fleet's refusal reason, which names the
         # offending lane and its trial id.
         def varying(rng):
             return cycle_graph(10 + rng.randrange(3))

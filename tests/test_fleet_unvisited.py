@@ -6,15 +6,18 @@ targets, and regular *and* irregular graphs, each lane of
 :class:`~repro.engine.fleet_unvisited.FleetEdgeProcess` /
 :class:`~repro.engine.fleet_unvisited.FleetVProcess` must reproduce a
 sequential reference run of the same seed — cover time, vertex and edge
-first-visit tables, red/blue step split, phase marks, last colour, final
-position, and the generator's end-state.
+first-visit tables, red/blue step split, final position, and the
+generator's end-state.  The E-process fleet records no colours of its
+own: every blue step visits exactly one new edge, so its edge
+first-visit table must name exactly the blue steps of the reference
+walk's phase marks.
 """
 
 import random
 
 import pytest
 
-from repro.core.eprocess import EdgeProcess
+from repro.core.eprocess import BLUE, RED, EdgeProcess
 from repro.engine import FleetEdgeProcess, FleetVProcess
 from repro.errors import CoverTimeout, ReproError
 from repro.graphs.generators import cycle_graph, lollipop_graph
@@ -35,6 +38,21 @@ def _irregular():
     # Clique + pendant path: degrees range from 1 to the clique degree,
     # exercising the general (non-packed) per-degree prefilter path.
     return lollipop_graph(6, 9)
+
+
+def _colours_from_marks(marks, steps):
+    """Colour of each step 1..steps, read off a walk's phase marks."""
+    colours = []
+    for mark, nxt in zip(marks, list(marks[1:]) + [None]):
+        end = nxt.step if nxt is not None else steps + 1
+        colours += [mark.color] * (end - mark.step)
+    return colours
+
+
+def _colours_from_edges(first_edge_visits, steps):
+    """Colour of each step 1..steps, read off an edge first-visit table."""
+    blue = {t for t in first_edge_visits if t > 0}
+    return [BLUE if t in blue else RED for t in range(1, steps + 1)]
 
 
 def _lanes(graph, K, base_seed):
@@ -67,8 +85,9 @@ class TestFleetEdgeProcessParity:
             assert fleet.first_edge_visit_time(k) == list(walk.first_edge_visit_time)
             assert fleet.blue_steps[k] == walk.blue_steps
             assert fleet.red_steps[k] == walk.red_steps
-            assert fleet.phase_marks(k) == list(walk.phase_marks)
-            assert fleet.last_color(k) == walk.last_color
+            assert _colours_from_edges(fleet.first_edge_visit_time(k), cover[k]) == (
+                _colours_from_marks(walk.phase_marks, cover[k])
+            )
 
     def test_distinct_same_shape_graphs_per_lane(self):
         K = 7
@@ -82,18 +101,9 @@ class TestFleetEdgeProcessParity:
             walk = EdgeProcess(graphs[k], starts[k], rng=twins[k], record_phases=True)
             assert cover[k] == walk.run_until_vertex_cover()
             assert rngs[k].getstate() == twins[k].getstate()
-            assert fleet.phase_marks(k) == list(walk.phase_marks)
-
-    def test_record_phases_off_same_numbers(self):
-        graph = _regular(n=40)
-        starts, rngs, twins = _lanes(graph, 5, 3000)
-        fleet = FleetEdgeProcess([graph] * 5, starts, rngs, record_phases=False)
-        cover = fleet.run_until_cover("edges")
-        for k in range(5):
-            walk = EdgeProcess(graph, starts[k], rng=twins[k], record_phases=False)
-            assert cover[k] == walk.run_until_edge_cover()
-            assert rngs[k].getstate() == twins[k].getstate()
-            assert fleet.phase_marks(k) == []
+            assert _colours_from_edges(fleet.first_edge_visit_time(k), cover[k]) == (
+                _colours_from_marks(walk.phase_marks, cover[k])
+            )
 
     def test_self_loop_graph_rejected(self):
         looped = Graph(3, [(0, 0), (0, 1), (1, 2), (2, 0)])

@@ -24,7 +24,7 @@ from repro.core.eprocess import EdgeProcess
 from repro.engine import NAMED_WALK_FACTORIES, OracleEdgeProcess, OracleSRW, OracleVProcess
 from repro.engine.base import VisitedSet
 from repro.cli import main
-from repro.engine.fleet import FleetSRW, fleet_supported
+from repro.engine.fleet import FleetSRW, FleetUnsupported
 from repro.engine.fleet_unvisited import FleetEdgeProcess, FleetVProcess
 from repro.errors import CoverTimeout, GraphError, ReproError
 from repro.experiments.store import ResultStore
@@ -272,15 +272,14 @@ class TestFleet:
     def test_fleet_accepts_mixed_backends(self):
         g = ImplicitHypercube(3)
         rngs = [random.Random(1), random.Random(2)]
-        ok, reason = fleet_supported([g, g.materialize()], rngs, "srw")
-        assert ok, reason
+        fleet = FleetSRW([g, g.materialize()], [0, 0], rngs)
+        assert fleet.graphs[0] is not g  # the implicit lane steps on its twin
 
     def test_fleet_refuses_distinct_implicit_graphs(self):
         rngs = [random.Random(1), random.Random(2)]
-        ok, reason = fleet_supported(
-            [ImplicitHypercube(3), ImplicitHypercube(4)], rngs, "srw"
-        )
-        assert not ok and "lane 1" in reason and "shared shape" in reason
+        with pytest.raises(FleetUnsupported) as info:
+            FleetSRW([ImplicitHypercube(3), ImplicitHypercube(4)], [0, 0], rngs)
+        assert "lane 1" in info.value.reason and "shared shape" in info.value.reason
 
     def test_fleet_refuses_graphs_past_the_dart_bound(self, monkeypatch):
         def refuse(self):
@@ -289,10 +288,9 @@ class TestFleet:
         monkeypatch.setattr(ImplicitHypercube, "materialize", refuse)
         g = ImplicitHypercube(22)
         rngs = [random.Random(1), random.Random(2)]
-        ok, reason = fleet_supported([g, g], rngs, "srw")
-        assert not ok and "lane 0" in reason and "engine='array'" in reason
-        with pytest.raises(ReproError, match="darts"):
+        with pytest.raises(FleetUnsupported, match="darts") as info:
             FleetSRW([g, g], [0, 0], rngs)
+        assert "lane 0" in info.value.reason and "engine='array'" in info.value.reason
         with pytest.raises(ReproError, match="darts"):
             cover_time_trials(
                 workload=g, walk_factory="eprocess", trials=2, root_seed=1,
@@ -331,8 +329,10 @@ class TestFleet:
         simple, loopy = ImplicitHashedRegular(40, 4, 21), ImplicitHashedRegular(40, 4, 0)
         assert loopy.materialize().has_loops()
         rngs = [random.Random(1), random.Random(2)]
-        ok, reason = fleet_supported([simple, loopy], rngs, walk)
-        assert not ok and "lane 1" in reason and why in reason
+        fleet_cls = FleetEdgeProcess if walk == "eprocess" else FleetVProcess
+        with pytest.raises(FleetUnsupported) as info:
+            fleet_cls([simple, loopy], [0, 0], rngs)
+        assert "lane 1" in info.value.reason and why in info.value.reason
 
     def test_hashed_regular_sweep_fleet_equals_array(self, tmp_path, capsys):
         covers = {}

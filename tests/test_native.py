@@ -3,10 +3,10 @@
 The contract: with the C extension loaded, every stepwise fleet block
 runs through one fused call that consumes the same Mersenne-Twister
 words in the same per-lane order as the numpy kernel — so cover times,
-first-visit tables (vertices and edges), red/blue splits, phase marks,
-final positions, and every generator's end-state are identical between
-``native=True`` and ``native=False`` runs, and both match the per-trial
-reference walks.
+first-visit tables (vertices and edges), red/blue splits, final
+positions, and every generator's end-state are identical between runs on
+the kernel and runs under ``REPRO_NATIVE=0`` (the one switch to the numpy
+path), and both match the per-trial reference walks.
 
 The suite covers every fleet walk (srw / eprocess / vprocess), regular
 and irregular lanes (the kernel takes its one cumulative-rank path on
@@ -41,7 +41,7 @@ import pytest
 
 from repro.core.eprocess import EdgeProcess
 from repro.engine import FleetEdgeProcess, FleetSRW, FleetVProcess, native
-from repro.errors import CoverTimeout, GenerationError, ReproError
+from repro.errors import CoverTimeout, GenerationError
 from repro.graphs import random_regular as rr
 from repro.graphs.generators import complete_graph, lollipop_graph
 from repro.graphs.graph import Graph
@@ -50,6 +50,7 @@ from repro.graphs.random_regular import random_connected_regular_graph, random_r
 from repro.telemetry import Telemetry, session
 from repro.walks.choice import UnvisitedVertexWalk
 from repro.walks.srw import SimpleRandomWalk
+from tests.kernels import run_on
 
 FLEET_SIZES = [1, 2, 7, 32]
 
@@ -103,16 +104,7 @@ def _snapshot(walk_name, fleet, K):
     if walk_name == "eprocess":
         snap["red"] = fleet.red_steps
         snap["blue"] = fleet.blue_steps
-        snap["marks"] = [fleet.phase_marks(k) for k in range(K)]
-        snap["last"] = [fleet.last_color(k) for k in range(K)]
     return snap
-
-
-def _make_fleet(walk_name, graphs, starts, rngs, native_pref):
-    cls = FLEETS[walk_name]
-    if walk_name == "eprocess":
-        return cls(graphs, starts, rngs, record_phases=True, native=native_pref)
-    return cls(graphs, starts, rngs, native=native_pref)
 
 
 @native_built
@@ -126,10 +118,10 @@ class TestNativeVsNumpyParity:
         starts, n_rngs, p_rngs = _lanes(graph, K, 1000)
         twins = [random.Random(1000 + k) for k in range(K)]
 
-        nat = _make_fleet(walk, [graph] * K, starts, n_rngs, True)
-        cover_nat = nat.run_until_cover(target=target)
-        num = _make_fleet(walk, [graph] * K, starts, p_rngs, False)
-        cover_num = num.run_until_cover(target=target)
+        nat = FLEETS[walk]([graph] * K, starts, n_rngs)
+        cover_nat = run_on(True, nat, target=target)
+        num = FLEETS[walk]([graph] * K, starts, p_rngs)
+        cover_num = run_on(False, num, target=target)
 
         assert cover_nat == cover_num
         assert _snapshot(walk, nat, K) == _snapshot(walk, num, K)
@@ -153,7 +145,7 @@ class TestNativeVsNumpyParity:
         starts, rngs, _ = _lanes(graph, K, 7000)
         tel = Telemetry()
         with session(tel):
-            _make_fleet(walk, [graph] * K, starts, rngs, True).run_until_cover("vertices")
+            run_on(True, FLEETS[walk]([graph] * K, starts, rngs), "vertices")
         assert tel.counters.get("fleet.blocks", 0) >= 1
 
     @pytest.mark.parametrize("walk", ["eprocess", "vprocess"])
@@ -163,9 +155,9 @@ class TestNativeVsNumpyParity:
         graph = _graph("bigdegree")
         K = 7
         starts, n_rngs, p_rngs = _lanes(graph, K, 4000)
-        nat = _make_fleet(walk, [graph] * K, starts, n_rngs, True)
-        num = _make_fleet(walk, [graph] * K, starts, p_rngs, False)
-        assert nat.run_until_cover("edges") == num.run_until_cover("edges")
+        nat = FLEETS[walk]([graph] * K, starts, n_rngs)
+        num = FLEETS[walk]([graph] * K, starts, p_rngs)
+        assert run_on(True, nat, "edges") == run_on(False, num, "edges")
         assert _snapshot(walk, nat, K) == _snapshot(walk, num, K)
         for k in range(K):
             assert n_rngs[k].getstate() == p_rngs[k].getstate()
@@ -181,9 +173,9 @@ class TestNativeVsNumpyParity:
         starts = [k % 40 for k in range(K)]
         n_rngs = [random.Random(2000 + k) for k in range(K)]
         p_rngs = [random.Random(2000 + k) for k in range(K)]
-        nat = _make_fleet(walk, graphs, starts, n_rngs, True)
-        num = _make_fleet(walk, graphs, starts, p_rngs, False)
-        assert nat.run_until_cover("vertices") == num.run_until_cover("vertices")
+        nat = FLEETS[walk](graphs, starts, n_rngs)
+        num = FLEETS[walk](graphs, starts, p_rngs)
+        assert run_on(True, nat, "vertices") == run_on(False, num, "vertices")
         assert _snapshot(walk, nat, K) == _snapshot(walk, num, K)
         for k in range(K):
             assert n_rngs[k].getstate() == p_rngs[k].getstate()
@@ -194,12 +186,12 @@ class TestNativeVsNumpyParity:
         K = 8
         starts, n_rngs, p_rngs = _lanes(graph, K, 3000)
         budget = 37
-        nat = _make_fleet(walk, [graph] * K, starts, n_rngs, True)
+        nat = FLEETS[walk]([graph] * K, starts, n_rngs)
         with pytest.raises(CoverTimeout):
-            nat.run_until_cover("edges", max_steps=budget)
-        num = _make_fleet(walk, [graph] * K, starts, p_rngs, False)
+            run_on(True, nat, "edges", max_steps=budget)
+        num = FLEETS[walk]([graph] * K, starts, p_rngs)
         with pytest.raises(CoverTimeout):
-            num.run_until_cover("edges", max_steps=budget)
+            run_on(False, num, "edges", max_steps=budget)
         for k in range(K):
             assert n_rngs[k].getstate() == p_rngs[k].getstate()
 
@@ -217,14 +209,14 @@ class TestNativeVsNumpyParity:
             cover = nat.run_until_cover(target)
         assert tel.counters["fleet.native_fleets"] == 1
         assert "fleet.numpy_fleets" not in tel.counters
-        num = FleetSRW([graph] * K, starts, p_rngs, native=False)
-        assert num.run_until_cover(target) == cover
+        num = FleetSRW([graph] * K, starts, p_rngs)
+        assert run_on(False, num, target) == cover
         assert _snapshot("srw", nat, K) == _snapshot("srw", num, K)
         budget = min(cover) - 1
-        for native_pref, rngs in ((True, n_rngs), (False, p_rngs)):
-            fleet = FleetSRW([graph] * K, starts, rngs, native=native_pref)
+        for use_native, rngs in ((True, n_rngs), (False, p_rngs)):
+            fleet = FleetSRW([graph] * K, starts, rngs)
             with pytest.raises(CoverTimeout):
-                fleet.run_until_cover(target, max_steps=budget)
+                run_on(use_native, fleet, target, max_steps=budget)
         for k in range(K):
             assert n_rngs[k].getstate() == p_rngs[k].getstate()
 
@@ -235,9 +227,9 @@ class TestNativeVsNumpyParity:
         graph = lollipop_graph(7, 30)
         K = 7
         starts, n_rngs, p_rngs = _lanes(graph, K, 5000)
-        nat = FleetSRW([graph] * K, starts, n_rngs, native=True)
-        num = FleetSRW([graph] * K, starts, p_rngs, native=False)
-        assert nat.run_until_cover("edges") == num.run_until_cover("edges")
+        nat = FleetSRW([graph] * K, starts, n_rngs)
+        num = FleetSRW([graph] * K, starts, p_rngs)
+        assert run_on(True, nat, "edges") == run_on(False, num, "edges")
         for k in range(K):
             assert n_rngs[k].getstate() == p_rngs[k].getstate()
 
@@ -277,10 +269,10 @@ class TestMersenneTwisterBoundaries:
         graph = _graph("regular" if K == 9 else "irregular")
         starts = [k % graph.n for k in range(K)]
         n_rngs, p_rngs, twins = _boundary_lanes(K, start, 11_000)
-        nat = _make_fleet(walk, [graph] * K, starts, n_rngs, True)
-        num = _make_fleet(walk, [graph] * K, starts, p_rngs, False)
-        cover = nat.run_until_cover(target)
-        assert cover == num.run_until_cover(target)
+        nat = FLEETS[walk]([graph] * K, starts, n_rngs)
+        num = FLEETS[walk]([graph] * K, starts, p_rngs)
+        cover = run_on(True, nat, target)
+        assert cover == run_on(False, num, target)
         assert nat.positions == num.positions
         for k in range(K):
             ref = REFERENCES[walk](graph, starts[k], twins[k])
@@ -301,10 +293,10 @@ class TestMersenneTwisterBoundaries:
         starts = [k % graph.n for k in range(K)]
         n_rngs, p_rngs, twins = _boundary_lanes(K, start, 12_000)
         budget = graph.m - 4  # a step visits at most one new edge: no lane covers
-        for rngs, native_pref in ((n_rngs, True), (p_rngs, False)):
-            fleet = _make_fleet(walk, [graph] * K, starts, rngs, native_pref)
+        for rngs, use_native in ((n_rngs, True), (p_rngs, False)):
+            fleet = FLEETS[walk]([graph] * K, starts, rngs)
             with pytest.raises(CoverTimeout):
-                fleet.run_until_cover("edges", max_steps=budget)
+                run_on(use_native, fleet, "edges", max_steps=budget)
         # Every lane is live when the budget runs out, so every lane's
         # generator is synced to its reference twin's at the budget.
         for k in range(K):
@@ -353,7 +345,7 @@ class TestNativeLoader:
                 assert native.load() is None
                 assert not native.available()
 
-            # Auto preference still runs — on the numpy path — and stays
+            # Fleets still run — on the numpy path — and stay
             # bit-identical to the reference walk.
             K = 3
             starts, rngs, twins = _lanes(graph, K, 7000)
@@ -365,15 +357,16 @@ class TestNativeLoader:
                 )
                 assert cover[k] == ref.run_until_vertex_cover()
                 assert rngs[k].getstate() == twins[k].getstate()
-
-            # An explicit native=True is a hard error, never silent numpy.
-            starts, rngs, _ = _lanes(graph, 2, 8000)
-            fleet = FleetVProcess([graph] * 2, starts, rngs, native=True)
-            with pytest.raises(ReproError, match="fused kernel is unavailable"):
-                fleet.run_until_cover("vertices")
+            assert fleet._native is None
         finally:
             monkeypatch.undo()
             native._reset_probe_for_testing()
+
+    def test_abi_stamps_agree(self):
+        # The loader's stamp and the kernel source's are bumped together.
+        source = os.path.join(os.path.dirname(native.__file__), "_fused.c")
+        with open(source) as handle:
+            assert f"#define REPRO_FUSED_ABI {native.ABI_VERSION}\n" in handle.read()
 
     @native_built
     def test_abi_mismatch_refused(self, monkeypatch):
@@ -389,46 +382,37 @@ class TestNativeLoader:
 
     def test_stale_abi_build_refused_by_name(self, tmp_path, monkeypatch):
         # A kernel from before the generator moved into C (ABI 2) reads
-        # word rows where this build passes state rows: it must be refused
+        # word rows where this build passes state rows, and one from before
+        # the phase-recording slots went (ABI 4) reads the covered flags
+        # from a slot this build no longer fills: each must be refused
         # with its path in the reason, never called.
         cc = shutil.which("cc") or shutil.which("gcc")
         if cc is None:
             pytest.skip("no C compiler to build a stale kernel")
-        src = tmp_path / "stale.c"
-        src.write_text("long long repro_fused_abi(void) { return 2; }\n")
-        stale = tmp_path / "_fused_abi2.so"
         # A sanitizer runtime preloaded into this process must not ride
         # into the compiler (its leak checker would fail the build).
         env = {k: v for k, v in os.environ.items() if k != "LD_PRELOAD"}
-        subprocess.run(
-            [cc, "-shared", "-fPIC", str(src), "-o", str(stale)], check=True, env=env
-        )
         monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        monkeypatch.setattr(native, "_find_extension", lambda: str(stale))
-        native._reset_probe_for_testing()
         try:
-            with pytest.warns(RuntimeWarning, match="ABI 2"):
-                assert native.load() is None
-            reason = native.unavailable_reason()
-            assert str(stale) in reason
-            assert f"ABI 2, this build of repro needs {native.ABI_VERSION}" in reason
+            for abi in (2, 4):
+                src = tmp_path / f"stale{abi}.c"
+                src.write_text(f"long long repro_fused_abi(void) {{ return {abi}; }}\n")
+                stale = tmp_path / f"_fused_abi{abi}.so"
+                subprocess.run(
+                    [cc, "-shared", "-fPIC", str(src), "-o", str(stale)],
+                    check=True,
+                    env=env,
+                )
+                monkeypatch.setattr(native, "_find_extension", lambda: str(stale))
+                native._reset_probe_for_testing()
+                with pytest.warns(RuntimeWarning, match=f"ABI {abi}"):
+                    assert native.load() is None
+                reason = native.unavailable_reason()
+                assert str(stale) in reason
+                assert f"ABI {abi}, this build of repro needs {native.ABI_VERSION}" in reason
         finally:
             monkeypatch.undo()
             native._reset_probe_for_testing()
-
-    @native_built
-    def test_native_false_skips_kernel(self):
-        # native=False must not even probe per-fleet state: the numpy and
-        # native fleets share every other code path, so the only visible
-        # difference is throughput.  Spot-check the flag plumbs through.
-        graph = _graph("irregular")
-        starts, rngs, twins = _lanes(graph, 2, 9000)
-        fleet = FleetSRW([graph] * 2, starts, rngs, native=False)
-        fleet.run_until_cover("vertices")
-        assert fleet._native is None
-        fleet2 = FleetSRW([graph] * 2, starts, twins, native=None)
-        fleet2.run_until_cover("vertices")
-        assert fleet2._native is not None
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +559,15 @@ class TestNativeStegerWormald:
         assert tel.counters["graphs.native_builds"] == 1
         assert tel.counters["graphs.python_builds"] == 2
 
-    @pytest.mark.parametrize("native_pref", [True, False])
-    def test_fleet_never_builds_graph_tuples(self, native_pref):
+    @pytest.mark.parametrize("use_native", [True, False])
+    def test_fleet_never_builds_graph_tuples(self, use_native):
         # The array-backed graphs are the gain: a fleet on native-built
         # lanes, run to its last lane's cover, must read only the arrays.
         K = 5
         graphs = [random_connected_regular_graph(60, 4, random.Random(k)) for k in range(K)]
         rngs = [random.Random(900 + k) for k in range(K)]
-        fleet = FleetEdgeProcess(graphs, [0] * K, rngs, native=native_pref)
-        fleet.run_until_cover("vertices")
+        fleet = FleetEdgeProcess(graphs, [0] * K, rngs)
+        run_on(use_native, fleet, "vertices")
         assert all(g._edges is None and g._incidence is None for g in graphs)
 
 

@@ -14,23 +14,14 @@ import random
 import pytest
 
 from repro.errors import CoverTimeout
-from repro.engine import (
-    FLEET_ENGINES,
-    NAMED_WALK_FACTORIES,
-    FleetEdgeProcess,
-    FleetSRW,
-    FleetVProcess,
-    native,
-)
+from repro.engine import FLEET_ENGINES, NAMED_WALK_FACTORIES, FleetSRW, native
 from repro.graphs import ImplicitHypercube
 from repro.graphs.generators import hypercube_graph, lollipop_graph
 from repro.sim.policy import ExecutionPolicy
 from repro.telemetry import Telemetry, session
+from tests.kernels import run_on
 
 FLEET_WALKS = sorted(FLEET_ENGINES)  # srw, eprocess, vprocess
-#: The lockstep class behind each runner fleet, built here with
-#: ``native=False`` so the numpy path is the one instrumented.
-FLEET_CLASSES = {"srw": FleetSRW, "eprocess": FleetEdgeProcess, "vprocess": FleetVProcess}
 
 
 def _run_walk(factory, graph, seed):
@@ -42,8 +33,9 @@ def _run_walk(factory, graph, seed):
 def _run_fleet(walk_name, graph, K, seed):
     rngs = [random.Random(seed + k) for k in range(K)]
     starts = [random.Random(500 + k).randrange(graph.n) for k in range(K)]
-    fleet = FLEET_CLASSES[walk_name]([graph] * K, starts, rngs, native=False)
-    cover = fleet.run_until_cover("vertices")
+    fleet = FLEET_ENGINES[walk_name]([graph] * K, starts, rngs)
+    # The numpy path is the one instrumented.
+    cover = run_on(False, fleet, "vertices")
     return list(cover), [r.getstate() for r in rngs]
 
 
@@ -118,19 +110,19 @@ class TestFleetEngines:
         graph = regular_graph if shape == "regular" else irregular_graph
         K = 10
         consumed = {}
-        for native_pref in (True, False):
+        for use_native in (True, False):
             rngs = [random.Random(300 + k) for k in range(K)]
             tel = Telemetry()
             with session(tel):
-                fleet = FLEET_CLASSES[walk_name]([graph] * K, [0] * K, rngs, native=native_pref)
-                fleet.run_until_cover("edges")
-            kernel = "fleet.native_fleets" if native_pref else "fleet.numpy_fleets"
+                fleet = FLEET_ENGINES[walk_name]([graph] * K, [0] * K, rngs)
+                run_on(use_native, fleet, "edges")
+            kernel = "fleet.native_fleets" if use_native else "fleet.numpy_fleets"
             assert tel.counters[kernel] == 1
-            consumed[native_pref] = tel.counters["fleet.words_consumed"]
+            consumed[use_native] = tel.counters["fleet.words_consumed"]
         assert consumed[True] == consumed[False] > 0
 
     @pytest.mark.parametrize(
-        "native_pref",
+        "use_native",
         [
             False,
             pytest.param(
@@ -141,7 +133,7 @@ class TestFleetEngines:
             ),
         ],
     )
-    def test_timeout_counts_live_lanes_words(self, native_pref):
+    def test_timeout_counts_live_lanes_words(self, use_native):
         # A budget timeout ends the fleet with every lane still live; the
         # words those lanes drew count as they are synced, so the total
         # matches what the reference twins drew in the same 30 steps.
@@ -150,9 +142,9 @@ class TestFleetEngines:
         tel = Telemetry()
         with session(tel):
             rngs = [random.Random(40 + k) for k in range(K)]
-            fleet = FleetSRW([graph] * K, [0] * K, rngs, native=native_pref)
+            fleet = FleetSRW([graph] * K, [0] * K, rngs)
             with pytest.raises(CoverTimeout):
-                fleet.run_until_cover("edges", max_steps=30)
+                run_on(use_native, fleet, "edges", max_steps=30)
         drawn = 0
         for k in range(K):
             twin = random.Random(40 + k)

@@ -68,8 +68,7 @@ def _build(cls, graph, fleet_idx):
         random.Random(100 * fleet_idx + k).randrange(graph.n) for k in range(LANES)
     ]
     rngs = [random.Random(9_000 + 100 * fleet_idx + k) for k in range(LANES)]
-    kwargs = {"record_phases": False} if cls is FleetEdgeProcess else {}
-    return cls([graph] * LANES, starts, rngs, **kwargs), rngs
+    return cls([graph] * LANES, starts, rngs), rngs
 
 
 def _drive(cls, graph, fleet_idx, target):
