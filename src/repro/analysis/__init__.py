@@ -40,18 +40,15 @@ all) to the reported line.  The pragma is same-line and explicit by
 design — every sanctioned exception stays grep-able.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.linter import lint_file, lint_paths, lint_source
-from repro.analysis.rules import ALL_RULES, rules_by_selector
-
-__all__ = [
-    "ALL_RULES",
-    "Diagnostic",
-    "Severity",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "rules_by_selector",
-]
+# Lazy (:mod:`repro._lazy`): ``repro lint``'s argument parser is built by
+# every CLI command, and must not load the rule registry to do so.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "rules": ("ALL_RULES", "rules_by_selector"),
+        "diagnostics": ("Diagnostic", "Severity"),
+        "linter": ("lint_file", "lint_paths", "lint_source"),
+    },
+)

@@ -18,8 +18,6 @@ import sys
 from typing import List, Optional, Sequence, TextIO
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.linter import lint_paths
-from repro.analysis.rules import ALL_RULES, rules_by_selector
 from repro.errors import ReproError
 
 __all__ = ["add_lint_arguments", "build_parser", "main", "run"]
@@ -82,6 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_rules(out: TextIO) -> None:
+    from repro.analysis.rules import ALL_RULES
+
     for rule in ALL_RULES:
         scope = ", ".join(rule.include) if rule.include else "all library code"
         if rule.exclude:
@@ -131,6 +131,11 @@ def _report_dead_pragmas(
 
 def run(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
     """Execute a parsed lint invocation; returns the process exit code."""
+    # The linter and its rule registry load here, not at import: the main
+    # CLI imports this module to build ``repro lint``'s parser.
+    from repro.analysis.linter import lint_paths
+    from repro.analysis.rules import ALL_RULES, rules_by_selector
+
     out = out if out is not None else sys.stdout
     if args.list_rules:
         _print_rules(out)

@@ -30,10 +30,6 @@ from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
 from repro._version import __version__
-from repro.core.eprocess import EdgeProcess
-from repro.core.components import isolated_blue_stars
-from repro.core.goodness import ell_goodness_exact
-from repro.core.stars import expected_isolated_stars
 from repro.engine import DEFAULT_FLEET_SIZE, resolve_walk_factory
 from repro.errors import ReproError
 from repro.experiments import (
@@ -50,14 +46,18 @@ from repro.experiments import (
     run_sweep,
     sweep_runs_from_store,
 )
-from repro.graphs import Graph, random_connected_regular_graph
-from repro.graphs.properties import girth
-from repro.sim.fitting import fit_normalized_profile, select_growth_model
+from repro.graphs.graph import Graph
 from repro.sim.policy import ExecutionPolicy
 from repro.sim.results import Series, aggregate
 from repro.sim.rng import DEFAULT_ROOT_SEED, spawn
 from repro.sim.runner import cover_time_trials
 from repro.sim.tables import format_kv_block, format_series_table, format_table
+
+# Module level holds only the store, sweep and runner layer that a sweep
+# loads anyway, none of which imports numpy or a walk engine.  Each command
+# imports the walks, graph generators and analysis it runs inside its own
+# function, so ``--version``, ``report``, ``store`` and a fully cached
+# ``sweep`` never load them.
 
 __all__ = ["main", "build_parser"]
 
@@ -265,6 +265,8 @@ def _store_durability(args: argparse.Namespace) -> str:
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
+    from repro.sim.fitting import fit_normalized_profile, select_growth_model
+
     policy = _execution_policy(args, "eprocess")
     degrees = sorted(set(args.degrees))
     sweep_spec = SweepSpec.figure1(
@@ -559,6 +561,9 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def _cmd_goodness(args: argparse.Namespace) -> int:
+    from repro.core.goodness import ell_goodness_exact
+    from repro.graphs.properties import girth
+
     _require_materialized(args, "exact ℓ-goodness")
     build_rng = spawn(args.seed, "cli-goodness-graph")
     graph = _build_family_graph(args, build_rng)
@@ -650,11 +655,9 @@ def _cmd_blanket(args: argparse.Namespace) -> int:
         cv_values.append(cover_walk.run_until_vertex_cover())
         bl_walk = SimpleRandomWalk(graph, 0, rng=spawn(args.seed, "cli-blanket-bl", trial))
         bl_values.append(blanket_time(bl_walk, delta=args.delta))
-    from repro.sim.results import aggregate as _agg
-
-    t_r = _agg(t_r_values)
-    cv = _agg(cv_values)
-    bl = _agg(bl_values)
+    t_r = aggregate(t_r_values)
+    cv = aggregate(cv_values)
+    bl = aggregate(bl_values)
     print(
         format_kv_block(
             f"blanket-style times on {graph.name or args.family} (eq. 4 route)",
@@ -681,6 +684,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_stars(args: argparse.Namespace) -> int:
+    from repro.core.components import isolated_blue_stars
+    from repro.core.eprocess import EdgeProcess
+    from repro.core.stars import expected_isolated_stars
+    from repro.graphs.random_regular import random_connected_regular_graph
+
     counts = []
     for trial in range(args.trials):
         rng = spawn(args.seed, "cli-stars", trial)

@@ -18,7 +18,7 @@ Three engines exist:
   (:class:`~repro.engine.fleet.FleetSRW`,
   :class:`~repro.engine.fleet_unvisited.FleetEdgeProcess`,
   :class:`~repro.engine.fleet_unvisited.FleetVProcess`): the runner
-  batches trials through the walk's class in :data:`FLEET_ENGINES`; a
+  batches trials through the walk's entry in :data:`FLEET_ENGINES`; a
   batch the class cannot step raises
   :class:`~repro.engine.fleet.FleetUnsupported` at construction, naming
   the offending lane.  A walk can fleet exactly when it has an entry
@@ -28,8 +28,8 @@ The registries at the bottom are the single source of truth for every
 walk the CLI and experiment specs can name: :data:`NAMED_WALK_FACTORIES`
 maps each walk's per-trial engines to module-level factories (picklable
 for the multiprocessing runner), :data:`FLEET_ENGINES` its lockstep
-class.  Walks without a fast twin simply have only the ``"reference"``
-entry; asking for a missing engine is an explicit
+fleet constructor.  Walks without a fast twin simply have only the
+``"reference"`` entry; asking for a missing engine is an explicit
 :class:`~repro.errors.ReproError`, never a silent reference fallback.
 """
 
@@ -37,36 +37,27 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Union
 
-from repro.core.eprocess import EdgeProcess
-from repro.engine.base import DEFAULT_CHUNK_SIZE, ArrayWalkEngine, MTWordStream
-from repro.engine.eprocess import ArrayEdgeProcess
-from repro.engine.fleet import DEFAULT_FLEET_SIZE, FleetSRW
-from repro.engine.fleet_unvisited import FleetEdgeProcess, FleetVProcess
-from repro.engine.oracle import OracleEdgeProcess, OracleSRW, OracleVProcess
-from repro.engine.rotor import ArrayRotorRouter
-from repro.engine.rwc import ArrayRWC
-from repro.engine.srw import ArraySRW
+from repro._lazy import lazy_exports
 from repro.errors import ReproError
 from repro.graphs.implicit import is_implicit
-from repro.walks.choice import RandomWalkWithChoice, UnvisitedVertexWalk
-from repro.walks.fair import LeastUsedFirstWalk, OldestFirstWalk
-from repro.walks.rotor import RotorRouterWalk
-from repro.walks.srw import SimpleRandomWalk
 
-__all__ = [
-    "ArrayWalkEngine",
-    "ArraySRW",
-    "ArrayEdgeProcess",
-    "ArrayRotorRouter",
-    "ArrayRWC",
-    "OracleSRW",
-    "OracleEdgeProcess",
-    "OracleVProcess",
-    "FleetSRW",
-    "FleetEdgeProcess",
-    "FleetVProcess",
-    "MTWordStream",
-    "DEFAULT_CHUNK_SIZE",
+# The engine classes load on first use, so resolving or validating a walk
+# name (``repro sweep`` flags, a fully cached sweep) imports no engine.
+_LAZY_ALL, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": ("ArrayWalkEngine", "MTWordStream", "DEFAULT_CHUNK_SIZE"),
+        "srw": ("ArraySRW",),
+        "eprocess": ("ArrayEdgeProcess",),
+        "rotor": ("ArrayRotorRouter",),
+        "rwc": ("ArrayRWC",),
+        "oracle": ("OracleSRW", "OracleEdgeProcess", "OracleVProcess"),
+        "fleet": ("FleetSRW",),
+        "fleet_unvisited": ("FleetEdgeProcess", "FleetVProcess"),
+    },
+)
+
+__all__ = _LAZY_ALL + [
     "DEFAULT_FLEET_SIZE",
     "ENGINES",
     "FLEET_ENGINES",
@@ -75,6 +66,16 @@ __all__ = [
 ]
 
 ENGINES = ("reference", "array", "fleet")
+
+#: Trials advanced together per fleet; the runner's batch size for
+#: ``engine="fleet"``.  A fleet step costs roughly a fixed number of numpy
+#: dispatches however many lanes ride it, so wider fleets amortize better.
+#: The stepwise kernels pay their dispatches *per lockstep step* and keep
+#: gaining well past 64 lanes (fleet E-process vs per-trial
+#: ``ArrayEdgeProcess``, 10k-vertex benchmark graph: ~2.1x at 64, ~3x at
+#: 128 on vertex cover) while one batch's lane state stays a few tens of
+#: MB.
+DEFAULT_FLEET_SIZE = 128
 
 
 def _refuse_implicit(walk_name: str, graph, state: str) -> None:
@@ -89,9 +90,17 @@ def _refuse_implicit(walk_name: str, graph, state: str) -> None:
         )
 
 
+# Each factory imports its class when called: the registries below
+# name every walk without loading any engine module.
+
+
 def _srw_reference(graph, start, rng):
     if is_implicit(graph):
+        from repro.engine.oracle import OracleSRW
+
         return OracleSRW(graph, start, rng=rng, track_edges=True)
+    from repro.walks.srw import SimpleRandomWalk
+
     return SimpleRandomWalk(graph, start, rng=rng, track_edges=True)
 
 
@@ -99,56 +108,102 @@ def _srw_array(graph, start, rng):
     if is_implicit(graph):
         # One oracle engine serves both names: its chunk tiers already
         # batch draws, and bit-identity makes the distinction unobservable.
+        from repro.engine.oracle import OracleSRW
+
         return OracleSRW(graph, start, rng=rng, track_edges=True)
+    from repro.engine.srw import ArraySRW
+
     return ArraySRW(graph, start, rng=rng, track_edges=True)
 
 
 def _eprocess_reference(graph, start, rng):
     if is_implicit(graph):
+        from repro.engine.oracle import OracleEdgeProcess
+
         return OracleEdgeProcess(graph, start, rng=rng, record_phases=False)
+    from repro.core.eprocess import EdgeProcess
+
     return EdgeProcess(graph, start, rng=rng, record_phases=False)
 
 
 def _eprocess_array(graph, start, rng):
     if is_implicit(graph):
+        from repro.engine.oracle import OracleEdgeProcess
+
         return OracleEdgeProcess(graph, start, rng=rng, record_phases=False)
+    from repro.engine.eprocess import ArrayEdgeProcess
+
     return ArrayEdgeProcess(graph, start, rng=rng, record_phases=False)
 
 
 def _rotor_reference(graph, start, rng):
     _refuse_implicit("rotor", graph, "a per-vertex rotor table")
+    from repro.walks.rotor import RotorRouterWalk
+
     return RotorRouterWalk(graph, start, rng=rng, randomize_rotors=True, track_edges=True)
 
 
 def _rotor_array(graph, start, rng):
     _refuse_implicit("rotor", graph, "a per-vertex rotor table")
+    from repro.engine.rotor import ArrayRotorRouter
+
     return ArrayRotorRouter(graph, start, rng=rng, randomize_rotors=True, track_edges=True)
 
 
 def _rwc2_reference(graph, start, rng):
     _refuse_implicit("rwc2", graph, "per-vertex visit counts")
+    from repro.walks.choice import RandomWalkWithChoice
+
     return RandomWalkWithChoice(graph, start, d=2, rng=rng, track_edges=True)
 
 
 def _rwc2_array(graph, start, rng):
     _refuse_implicit("rwc2", graph, "per-vertex visit counts")
+    from repro.engine.rwc import ArrayRWC
+
     return ArrayRWC(graph, start, d=2, rng=rng, track_edges=True)
 
 
 def _vprocess_reference(graph, start, rng):
     if is_implicit(graph):
+        from repro.engine.oracle import OracleVProcess
+
         return OracleVProcess(graph, start, rng=rng, track_edges=True)
+    from repro.walks.choice import UnvisitedVertexWalk
+
     return UnvisitedVertexWalk(graph, start, rng=rng, track_edges=True)
 
 
 def _least_used_reference(graph, start, rng):
     _refuse_implicit("least-used", graph, "per-edge traversal counts")
+    from repro.walks.fair import LeastUsedFirstWalk
+
     return LeastUsedFirstWalk(graph, start, rng=rng, track_edges=True)
 
 
 def _oldest_first_reference(graph, start, rng):
     _refuse_implicit("oldest-first", graph, "per-edge last-use ages")
+    from repro.walks.fair import OldestFirstWalk
+
     return OldestFirstWalk(graph, start, rng=rng, track_edges=True)
+
+
+def _fleet_srw(graphs, starts, rngs, **options):
+    from repro.engine.fleet import FleetSRW
+
+    return FleetSRW(graphs, starts, rngs, **options)
+
+
+def _fleet_eprocess(graphs, starts, rngs, **options):
+    from repro.engine.fleet_unvisited import FleetEdgeProcess
+
+    return FleetEdgeProcess(graphs, starts, rngs, **options)
+
+
+def _fleet_vprocess(graphs, starts, rngs, **options):
+    from repro.engine.fleet_unvisited import FleetVProcess
+
+    return FleetVProcess(graphs, starts, rngs, **options)
 
 
 #: Every nameable walk, mapping each per-trial engine to its factory.
@@ -166,16 +221,18 @@ NAMED_WALK_FACTORIES: Dict[str, Dict[str, Callable]] = {
 }
 
 
-#: Lockstep fleet classes by walk name — what the runner's
+#: Lockstep fleet constructors by walk name — what the runner's
 #: ``engine="fleet"`` batches step, and the only record of which walks
-#: can fleet.  Each takes ``(graphs, starts, rngs, labels=None)`` and runs
-#: the fused C kernel when it is built (``REPRO_NATIVE=0`` switches it
-#: off); construction checks the batch's eligibility once, raising
-#: :class:`repro.engine.fleet.FleetUnsupported`.
+#: can fleet.  Each takes ``(graphs, starts, rngs, labels=None)`` like the
+#: fleet class it builds, which runs the fused C kernel when it is
+#: built (``REPRO_NATIVE=0`` switches it off); construction checks the
+#: batch's eligibility once, raising
+#: :class:`repro.engine.fleet.FleetUnsupported`.  The runner looks entries
+#: up at call time, so a wrapped entry (a profiler's) is the one it runs.
 FLEET_ENGINES: Dict[str, Callable] = {
-    "srw": FleetSRW,
-    "eprocess": FleetEdgeProcess,
-    "vprocess": FleetVProcess,
+    "srw": _fleet_srw,
+    "eprocess": _fleet_eprocess,
+    "vprocess": _fleet_vprocess,
 }
 
 
@@ -194,8 +251,8 @@ def resolve_walk_factory(walk: Union[str, Callable], engine: str = "reference") 
     (allowed only with ``engine="reference"`` — a callable already commits
     to a concrete walk class, so asking for a fast engine on top of it
     would be silently ignored at best).  Under ``engine="fleet"`` the
-    result is the walk's lockstep class from :data:`FLEET_ENGINES`,
-    ``cls(graphs, starts, rngs, labels=None)``.
+    result is the walk's fleet constructor from :data:`FLEET_ENGINES`,
+    ``make(graphs, starts, rngs, labels=None)``.
 
     Requesting an engine a walk does not implement raises
     :class:`~repro.errors.ReproError` naming the walk, its available

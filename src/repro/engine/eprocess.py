@@ -111,23 +111,37 @@ class ArrayEdgeProcess(ArrayWalkEngine, EdgeProcess):
                     # incidence order (matching blue_candidates + the
                     # uniform rule's randrange index).
                     base = off[cur]
-                    end = off[cur + 1]
                     if has_loops:
                         cand = []
                         seen = set()
-                        for j in range(base, end):
+                        for j in range(base, off[cur + 1]):
                             e = eids[j]
                             if not ev[e] and e not in seen:
                                 seen.add(e)
                                 cand.append(j)
-                    else:
-                        cand = [j for j in range(base, end) if not ev[eids[j]]]
-                    q = len(cand)
-                    kq = kbits[q]
-                    r = grb(kq)
-                    while r >= q:
+                        q = len(cand)
+                        kq = kbits[q]
                         r = grb(kq)
-                    j = cand[r]
+                        while r >= q:
+                            r = grb(kq)
+                        j = cand[r]
+                    else:
+                        # Without loops every unvisited edge-end at cur is
+                        # one incidence slot, so the blue degree is the
+                        # candidate count: draw, then scan to the r-th
+                        # unvisited slot (as the fused kernel does).
+                        q = bd[cur]
+                        kq = kbits[q]
+                        r = grb(kq)
+                        while r >= q:
+                            r = grb(kq)
+                        j = base
+                        while True:
+                            if not ev[eids[j]]:
+                                if not r:
+                                    break
+                                r -= 1
+                            j += 1
                     e = eids[j]
                     nxt = nbrs[j]
                     steps += 1

@@ -69,23 +69,12 @@ from repro.telemetry import get_telemetry
 from repro.walks.base import default_step_budget
 
 __all__ = [
-    "DEFAULT_FLEET_SIZE",
     "DEFAULT_BLOCK_STEPS",
     "FleetWalkBase",
     "FleetSRW",
     "FleetUnsupported",
     "materialized_lanes",
 ]
-
-#: Trials advanced together per fleet; the runner's batch size for
-#: ``engine="fleet"``.  A fleet step costs roughly a fixed number of numpy
-#: dispatches however many lanes ride it, so wider fleets amortize better.
-#: The stepwise kernels pay their dispatches *per lockstep step* and keep
-#: gaining well past 64 lanes (fleet E-process vs per-trial
-#: ``ArrayEdgeProcess``, 10k-vertex benchmark graph: ~2.1x at 64, ~3x at
-#: 128 on vertex cover) while one batch's lane state stays a few tens of
-#: MB.
-DEFAULT_FLEET_SIZE = 128
 
 #: Steps per kernel block: the most lockstep steps one native call
 #: advances before the driver's bookkeeping runs.

@@ -219,18 +219,22 @@ def run_point(
         def on_result(outcomes: List[TrialOutcome], _spec=spec) -> None:
             _checkpoint(store, _spec, outcomes, policy)
 
-    fresh = run_trials(
-        workload=spec.workload(),
-        walk_factory=spec.runner_walk(),
-        trial_indices=missing,
-        root_seed=spec.root_seed,
-        target=spec.target,
-        start=spec.start,
-        max_steps=spec.max_steps,
-        label=spec.seed_label,
-        policy=policy,
-        on_result=on_result,
-    )
+    # A fully cached point resolves no workload or walk and touches no
+    # engine: a warm re-run only reads the store.
+    fresh: List[TrialOutcome] = []
+    if missing:
+        fresh = run_trials(
+            workload=spec.workload(),
+            walk_factory=spec.runner_walk(),
+            trial_indices=missing,
+            root_seed=spec.root_seed,
+            target=spec.target,
+            start=spec.start,
+            max_steps=spec.max_steps,
+            label=spec.seed_label,
+            policy=policy,
+            on_result=on_result,
+        )
     by_trial = dict(cached)
     by_trial.update({outcome.trial: outcome for outcome in fresh})
     ordered = [by_trial[t] for t in range(spec.trials)]

@@ -42,18 +42,12 @@ from typing import (
 
 from repro.engine import NAMED_WALK_FACTORIES
 from repro.errors import ReproError
-from repro.graphs import (
-    Graph,
+from repro.graphs.graph import Graph
+from repro.graphs.implicit import (
     ImplicitGraph,
     ImplicitHashedRegular,
     ImplicitHypercube,
     ImplicitTorus,
-    complete_graph,
-    cycle_graph,
-    hypercube_graph,
-    lps_graph,
-    random_connected_regular_graph,
-    torus_grid,
 )
 from repro.sim.rng import DEFAULT_ROOT_SEED
 
@@ -71,27 +65,44 @@ __all__ = [
 # Graph family registry: name -> (required params, builder(params, rng))
 # --------------------------------------------------------------------------
 
+# Each generator is imported by the builder that calls it, so reading
+# specs back from a store (``repro report``, a fully cached sweep) imports
+# no graph generator.
+
+
 def _build_regular(params: Mapping[str, Any], rng: random.Random) -> Graph:
+    from repro.graphs.random_regular import random_connected_regular_graph
+
     return random_connected_regular_graph(params["n"], params["degree"], rng)
 
 
 def _build_cycle(params: Mapping[str, Any], rng: random.Random) -> Graph:
+    from repro.graphs.generators import cycle_graph
+
     return cycle_graph(params["n"])
 
 
 def _build_complete(params: Mapping[str, Any], rng: random.Random) -> Graph:
+    from repro.graphs.generators import complete_graph
+
     return complete_graph(params["n"])
 
 
 def _build_torus(params: Mapping[str, Any], rng: random.Random) -> Graph:
+    from repro.graphs.generators import torus_grid
+
     return torus_grid(params["rows"], params["cols"])
 
 
 def _build_hypercube(params: Mapping[str, Any], rng: random.Random) -> Graph:
+    from repro.graphs.generators import hypercube_graph
+
     return hypercube_graph(params["r"])
 
 
 def _build_lps(params: Mapping[str, Any], rng: random.Random) -> Graph:
+    from repro.graphs.ramanujan import lps_graph
+
     return lps_graph(params["p"], params["q"])
 
 

@@ -13,12 +13,13 @@ and run in ``O(n + m)`` (BFS-based) or ``O(n (n + m))`` (all-sources) time.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import GraphError, NotConnectedError, SpectralError
 from repro.graphs.graph import Graph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = [
     "connected_components",
@@ -260,6 +261,8 @@ def degree_histogram(graph: Graph) -> dict:
 
 def degree_vector(graph: Graph) -> np.ndarray:
     """Degrees as a float array (loops count 2)."""
+    import numpy as np
+
     return np.array(graph.degrees(), dtype=float)
 
 

@@ -295,7 +295,7 @@ def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialO
     decide (``engine="array"`` gives identical numbers per trial).  The
     one throughput substitution is :func:`_srw_per_trial`'s, counted as
     ``runner.srw_array_batches``.  ``template.walk_factory`` is the
-    walk's lockstep class from :data:`repro.engine.FLEET_ENGINES`;
+    walk's fleet constructor from :data:`repro.engine.FLEET_ENGINES`;
     constructing the fleet is the batch's one eligibility check, and
     swaps implicit lanes for their ``materialize()`` twins once
     (:func:`repro.engine.fleet.materialized_lanes`).

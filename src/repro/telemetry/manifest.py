@@ -26,8 +26,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-import numpy
-
 from repro._version import __version__
 from repro.errors import ReproError
 from repro.telemetry.core import Telemetry, peak_rss_bytes
@@ -62,6 +60,23 @@ def _kernel_identity(path: Optional[str]) -> Optional[Dict[str, str]]:
     return {"path": rel, "sha256": hashlib.sha256(so.read_bytes()).hexdigest()}
 
 
+def _numpy_version() -> Optional[str]:
+    """The numpy this run used, without importing it into a run that did not.
+
+    Store-only commands never load numpy; importing it just to stamp the
+    manifest would cost them more than the command itself.
+    """
+    loaded = sys.modules.get("numpy")
+    if loaded is not None:
+        return loaded.__version__
+    import importlib.metadata
+
+    try:
+        return importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
 def build_manifest(
     telemetry: Telemetry,
     *,
@@ -82,7 +97,7 @@ def build_manifest(
     snap = telemetry.snapshot()
     env: Dict = {
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": _numpy_version(),
         "platform": sys.platform,
         "cpu_count": os.cpu_count(),
         "repro_version": __version__,
@@ -90,19 +105,14 @@ def build_manifest(
     }
     # Native-kernel identity, but only if something already probed for it:
     # forcing the probe here would emit the loader's one-time fallback
-    # warning from runs that never wanted the kernel.
-    try:
-        from repro.engine import native as _native
-
-        if getattr(_native, "_probed", False):
-            env["native_available"] = _native.available()
-            env["native_kernel"] = _kernel_identity(_native.kernel_path())
-            # The loader only accepts a kernel stamped with this ABI.
-            env["native_abi"] = (
-                _native.ABI_VERSION if env["native_kernel"] is not None else None
-            )
-    except ImportError:  # pragma: no cover - engine always importable
-        pass
+    # warning from runs that never wanted the kernel (and a run that never
+    # imported the loader never probed).
+    native = sys.modules.get("repro.engine.native")
+    if getattr(native, "_probed", False):
+        env["native_available"] = native.available()
+        env["native_kernel"] = _kernel_identity(native.kernel_path())
+        # The loader only accepts a kernel stamped with this ABI.
+        env["native_abi"] = native.ABI_VERSION if env["native_kernel"] is not None else None
     manifest: Dict = {
         "kind": "manifest",
         "schema": MANIFEST_SCHEMA_VERSION,

@@ -1,35 +1,20 @@
-"""Walk processes: the shared framework and all baseline walks."""
+"""Walk processes: the shared framework and all baseline walks.
 
-from repro.walks.base import WalkProcess, default_step_budget
-from repro.walks.choice import RandomWalkWithChoice, UnvisitedVertexWalk
-from repro.walks.fair import LeastUsedFirstWalk, OldestFirstWalk
-from repro.walks.rotor import RotorRouterWalk
-from repro.walks.srw import LazyRandomWalk, SimpleRandomWalk, WeightedRandomWalk
+Names load their defining module on first use (:mod:`repro._lazy`); this
+also lets the Greedy Random Walk subclass the E-process, whose module
+imports :mod:`repro.walks.base`, without an import cycle.
+"""
 
-_GREEDY_EXPORTS = ("GreedyRandomWalk", "greedy_random_walk")
+from repro._lazy import lazy_exports
 
-
-def __getattr__(name: str):
-    # The Greedy Random Walk subclasses the E-process, whose module imports
-    # repro.walks.base (and hence this package).  Loading greedy lazily
-    # breaks that import cycle without hiding it from the public API.
-    if name in _GREEDY_EXPORTS:
-        from repro.walks import greedy
-
-        return getattr(greedy, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "WalkProcess",
-    "default_step_budget",
-    "SimpleRandomWalk",
-    "LazyRandomWalk",
-    "WeightedRandomWalk",
-    "RotorRouterWalk",
-    "RandomWalkWithChoice",
-    "UnvisitedVertexWalk",
-    "LeastUsedFirstWalk",
-    "OldestFirstWalk",
-    "GreedyRandomWalk",
-    "greedy_random_walk",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": ("WalkProcess", "default_step_budget"),
+        "srw": ("SimpleRandomWalk", "LazyRandomWalk", "WeightedRandomWalk"),
+        "rotor": ("RotorRouterWalk",),
+        "choice": ("RandomWalkWithChoice", "UnvisitedVertexWalk"),
+        "fair": ("LeastUsedFirstWalk", "OldestFirstWalk"),
+        "greedy": ("GreedyRandomWalk", "greedy_random_walk"),
+    },
+)

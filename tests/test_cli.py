@@ -201,6 +201,57 @@ class TestExecutionFlagsCheckedFirst:
         assert "scheduled" not in err
 
 
+class TestLookupSeams:
+    """Profilers wrap these module-level names; the program must read them
+    at call time, so a wrapped entry is the one that runs."""
+
+    def test_fleet_engines_entry_is_what_resolves(self, monkeypatch):
+        import repro.engine
+
+        def traced(*args, **kwargs):
+            raise AssertionError("not called here")
+
+        monkeypatch.setitem(repro.engine.FLEET_ENGINES, "srw", traced)
+        assert repro.engine.resolve_walk_factory("srw", "fleet") is traced
+
+    def test_sweep_command_calls_patched_run_sweep(self, capsys, tmp_path, monkeypatch):
+        from repro import cli
+
+        calls = []
+        real = cli.run_sweep
+
+        def traced(*args, **kwargs):
+            calls.append(args[0].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_sweep", traced)
+        args = ["sweep", "--family", "cycle", "--sizes", "20", "--walk", "srw",
+                "--trials", "1", "--seed", "3", "--store", str(tmp_path / "s")]
+        assert main(args) == 0
+        assert calls == ["cycle-srw-vertices"]
+        assert "1 scheduled" in capsys.readouterr().out
+
+    def test_warm_point_runs_no_trials(self, capsys, tmp_path, monkeypatch):
+        from repro.experiments import scheduler
+
+        args = ["sweep", "--family", "cycle", "--sizes", "20", "--walk", "srw",
+                "--trials", "2", "--seed", "3", "--engine", "fleet",
+                "--store", str(tmp_path / "s")]
+        calls = []
+        real = scheduler.run_trials
+
+        def traced(*a, **k):
+            calls.append(k["trial_indices"])
+            return real(*a, **k)
+
+        monkeypatch.setattr(scheduler, "run_trials", traced)
+        assert main(args) == 0
+        assert calls == [[0, 1]]
+        assert main(args) == 0
+        assert calls == [[0, 1]]  # the warm re-run schedules nothing
+        assert "0 scheduled, 2 cached" in capsys.readouterr().out
+
+
 class TestReportAndStoreCommands:
     def test_report_runs_nothing_and_matches_sweep_table(self, capsys, tmp_path):
         store = str(tmp_path / "s")

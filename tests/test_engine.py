@@ -22,6 +22,7 @@ from repro.errors import CoverTimeout, GraphError, ReproError
 from repro.graphs.generators import cycle_graph, path_graph, petersen_graph
 from repro.graphs.graph import Graph, GraphBuilder
 from repro.graphs.random_regular import random_connected_regular_graph
+from repro.graphs.transform import double_edges
 from repro.walks.srw import SimpleRandomWalk
 
 SEEDS = [0, 1, 12345]
@@ -51,6 +52,9 @@ GRAPHS = {
     "path": path_graph(9),
     "petersen": petersen_graph(),
     "loopy": _loopy_multigraph(),
+    # Parallel edges but no loops: the array E-process's loop-free blue
+    # draw scans incidence slots, each parallel copy its own candidate.
+    "parallel": double_edges(petersen_graph()),
 }
 
 

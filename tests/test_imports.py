@@ -1,6 +1,7 @@
 """Public-API surface tests: exports resolve and stay importable."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -47,11 +48,15 @@ class TestSubpackages:
         assert callable(walks.GreedyRandomWalk)
         assert callable(walks.greedy_random_walk)
 
-    def test_lazy_unknown_attribute_raises(self):
-        import repro.walks as walks
-
+    @pytest.mark.parametrize(
+        "module_name",
+        ["repro", "repro.graphs", "repro.walks", "repro.core", "repro.sim", "repro.engine"],
+    )
+    def test_lazy_root_dir_and_unknown_attribute(self, module_name):
+        module = importlib.import_module(module_name)
+        assert set(module.__all__) <= set(dir(module))
         with pytest.raises(AttributeError):
-            _ = walks.NotAWalk
+            _ = module.NotAnExport
 
 
 class TestLeafModules:
@@ -105,7 +110,9 @@ def _cli(argv, blocked):
 
 
 class TestNumpyOnly:
-    """``import repro`` and every command but ``spectral`` need numpy alone."""
+    """No command but ``spectral`` needs scipy or networkx; store-only
+    commands (``--version``, ``report``, ``store``, a fully cached
+    ``sweep``) load no numpy either — see :class:`TestImportBudget`."""
 
     @pytest.mark.parametrize("blocked", [True, False], ids=["blocked", "installed"])
     def test_import_loads_no_scipy_or_networkx(self, blocked):
@@ -148,3 +155,66 @@ class TestNumpyOnly:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "pip install 'repro[spectral]'" in lines[0]
+
+
+#: Printed by a child interpreter after it ran some commands: whether
+#: numpy, and which walk-engine modules, ended up loaded.
+REPORT_LOADED = (
+    "print('numpy' in sys.modules, "
+    "sorted(m for m in sys.modules if m.startswith('repro.engine.')))\n"
+)
+
+
+class TestImportBudget:
+    """Store-only paths import no numpy and no walk engine.
+
+    ``import repro`` resolves its exports lazily, and each CLI command
+    imports what it runs, so replaying results from the store costs no
+    numpy import.
+    """
+
+    def test_import_repro_and_cli(self):
+        proc = _python("import repro, repro.cli\n" + REPORT_LOADED, blocked=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False []"
+
+    def test_python_m_repro_version(self):
+        proc = _python(
+            "import runpy\n"
+            "sys.argv = ['repro', '--version']\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n" + REPORT_LOADED,
+            blocked=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert lines[0].startswith("repro ")
+        assert lines[1] == "False []"
+
+    def test_warm_sweep_and_report_on_fleet_store(self, tmp_path):
+        grid = ["--family", "regular", "--sizes", "40", "80", "--walk", "eprocess",
+                "--trials", "2", "--seed", "3", "--store", str(tmp_path / "s")]
+        sweep = ["sweep", *grid, "--engine", "fleet"]
+        cold = _cli(sweep, blocked=False)
+        assert cold.returncode == 0, cold.stderr
+        assert "4 scheduled, 0 cached" in cold.stdout
+        proc = _python(
+            "import json\n"
+            "from repro.cli import main\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "for args in argv:\n"
+            "    assert main(args) == 0\n" + REPORT_LOADED,
+            json.dumps([
+                # --telemetry too: the run manifest stamps numpy's version
+                # without importing it.
+                sweep + ["--telemetry", str(tmp_path / "warm.jsonl")],
+                ["report", *grid],
+                ["store", "ls", "--store", grid[-1]],
+            ]),
+            blocked=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "0 scheduled, 4 cached" in proc.stdout
+        assert proc.stdout.strip().splitlines()[-1] == "False []"
