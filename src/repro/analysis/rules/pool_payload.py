@@ -10,8 +10,9 @@ fleet tiles) across the process boundary.  A future attribute grown on
 any payload class would silently balloon every worker dispatch; this
 rule makes the sanction explicit and machine-checked.
 
-Single-file cross-reference, in the R5 style, over the pool boundary
-module (``sim/runner.py``):
+Single-file cross-reference, in the R5 style, over each pool boundary
+module: ``sim/runner.py``, which ships the trial specs, and
+``sim/outcomes.py``, where the results it ships back are defined:
 
 * every payload **shape** — a ``NamedTuple`` subclass or ``@dataclass``
   defined in the file — must define a structural ``__reduce__`` or be
@@ -89,7 +90,7 @@ class PoolPayloadRule(Rule):
         "structural __reduce__ or be sanctioned in POOL_PAYLOAD_ALLOWLIST "
         "(the tiny-pickle invariant)"
     )
-    include = ("sim/runner.py",)
+    include = ("sim/runner.py", "sim/outcomes.py")
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         allowlist, allow_node = self._allowlist(ctx.tree)

@@ -50,14 +50,15 @@ from repro.graphs.graph import Graph
 from repro.sim.policy import ExecutionPolicy
 from repro.sim.results import Series, aggregate
 from repro.sim.rng import DEFAULT_ROOT_SEED, spawn
-from repro.sim.runner import cover_time_trials
 from repro.sim.tables import format_kv_block, format_series_table, format_table
 
-# Module level holds only the store, sweep and runner layer that a sweep
-# loads anyway, none of which imports numpy or a walk engine.  Each command
-# imports the walks, graph generators and analysis it runs inside its own
-# function, so ``--version``, ``report``, ``store`` and a fully cached
-# ``sweep`` never load them.
+# Module level holds only the store and sweep layer that a sweep loads
+# anyway, none of which imports numpy, a walk engine or the trial runner's
+# process pool.  Each command imports the walks, graph generators and
+# analysis it runs inside its own function, and the sweep scheduler
+# imports the runner only when a point has trials to compute, so
+# ``--version``, ``report``, ``store`` and a fully cached ``sweep`` never
+# load them.
 
 __all__ = ["main", "build_parser"]
 
@@ -474,6 +475,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
+    from repro.sim.runner import cover_time_trials
+
     if args.walk not in WALKS:
         raise ReproError(f"unknown walk {args.walk!r}; choose from {sorted(WALKS)}")
     policy = _execution_policy(args, args.walk)

@@ -51,6 +51,7 @@ a sequential chain).
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -110,6 +111,11 @@ def mt_state_from_numpy(mt: Any, base: Tuple[Any, ...]) -> tuple:
     return (version, tuple(map(int, state["key"])) + (int(state["pos"]),), gauss)
 
 
+#: ``random.Random`` methods a generator's class must not override for its
+#: raw words to be transplanted (:meth:`MTWordStream.supports`).
+_STOCK_MT_METHODS = ("_randbelow", "getrandbits", "getstate", "setstate")
+
+
 class MTStateRows:
     """Generators' Mersenne-Twister states, one row each, for the native kernels.
 
@@ -125,10 +131,16 @@ class MTStateRows:
         import numpy as np
 
         self.rngs = list(rngs)
-        states = [rng.getstate() for rng in self.rngs]
-        self.meta = [(version, gauss) for version, _, gauss in states]
-        self.mt = np.array([internal for _, internal, _ in states], dtype=np.uint32)
-        self.drawn = np.zeros(len(states), dtype=np.int64)
+        self.meta = []
+        # One typed buffer, extended row by row, builds faster than
+        # ``np.array`` over a list of 625-int tuples.
+        words = array("I")
+        for rng in self.rngs:
+            version, internal, gauss = rng.getstate()
+            self.meta.append((version, gauss))
+            words.extend(internal)
+        self.mt = np.frombuffer(words, dtype=np.uint32).reshape(len(self.rngs), -1)
+        self.drawn = np.zeros(len(self.rngs), dtype=np.int64)
 
     def consumed(self, row: int) -> int:
         """Total raw words drawn from row ``row`` so far."""
@@ -171,21 +183,20 @@ class MTWordStream:
     def supports(rng: random.Random) -> bool:
         """Whether ``rng`` is a plain Mersenne-Twister ``random.Random``.
 
-        Requires the stock ``_randbelow`` (a subclass overriding
-        ``random()`` silently swaps in a different rejection scheme) and a
-        standard 625-word ``getstate`` tuple to transplant.
+        Decided by method identity, without building a state: the
+        instance is a ``random.Random`` whose class keeps the stock
+        methods the transplant relies on (:data:`_STOCK_MT_METHODS`).  A
+        subclass overriding ``random()`` gets a different ``_randbelow``
+        rejection scheme, one overriding ``getrandbits`` draws other
+        words, and the stock ``getstate``/``setstate`` are what make the
+        625-word state rows exact.
         """
-        if type(rng)._randbelow is not random.Random._randbelow:
+        if not isinstance(rng, random.Random):
             return False
-        try:
-            state = rng.getstate()
-        except Exception:
-            return False
-        return (
-            isinstance(state, tuple)
-            and len(state) == 3
-            and state[0] == 3
-            and len(state[1]) == 625
+        cls = type(rng)
+        return all(
+            getattr(cls, name) is getattr(random.Random, name)
+            for name in _STOCK_MT_METHODS
         )
 
     def begin(self) -> None:

@@ -22,21 +22,27 @@ the whole fleet, with the rare rejected lanes retried scalar
 exactly per lane, so a lane's generator can be placed at any instant's
 end-state.
 
-Lanes step in lockstep until the last one covers; a lane leaves the
-fleet the instant it covers (its RNG synced to its cover instant).
+Lanes step in lockstep until the last one covers.  A lane stops at the
+instant it covers: its position, first-visit stamps and generator stay
+at that instant, and the driver retires it (RNG synced, state rows
+compacted away) when the block that covered it ends.
 
 The driver pays its numpy dispatches per lockstep step, so it has a
 **native fused path**: when the optional C extension
 (:mod:`repro.engine.native`) is built, whole blocks of lockstep steps run
 as one C call over the same CSR tiles and visitation masks —
-bit-identical to the numpy path by contract.  Every fleet takes it when
-it loads; ``REPRO_NATIVE=0`` is the one switch that turns it off, and an
-unavailable build falls back to numpy with one warning.  The kernel runs
-each lane's Mersenne Twister itself: the lane's ``getstate()`` words go
-in as one state row (:class:`~repro.engine.base.MTStateRows`) and come
-back out through ``setstate``, so only the numpy path buffers word rows
-(:class:`_WordBank`, one :class:`~repro.engine.base.MTWordStream` per
-lane).
+bit-identical to the numpy path by contract.  The kernel retires lanes
+itself: a covered lane stops drawing while the rest step on, so a fleet
+costs one C call per block rather than one per distinct cover instant.
+The numpy path ends its block at the first cover instant instead; both
+hand the driver the same per-lane cover steps.  Every fleet takes the
+kernel when it loads; ``REPRO_NATIVE=0`` is the one switch that turns it
+off, and an unavailable build falls back to numpy with one warning.  The
+kernel runs each lane's Mersenne Twister itself: the lane's
+``getstate()`` words go in as one state row
+(:class:`~repro.engine.base.MTStateRows`) and come back out through
+``setstate``, so only the numpy path buffers word rows (:class:`_WordBank`,
+one :class:`~repro.engine.base.MTWordStream` per lane).
 
 Implicit neighbor-oracle lanes (:mod:`repro.graphs.implicit`) run the
 same driver on their ``materialize()`` twin (:func:`materialized_lanes`):
@@ -527,18 +533,20 @@ class _StepwiseFleet(FleetWalkBase):
     active lane one step; return a bool cover mask or None) plus the
     state hooks (:meth:`_prepare`, :meth:`_init_rows`,
     :meth:`_compact_state`, :meth:`_on_lane_exit`, :meth:`_left`).  The
-    driver owns the lockstep loop: block/budget bookkeeping, cover
-    detection and lane retirement (RNG synced to the cover instant),
-    state compaction, and the abnormal-exit RNG sync.  Every lane, the
-    last included, retires through that one loop.
+    driver owns the lockstep loop: block/budget bookkeeping, lane
+    retirement (cover step recorded, RNG synced to the cover instant),
+    state compaction once per block, and the abnormal-exit RNG sync.
+    Every lane, the last included, retires through that one loop.
 
     When the native fused kernel loads (built C extension, not switched
     off by ``REPRO_NATIVE=0``), :meth:`_run_block` routes whole blocks
     through one C call instead of the per-step python loop —
     bit-identical by contract (same word consumption per lane, same
-    candidate order, same first-visit stamps and cover instants), so
-    everything around the block (retirement, RNG sync, compaction) is
-    shared verbatim by both paths.  Subclasses set :attr:`_NATIVE_WALK`
+    candidate order, same first-visit stamps and cover instants).  The
+    kernel runs its block past cover instants, the numpy loop stops at
+    the first; either way the block reports per-lane cover steps, so
+    everything around it (retirement, RNG sync, compaction) is shared
+    verbatim by both paths.  Subclasses set :attr:`_NATIVE_WALK`
     and map their arrays onto the kernel's slots (:meth:`_native_state`).
     """
 
@@ -591,14 +599,6 @@ class _StepwiseFleet(FleetWalkBase):
         """How many target ids the lane at ``row`` still has uncovered."""
         raise NotImplementedError
 
-    def _retighten(self) -> None:
-        """Re-derive the pessimistic cover-scan slack from the counts.
-
-        The numpy path decrements its slack per step; a native block
-        advances counts without touching it, so the driver re-tightens
-        after every native call (any value <= the true steps-to-soonest-
-        cover is valid, and ``full - max(counts)`` is the tightest)."""
-
     # -- native fused kernel -------------------------------------------------
 
     def _native_state(self):
@@ -625,10 +625,13 @@ class _StepwiseFleet(FleetWalkBase):
         return fn
 
     def _native_block(self, T: int, steps: int):
-        """Run one block through the fused kernel; ``(t_used, covered)``.
+        """Run one block through the fused kernel; ``(t_used, cover_steps)``.
 
-        One C call, which mirrors the python per-step loop exactly: steps
-        stop early at the first cover instant.  The kernel draws every
+        One C call.  A lane that covers records its cover step and stops
+        (no more draws, position and tables frozen at its cover instant)
+        while the others step on, until ``T`` steps have run or no lane
+        is live.  ``cover_steps`` is an int64 row per lane, 0 for lanes
+        still live, or None when no lane retired.  The kernel draws every
         lane's words from its state row in ``self._bank``
         (:class:`~repro.engine.base.MTStateRows`).
         """
@@ -639,7 +642,7 @@ class _StepwiseFleet(FleetWalkBase):
         states = self._bank
         A = int(self._cur.shape[0])
         maskA, fvA, cntA, maskB, fvB, cntB = self._native_state()
-        covered = np.zeros(A, dtype=np.uint8)
+        cover_steps = np.zeros(A, dtype=np.int64)
         out = np.zeros(2, dtype=np.int64)
         par = np.array(
             [
@@ -661,7 +664,7 @@ class _StepwiseFleet(FleetWalkBase):
             self._cur, self._voff, self._eoff, states.mt, states.drawn,
             self._eids_t, self._nbrs_t, self._rowstart_t, self._degs_t,
             maskA, fvA, cntA, maskB, fvB, cntB,
-            covered, out,
+            cover_steps, out,
         )
         slots = (ctypes.c_void_p * len(arrays))(
             *[None if a is None else ctypes.c_void_p(a.ctypes.data) for a in arrays]
@@ -669,29 +672,29 @@ class _StepwiseFleet(FleetWalkBase):
         status = int(self._native(ctypes.c_void_p(par.ctypes.data), slots))
         if status < 0:
             raise ReproError(f"native fused kernel failed (status {status})")
-        t = int(out[0])
         self._native_set_all_v(bool(out[1]))
-        self._retighten()
-        return t, covered.astype(bool) if status == 1 else None
+        return int(out[0]), cover_steps if status == 1 else None
 
     # -- the lockstep driver -------------------------------------------------
 
     def _run_block(self, T: int, steps: int):
-        """Advance up to ``T`` lockstep steps; ``(t_used, covered-or-None)``.
+        """Advance up to ``T`` lockstep steps; ``(t_used, cover_steps-or-None)``.
 
-        One fused C call when the native kernel is live, else the python
-        per-step loop — both stop at the first step where a lane covers.
+        ``cover_steps`` holds each row's cover step (0 for a row still
+        live), or is None when no lane covered.  One fused C call when
+        the native kernel is live: lanes retire inside it and the rest
+        step on.  Else the python per-step loop, which stops at the first
+        step where a lane covers.
         """
         if self._native is not None:
             return self._native_block(T, steps)
         t = 0
-        covered = None
         while t < T:
-            covered = self._step(steps + t + 1)
             t += 1
+            covered = self._step(steps + t)
             if covered is not None:
-                break
-        return t, covered
+                return t, covered * (steps + t)
+        return t, None
 
     def run_until_cover(
         self, target: str = "vertices", max_steps: Optional[int] = None
@@ -701,7 +704,10 @@ class _StepwiseFleet(FleetWalkBase):
         Raises :class:`~repro.errors.CoverTimeout` (naming the first
         affected lane by its :attr:`labels` entry) if the budget — shared
         by construction, every lane has the same ``(n, m)`` — runs out
-        with lanes still uncovered.
+        with lanes still uncovered.  :attr:`cover_steps` fills in as lanes
+        retire, so after a timeout it still holds the covers of the lanes
+        that made it (None for the rest), and every generator stands at
+        its lane's cover instant or at the budget.
         """
         import numpy as np
 
@@ -713,7 +719,7 @@ class _StepwiseFleet(FleetWalkBase):
             max_steps if max_steps is not None else default_step_budget(self.graphs[0])
         )
         cover: List[Optional[int]] = [None] * K
-        self._cover = cover
+        self.cover_steps = cover
         for k in self._prepare(target, budget):
             cover[k] = 0
         act = [k for k in range(K) if cover[k] is None]
@@ -742,13 +748,18 @@ class _StepwiseFleet(FleetWalkBase):
                         remaining=self._left(0),
                     )
                 T = min(block, budget - steps)
-                t, covered = self._run_block(T, steps)
-                steps += t
+                t, cover_steps = self._run_block(T, steps)
+                retired = [] if cover_steps is None else np.flatnonzero(cover_steps).tolist()
                 if tel.enabled:
-                    lane_steps += t * len(act)
+                    # A retired lane stepped up to its cover instant, a
+                    # live one all t steps of the block.
+                    stepped = t * (len(act) - len(retired)) + sum(
+                        int(cover_steps[row]) - steps for row in retired
+                    )
+                    lane_steps += stepped
                     tel.count("fleet.blocks")
                     tel.count("fleet.block_steps", t)
-                    tel.count("fleet.lane_steps", t * len(act))
+                    tel.count("fleet.lane_steps", stepped)
                     tel.progress(
                         step=lane_steps,
                         done=K - len(act),
@@ -756,19 +767,21 @@ class _StepwiseFleet(FleetWalkBase):
                         unit="lanes",
                         label=f"fleet {self.walk_name}",
                     )
-                if covered is not None:
-                    # Retire the covered lanes at this exact instant: RNG
-                    # synced to the words their reference twins consumed.
-                    for row in np.flatnonzero(covered).tolist():
+                steps += t
+                if retired:
+                    # Retire the covered lanes: each stopped at its cover
+                    # instant, so its RNG syncs to the words its reference
+                    # twin consumed.
+                    for row in retired:
                         k = act[row]
-                        cover[k] = steps
+                        cover[k] = int(cover_steps[row])
                         self._pos[k] = int(self._cur[row])
                         if tel.enabled:
                             tel.count("fleet.lane_retirements")
                             tel.count("fleet.words_consumed", self._bank.consumed(row))
                         self._bank.sync_row(row)
                         self._on_lane_exit(row, k)
-                    keep = ~covered
+                    keep = cover_steps == 0
                     if tel.enabled:
                         tel.count("fleet.compactions")
                     self._bank.compact(keep)
@@ -784,7 +797,6 @@ class _StepwiseFleet(FleetWalkBase):
                     tel.count("fleet.words_consumed", self._bank.consumed(row))
                 self._bank.sync_row(row)
             raise
-        self.cover_steps = cover
         return [int(c) for c in cover]  # type: ignore[arg-type]
 
 
@@ -875,10 +887,6 @@ class FleetSRW(_StepwiseFleet):
         super()._compact_state(keep)
         self._counts = self._counts[keep]
         self._koff = self._eoff if self._by_edges else self._voff
-        if self._counts.size:
-            self._slack = self._full - int(self._counts.max())
-
-    def _retighten(self) -> None:
         if self._counts.size:
             self._slack = self._full - int(self._counts.max())
 

@@ -165,11 +165,6 @@ class _UnvisitedFleet(_StepwiseFleet):
         done = self._ne[row] if self._by_edges else self._nv[row]
         return int((self.m if self._by_edges else self.n) - done)
 
-    def _retighten(self) -> None:
-        if self._ne.size:
-            self._eslack = self.m - int(self._ne.max())
-            self._vslack = self.n - int(self._nv.max())
-
     def _mask_table(self):
         """The inverted visitation table row masks are gathered from."""
         raise NotImplementedError
@@ -304,7 +299,7 @@ class FleetEdgeProcess(_UnvisitedFleet):
     def _on_lane_exit(self, row: int, lane: int) -> None:
         blue = int(self._ne[row])
         self._blue_out[lane] = blue
-        self._red_out[lane] = self._cover[lane] - blue
+        self._red_out[lane] = self.cover_steps[lane] - blue
 
     # -- post-run introspection ----------------------------------------------
 

@@ -52,7 +52,7 @@ __all__ = [
 
 #: Must match ``REPRO_FUSED_ABI`` in ``_fused.c``; bumped together whenever
 #: the parameter layout or semantics change.
-ABI_VERSION = 5
+ABI_VERSION = 6
 
 _FALSEY = {"0", "false", "off", "no"}
 

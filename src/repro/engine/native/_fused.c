@@ -4,22 +4,28 @@
  * One call advances every active lane of a `_StepwiseFleet` (the SRW
  * fleet, the E-process fleet, or the V-process fleet) up to T lockstep
  * steps, replacing the ~40 numpy dispatches the pure-python kernel pays
- * per step with one tight C loop per block.
+ * per step with one tight C loop per block.  Lanes retire inside the
+ * call: a lane that covers records its cover step and stops drawing, so
+ * its generator row, position and word count stay at its cover instant,
+ * while the others keep stepping until T steps have run or no lane is
+ * live.  The driver then syncs and compacts the retired lanes once per
+ * block, not once per cover instant.
  *
  * The contract is bit-identical replay of the numpy path (and therefore
  * of the per-trial reference walks): the same Mersenne-Twister words are
  * consumed in the same order per lane (CPython's `_randbelow` rejection
  * loop), candidates are selected in the same incidence order, first-visit
- * tables get the same step stamps, and cover fires at the same instant.
+ * tables get the same step stamps, and each lane covers at the same
+ * instant as its reference walk.
  * Every E-/V-process row, regular or not, takes the cumulative-rank
  * path below.  The numpy path's 2^d bitmask tables pay off only there,
  * where they save dispatches; in C the row scan costs the same.
  *
  * The kernel writes only what the driver reads back: positions,
  * visitation masks, first-visit tables, counts, generator states and the
- * covered lanes.  Nothing records per-step colours: every blue E-process
- * step visits exactly one new edge, so the edge first-visit table already
- * names the blue steps.
+ * per-lane cover steps.  Nothing records per-step colours: every blue
+ * E-process step visits exactly one new edge, so the edge first-visit
+ * table already names the blue steps.
  *
  * The randomness is each trial's own generator, transplanted: python
  * hands every lane's `random.Random` state in as a row laid out exactly
@@ -49,7 +55,7 @@
 /* Bumped whenever the par[] layout, slot table, or semantics change (of
  * either entry point); the python loader refuses a stale .so instead of
  * mis-reading it. */
-#define REPRO_FUSED_ABI 5
+#define REPRO_FUSED_ABI 6
 
 /* par[] indices (all int64). */
 enum {
@@ -84,15 +90,16 @@ enum {
     S_MASKB = 12,    /* u8      rw  e: vertex-unvisited */
     S_FVB = 13,      /* i64     rw  e: vertex fv; v: edge fv */
     S_CNTB = 14,     /* i64[A]  rw  e: nv; v: ne */
-    S_COVERED = 15,  /* u8[A]   w   lanes covered at the final step */
+    S_COVERED = 15,  /* i64[A]  rw  cover step per lane; 0 = live (all 0 on entry) */
     S_OUT = 16,      /* i64[2]  w   0: steps done, 1: all_v */
     S_COUNT = 17
 };
 
 /* Return status. */
 enum {
-    ST_DONE = 0,    /* ran all T steps, nobody covered */
-    ST_COVERED = 1, /* some lane covered at step out[0]; block ends */
+    ST_DONE = 0,    /* ran all T steps, no lane retired */
+    ST_COVERED = 1, /* some lanes retired: read their cover steps; out[0]
+                     * is T, or fewer if no lane was left live */
     ST_BADWALK = -1
 };
 
@@ -202,11 +209,12 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
     unsigned char *maskB = (unsigned char *)arr[S_MASKB];
     int64_t *fvB = (int64_t *)arr[S_FVB];
     int64_t *cntB = (int64_t *)arr[S_CNTB];
-    unsigned char *covered = (unsigned char *)arr[S_COVERED];
+    int64_t *covered = (int64_t *)arr[S_COVERED];
     int64_t *out = (int64_t *)arr[S_OUT];
 
     int64_t t, i, j;
     int64_t lanes_full_v = 0;
+    int64_t live = A;
 
     out[0] = 0;
     out[1] = all_v;
@@ -215,7 +223,9 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
         return ST_BADWALK;
 
     /* E-process: how many lanes already have complete vertex sets (the
-     * lazily-maintained python flag may trail the truth; recompute). */
+     * lazily-maintained python flag may trail the truth; recompute).  A
+     * retired lane keeps its count: one that covered the edges has
+     * visited every vertex too, so retirement never holds all_v back. */
     if (walk == 1 && !all_v) {
         for (i = 0; i < A; i++)
             if (cntB[i] == n)
@@ -226,17 +236,20 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
 
     /* Lanes own disjoint visitation ranges (offsets k*n / k*m), so each
      * lane's draw and move complete before the next lane's start: the
-     * step is the same as drawing for every lane first. */
-    for (t = 0; t < T; t++) {
+     * step is the same as drawing for every lane first.  A retired lane
+     * (covered[i] != 0) is skipped: it draws no more words. */
+    for (t = 0; t < T && live; t++) {
         const int64_t step_no = step0 + t + 1;
-        int any_cov = 0;
         for (i = 0; i < A; i++) {
-            const int64_t c = cur[i];
-            const int64_t gc = tiled ? c + voff[i] : c;
-            const int64_t base = d ? gc * d : rowstart[gc];
-            const int64_t dg = d ? d : degs[gc];
-            int64_t q, r, jsel, nxt;
+            int64_t c, gc, base, dg, q, r, jsel, nxt;
             int isb = 0;
+
+            if (covered[i])
+                continue;
+            c = cur[i];
+            gc = tiled ? c + voff[i] : c;
+            base = d ? gc * d : rowstart[gc];
+            dg = d ? d : degs[gc];
 
             /* ---- the draw: modulus, one accepted word, winner slot ----
              * E-/V-process: the modulus is the row's count of unvisited
@@ -290,8 +303,8 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
                     maskA[key] = 1;
                     fvA[key] = step_no;
                     if (++cntA[i] == full) {
-                        covered[i] = 1;
-                        any_cov = 1;
+                        covered[i] = step_no;
+                        live--;
                     }
                 }
             } else if (walk == 1) {
@@ -303,8 +316,8 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
                     maskA[e] = 0;
                     fvA[e] = step_no;
                     if (++cntA[i] == m && by_edges) {
-                        covered[i] = 1;
-                        any_cov = 1;
+                        covered[i] = step_no;
+                        live--;
                     }
                 }
                 if (!all_v) {
@@ -314,8 +327,8 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
                         fvB[gv] = step_no;
                         if (++cntB[i] == n) {
                             if (!by_edges) {
-                                covered[i] = 1;
-                                any_cov = 1;
+                                covered[i] = step_no;
+                                live--;
                             }
                             if (++lanes_full_v == A)
                                 all_v = 1;
@@ -329,8 +342,8 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
                 if (fvB[e] < 0) {
                     fvB[e] = step_no;
                     if (++cntB[i] == m && by_edges) {
-                        covered[i] = 1;
-                        any_cov = 1;
+                        covered[i] = step_no;
+                        live--;
                     }
                 }
                 if (isb) {
@@ -339,22 +352,17 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
                     maskA[gv] = 0;
                     fvA[gv] = step_no;
                     if (++cntA[i] == n && !by_edges) {
-                        covered[i] = 1;
-                        any_cov = 1;
+                        covered[i] = step_no;
+                        live--;
                     }
                 }
             }
         }
-        if (any_cov) {
-            out[0] = t + 1;
-            out[1] = all_v;
-            return ST_COVERED;
-        }
     }
 
-    out[0] = T;
+    out[0] = t;
     out[1] = all_v;
-    return ST_DONE;
+    return live < A ? ST_COVERED : ST_DONE;
 }
 
 

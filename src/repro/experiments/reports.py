@@ -18,8 +18,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.experiments.spec import ExperimentSpec, SweepSpec
 from repro.experiments.store import ResultStore
+from repro.sim.outcomes import CoverRun, aggregate_outcomes
 from repro.sim.results import Series, SweepPoint
-from repro.sim.runner import CoverRun, aggregate_outcomes
 from repro.sim.tables import format_table
 
 __all__ = [

@@ -1,7 +1,7 @@
 """Sweep orchestrator: diff a sweep against the store, run only the gaps.
 
 The scheduler turns a :class:`~repro.experiments.spec.SweepSpec` into
-per-point :class:`~repro.sim.runner.CoverRun` results while touching the
+per-point :class:`~repro.sim.outcomes.CoverRun` results while touching the
 walk engines as little as possible:
 
 1. for each point, ask the store which trial cells ``0..trials-1`` already
@@ -45,8 +45,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.experiments.spec import ExperimentSpec, SweepSpec
 from repro.experiments.store import ResultStore
+from repro.sim.outcomes import CoverRun, TrialOutcome, aggregate_outcomes
 from repro.sim.policy import ExecutionPolicy
-from repro.sim.runner import CoverRun, TrialOutcome, aggregate_outcomes, run_trials
 from repro.telemetry import get_telemetry
 from repro.testing import faults
 
@@ -219,11 +219,14 @@ def run_point(
         def on_result(outcomes: List[TrialOutcome], _spec=spec) -> None:
             _checkpoint(store, _spec, outcomes, policy)
 
-    # A fully cached point resolves no workload or walk and touches no
-    # engine: a warm re-run only reads the store.
+    # A fully cached point resolves no workload or walk, touches no engine
+    # and imports no runner (nor its process pool): a warm re-run only
+    # reads the store.
     fresh: List[TrialOutcome] = []
     if missing:
-        fresh = run_trials(
+        from repro.sim import runner
+
+        fresh = runner.run_trials(
             workload=spec.workload(),
             walk_factory=spec.runner_walk(),
             trial_indices=missing,

@@ -68,7 +68,7 @@ except ImportError:  # pragma: no cover - non-posix
 from repro._version import __version__
 from repro.errors import ReproError
 from repro.experiments.spec import ExperimentSpec
-from repro.sim.runner import TrialOutcome
+from repro.sim.outcomes import TrialOutcome
 from repro.telemetry import get_telemetry
 from repro.testing import faults
 

@@ -20,7 +20,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "series_from_json",
             "series_to_json",
         ),
-        "runner": ("CoverRun", "cover_time_trials", "sweep"),
+        "outcomes": ("CoverRun",),
+        "runner": ("cover_time_trials", "sweep"),
         "policy": ("ExecutionPolicy",),
         "fitting": (
             "FitResult",

@@ -57,7 +57,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
@@ -72,8 +71,8 @@ from typing import (
 
 from repro.errors import ReproError, TrialTimeout
 from repro.graphs.graph import Graph
+from repro.sim.outcomes import CoverRun, TrialOutcome, aggregate_outcomes
 from repro.sim.policy import ExecutionPolicy
-from repro.sim.results import Aggregate, aggregate
 from repro.sim.rng import spawn
 from repro.telemetry import get_telemetry, peak_rss_bytes
 from repro.testing import faults
@@ -96,56 +95,17 @@ WalkFactory = Callable[[Graph, int, random.Random], WalkProcess]
 #: Classes sanctioned to cross the process-pool boundary (lint rule R8).
 #: Everything here pickles *structurally* — plain field tuples, no live
 #: handles — so a worker rebuilt after a crash deserializes bit-identical
-#: payloads:
+#: payloads (the results coming back are sanctioned in
+#: :mod:`repro.sim.outcomes`):
 #:
-#: * ``TrialOutcome``, ``_TrialSpec`` — NamedTuples of primitives plus the
-#:   entries below (callables ride along by reference, resolved in-worker).
-#: * ``CoverRun`` — frozen dataclass of lists/aggregates (result surface).
-#: * ``Aggregate`` — NamedTuple of floats (:mod:`repro.sim.results`).
+#: * ``_TrialSpec`` — NamedTuple of primitives plus the entry below
+#:   (callables ride along by reference, resolved in-worker).
 #: * ``Graph`` — defines ``__reduce__`` rebuilding from ``(n, edges, name)``,
 #:   dropping scratch caches so workers never share mutable state.
 POOL_PAYLOAD_ALLOWLIST = (
-    "Aggregate",
-    "CoverRun",
     "Graph",
-    "TrialOutcome",
     "_TrialSpec",
 )
-
-
-class TrialOutcome(NamedTuple):
-    """Result of one trial: where it sat in the seed tree and what it measured.
-
-    ``peak_rss_bytes`` is the *process* peak RSS observed as the trial
-    finished — a monotone high-water mark shared by every trial of the
-    run, not a per-trial allocation figure (0 where unsupported).
-    """
-
-    trial: int
-    steps: int
-    extras: Dict[str, float]
-    wall_time: float
-    peak_rss_bytes: int = 0
-
-
-@dataclass(frozen=True)
-class CoverRun:
-    """Outcome of :func:`cover_time_trials`.
-
-    Attributes
-    ----------
-    cover_times:
-        Per-trial cover step counts, in trial order.
-    stats:
-        Aggregate over ``cover_times``.
-    extras:
-        Aggregates of any per-trial extra metrics emitted by the walks
-        (e.g. red/blue step splits), keyed by metric name.
-    """
-
-    cover_times: List[int]
-    stats: Aggregate
-    extras: Dict[str, Aggregate] = field(default_factory=dict)
 
 
 class _TrialSpec(NamedTuple):
@@ -706,20 +666,6 @@ def run_trials(
             "(internal supervision error; please report)"
         )
     return [by_trial[t] for t in indices]
-
-
-def aggregate_outcomes(outcomes: Sequence[TrialOutcome]) -> CoverRun:
-    """Fold per-trial outcomes (in trial order) into a :class:`CoverRun`."""
-    cover_times: List[int] = []
-    extra_values: Dict[str, List[float]] = {}
-    for outcome in outcomes:
-        cover_times.append(outcome.steps)
-        for key, value in outcome.extras.items():
-            extra_values.setdefault(key, []).append(value)
-    extras_agg = {key: aggregate(vals) for key, vals in extra_values.items()}
-    return CoverRun(
-        cover_times=cover_times, stats=aggregate(cover_times), extras=extras_agg
-    )
 
 
 def cover_time_trials(

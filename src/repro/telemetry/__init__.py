@@ -5,6 +5,7 @@ See :mod:`repro.telemetry.core` for the instrumentation contract
 rather than plumbed through factories).
 """
 
+from repro._lazy import lazy_exports
 from repro.telemetry.core import (
     NULL_TELEMETRY,
     NullTelemetry,
@@ -16,11 +17,20 @@ from repro.telemetry.core import (
 )
 from repro.telemetry.heartbeat import HeartbeatReporter
 from repro.telemetry.jsonl import TelemetryJSONLWriter
-from repro.telemetry.manifest import (
-    MANIFEST_SCHEMA_VERSION,
-    build_manifest,
-    validate_manifest,
-    validate_manifest_file,
+
+# The manifest names load their module on first use (:mod:`repro._lazy`):
+# ``python -m repro.telemetry.manifest`` then runs a module the package
+# has not imported yet, as ``runpy`` expects.
+_LAZY_ALL, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "manifest": (
+            "MANIFEST_SCHEMA_VERSION",
+            "build_manifest",
+            "validate_manifest",
+            "validate_manifest_file",
+        ),
+    },
 )
 
 __all__ = [
@@ -33,8 +43,4 @@ __all__ = [
     "peak_rss_bytes",
     "HeartbeatReporter",
     "TelemetryJSONLWriter",
-    "MANIFEST_SCHEMA_VERSION",
-    "build_manifest",
-    "validate_manifest",
-    "validate_manifest_file",
-]
+] + _LAZY_ALL

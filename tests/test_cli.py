@@ -232,19 +232,19 @@ class TestLookupSeams:
         assert "1 scheduled" in capsys.readouterr().out
 
     def test_warm_point_runs_no_trials(self, capsys, tmp_path, monkeypatch):
-        from repro.experiments import scheduler
+        from repro.sim import runner
 
         args = ["sweep", "--family", "cycle", "--sizes", "20", "--walk", "srw",
                 "--trials", "2", "--seed", "3", "--engine", "fleet",
                 "--store", str(tmp_path / "s")]
         calls = []
-        real = scheduler.run_trials
+        real = runner.run_trials
 
         def traced(*a, **k):
             calls.append(k["trial_indices"])
             return real(*a, **k)
 
-        monkeypatch.setattr(scheduler, "run_trials", traced)
+        monkeypatch.setattr(runner, "run_trials", traced)
         assert main(args) == 0
         assert calls == [[0, 1]]
         assert main(args) == 0

@@ -265,6 +265,15 @@ class TestMTWordStream:
 
         assert not MTWordStream.supports(Custom(1))
 
+    def test_accepts_plain_subclasses_and_refuses_non_generators(self):
+        class Plain(random.Random):
+            def randrange(self, *args):
+                return super().randrange(*args)
+
+        assert MTWordStream.supports(Plain(1))
+        assert not MTWordStream.supports(random.SystemRandom())
+        assert not MTWordStream.supports(object())
+
     def test_words_and_sync_match_getrandbits(self):
         rng = random.Random(99)
         twin = random.Random(99)

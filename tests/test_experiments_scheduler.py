@@ -79,15 +79,15 @@ class TestRunPoint:
         partial.record(spec, [records[2].to_outcome()])
 
         executed = []
-        import repro.experiments.scheduler as scheduler_mod
+        import repro.sim.runner as runner_mod
 
-        real_run_trials = scheduler_mod.run_trials
+        real_run_trials = runner_mod.run_trials
 
         def spying_run_trials(*args, **kwargs):
             executed.extend(kwargs["trial_indices"])
             return real_run_trials(*args, **kwargs)
 
-        monkeypatch.setattr(scheduler_mod, "run_trials", spying_run_trials)
+        monkeypatch.setattr(runner_mod, "run_trials", spying_run_trials)
         resumed = run_point(spec, store=partial)
         assert executed == [1, 3]  # exactly the gaps
         assert resumed.scheduled == 2 and resumed.cached == 2

@@ -208,6 +208,15 @@ class TestFleetEligibility:
         reason = _refusal("srw", [cycle_graph(10)], [Custom(1)])
         assert "Mersenne" in reason
 
+    @pytest.mark.parametrize("method", ["_randbelow", "getrandbits", "getstate", "setstate"])
+    def test_rng_overriding_a_transplanted_method_unsupported(self, method):
+        # Eligibility is decided by method identity: even an override that
+        # only delegates is refused, since its words or state might differ.
+        inherited = getattr(random.Random, method)
+        Custom = type("Custom", (random.Random,), {method: lambda self, *a: inherited(self, *a)})
+        reason = _refusal("srw", [cycle_graph(10)], [Custom(1)])
+        assert "Mersenne" in reason
+
     def test_constructor_validates_starts(self):
         with pytest.raises(GraphError):
             FleetSRW([cycle_graph(10)], [99], [random.Random(0)])

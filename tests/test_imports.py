@@ -157,26 +157,34 @@ class TestNumpyOnly:
         assert "pip install 'repro[spectral]'" in lines[0]
 
 
+#: The trial runner's process-pool machinery: only a run that computes
+#: trials needs it.
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+
 #: Printed by a child interpreter after it ran some commands: whether
-#: numpy, and which walk-engine modules, ended up loaded.
+#: numpy, which walk-engine modules, and which of :data:`POOL_MODULES`
+#: ended up loaded.
 REPORT_LOADED = (
     "print('numpy' in sys.modules, "
-    "sorted(m for m in sys.modules if m.startswith('repro.engine.')))\n"
+    "sorted(m for m in sys.modules if m.startswith('repro.engine.')), "
+    f"sorted(m for m in {POOL_MODULES!r} if m in sys.modules))\n"
 )
 
 
 class TestImportBudget:
-    """Store-only paths import no numpy and no walk engine.
+    """Store-only paths import no numpy, no walk engine and no process pool.
 
-    ``import repro`` resolves its exports lazily, and each CLI command
-    imports what it runs, so replaying results from the store costs no
-    numpy import.
+    ``import repro`` resolves its exports lazily, each CLI command
+    imports what it runs, and the store reads trial outcomes from a leaf
+    module (:mod:`repro.sim.outcomes`), so replaying results from the
+    store costs neither a numpy import nor the runner's
+    ``multiprocessing`` / ``concurrent.futures`` import.
     """
 
     def test_import_repro_and_cli(self):
         proc = _python("import repro, repro.cli\n" + REPORT_LOADED, blocked=False)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False []"
+        assert proc.stdout.strip() == "False [] []"
 
     def test_python_m_repro_version(self):
         proc = _python(
@@ -191,7 +199,7 @@ class TestImportBudget:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().splitlines()
         assert lines[0].startswith("repro ")
-        assert lines[1] == "False []"
+        assert lines[1] == "False [] []"
 
     def test_warm_sweep_and_report_on_fleet_store(self, tmp_path):
         grid = ["--family", "regular", "--sizes", "40", "80", "--walk", "eprocess",
@@ -217,4 +225,4 @@ class TestImportBudget:
         )
         assert proc.returncode == 0, proc.stderr
         assert "0 scheduled, 4 cached" in proc.stdout
-        assert proc.stdout.strip().splitlines()[-1] == "False []"
+        assert proc.stdout.strip().splitlines()[-1] == "False [] []"

@@ -307,6 +307,176 @@ class TestMersenneTwisterBoundaries:
             assert n_rngs[k].getstate() == twins[k].getstate()
 
 
+class _WordCounting(random.Random):
+    """A reference twin that counts the raw words its walk draws
+    (every ``getrandbits(k <= 32)`` call reads exactly one)."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += 1
+        return super().getrandbits(k)
+
+
+def _reference_lane(walk, graph, start, rng, target, budget=None):
+    """One reference walk to its cover instant (or to ``budget``):
+    ``(cover or None, position, vertex fv, edge fv)``."""
+    ref = REFERENCES[walk](graph, start, rng)
+    run = ref.run_until_vertex_cover if target == "vertices" else ref.run_until_edge_cover
+    try:
+        cover = run(max_steps=budget)
+    except CoverTimeout:
+        cover = None
+    return cover, ref.current, list(ref.first_visit_time), list(ref.first_edge_visit_time)
+
+
+def _assert_lanes_match_reference(walk, fleet, twins, graphs, starts, rngs, target):
+    """Every lane of a finished fleet against its reference walk: cover
+    step, position, first-visit tables and generator end state."""
+    for k, graph in enumerate(graphs):
+        cover, pos, fv, fe = _reference_lane(walk, graph, starts[k], twins[k], target)
+        assert fleet.cover_steps[k] == cover
+        assert fleet.positions[k] == pos
+        if walk == "srw":
+            assert fleet.first_visit_time(k) == (fv if target == "vertices" else fe)
+        else:
+            assert fleet.first_visit_time(k) == fv
+            assert fleet.first_edge_visit_time(k) == fe
+        if walk == "eprocess":
+            blue = sum(1 for t in fe if t > 0)
+            assert (fleet.blue_steps[k], fleet.red_steps[k]) == (blue, cover - blue)
+        assert rngs[k].getstate() == twins[k].getstate()
+
+
+@native_built
+class TestMidBlockRetirement:
+    """The kernel retires lanes inside a block and steps the rest on.
+
+    A retired lane draws no more words, so its position, tables and
+    generator stay at its cover instant; the driver syncs and compacts
+    retired lanes once per block.  The fleets below have the shapes of
+    the two benchmark workloads: 128 lanes of one tiny implicit
+    hypercube, and 16 distinct fresh 4-regular graphs.
+    """
+
+    @pytest.mark.parametrize("target", ["vertices", "edges"])
+    @pytest.mark.parametrize("walk", sorted(FLEETS))
+    def test_shared_hypercube_fleet_matches_reference(self, walk, target):
+        from repro.engine.fleet import DEFAULT_BLOCK_STEPS
+        from repro.graphs import ImplicitHypercube
+
+        graph = ImplicitHypercube(6)
+        twin_graph = graph.materialize()
+        K = 128
+        starts = [random.Random(100 + k).randrange(graph.n) for k in range(K)]
+        rngs = [random.Random(21_000 + k) for k in range(K)]
+        twins = [random.Random(21_000 + k) for k in range(K)]
+        fleet = FLEETS[walk]([graph] * K, starts, rngs)
+        tel = Telemetry()
+        with session(tel):
+            cover = run_on(True, fleet, target)
+        _assert_lanes_match_reference(walk, fleet, twins, [twin_graph] * K, starts, rngs, target)
+        # One C call per block: the last block ends at the last cover.
+        assert tel.counters["fleet.blocks"] == -(-max(cover) // DEFAULT_BLOCK_STEPS)
+        assert tel.counters["fleet.lane_retirements"] == K
+
+    @pytest.mark.parametrize("target", ["vertices", "edges"])
+    @pytest.mark.parametrize("walk", sorted(FLEETS))
+    def test_distinct_fresh_graph_fleet_matches_reference(self, walk, target):
+        from repro.engine.fleet import DEFAULT_BLOCK_STEPS
+
+        K = 16
+        graphs = [
+            random_connected_regular_graph(2000, 4, random.Random(31_000 + k))
+            for k in range(K)
+        ]
+        starts = [random.Random(200 + k).randrange(2000) for k in range(K)]
+        rngs = [random.Random(32_000 + k) for k in range(K)]
+        twins = [random.Random(32_000 + k) for k in range(K)]
+        fleet = FLEETS[walk](graphs, starts, rngs)
+        tel = Telemetry()
+        with session(tel):
+            cover = run_on(True, fleet, target)
+        # Covers span several blocks, so lanes retire inside later ones.
+        assert min(cover) // DEFAULT_BLOCK_STEPS < max(cover) // DEFAULT_BLOCK_STEPS
+        _assert_lanes_match_reference(walk, fleet, twins, graphs, starts, rngs, target)
+        assert tel.counters["fleet.blocks"] == -(-max(cover) // DEFAULT_BLOCK_STEPS)
+
+    @pytest.mark.parametrize("use_native", [True, False])
+    @pytest.mark.parametrize("walk", sorted(FLEETS))
+    def test_budget_runs_out_after_some_lanes_retired(self, walk, use_native):
+        # The budget ends inside the block where the early lanes covered:
+        # those keep their covers, the rest time out with their generators
+        # at the budget, and the words counted are the reference walks'.
+        graph = _graph("irregular")
+        K = 16
+        starts = [random.Random(300 + k).randrange(graph.n) for k in range(K)]
+        covers = sorted(
+            _reference_lane(walk, graph, starts[k], random.Random(41_000 + k), "edges")[0]
+            for k in range(K)
+        )
+        budget = covers[K // 2]
+        rngs = [random.Random(41_000 + k) for k in range(K)]
+        twins = [_WordCounting(41_000 + k) for k in range(K)]
+        fleet = FLEETS[walk]([graph] * K, starts, rngs)
+        tel = Telemetry()
+        with session(tel):
+            with pytest.raises(CoverTimeout):
+                run_on(use_native, fleet, "edges", max_steps=budget)
+        expected = [
+            _reference_lane(walk, graph, starts[k], twins[k], "edges", budget)[0]
+            for k in range(K)
+        ]
+        assert 0 < expected.count(None) < K
+        assert fleet.cover_steps == expected
+        for k in range(K):
+            assert rngs[k].getstate() == twins[k].getstate()
+        assert tel.counters["fleet.words_consumed"] == sum(t.words for t in twins)
+        assert tel.counters["fleet.lane_steps"] == sum(
+            budget if c is None else c for c in expected
+        )
+
+    @pytest.mark.parametrize("use_native", [True, False])
+    def test_eprocess_edge_lanes_retire_before_all_vertices_seen(self, use_native):
+        # Early lanes cover every edge while slow lanes still miss
+        # vertices, so the fleet-wide "all vertex sets complete" shortcut
+        # is off when they retire; the live lanes keep stamping vertices.
+        graph = _graph("irregular")
+        K = 16
+        starts = [random.Random(100 + k).randrange(graph.n) for k in range(K)]
+        vertex_covers = [
+            _reference_lane("eprocess", graph, starts[k], random.Random(9000 + k), "vertices")[0]
+            for k in range(K)
+        ]
+        rngs = [random.Random(9000 + k) for k in range(K)]
+        twins = [random.Random(9000 + k) for k in range(K)]
+        fleet = FleetEdgeProcess([graph] * K, starts, rngs)
+        cover = run_on(use_native, fleet, "edges")
+        assert min(cover) < max(vertex_covers)
+        _assert_lanes_match_reference("eprocess", fleet, twins, [graph] * K, starts, rngs, "edges")
+
+    @pytest.mark.parametrize("walk", sorted(FLEETS))
+    def test_one_block_when_every_lane_covers_within_it(self, walk):
+        from repro.engine.fleet import DEFAULT_BLOCK_STEPS
+        from repro.graphs import ImplicitHypercube
+
+        graph = ImplicitHypercube(6)
+        K = 128
+        counters = {}
+        for use_native in (True, False):
+            rngs = [random.Random(51_000 + k) for k in range(K)]
+            tel = Telemetry()
+            with session(tel):
+                cover = run_on(use_native, FLEETS[walk]([graph] * K, [0] * K, rngs), "vertices")
+            counters[use_native] = tel.counters
+        assert max(cover) <= DEFAULT_BLOCK_STEPS
+        native_counts = counters[True]
+        assert native_counts["fleet.blocks"] == native_counts["fleet.compactions"] == 1
+        assert native_counts["fleet.lane_retirements"] == K
+        # The numpy path still ends a block at each distinct cover instant.
+        assert counters[False]["fleet.blocks"] == len(set(cover))
+
+
 class TestNativeLoader:
     def test_env_opt_out_disables_without_warning(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")

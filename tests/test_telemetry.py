@@ -9,6 +9,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy
@@ -348,6 +350,22 @@ class TestManifest:
         assert "manifest ok" in capsys.readouterr().out
         assert manifest_main([str(tmp_path / "absent.jsonl")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_validator_runs_as_a_module_without_warnings(self, tmp_path):
+        # The package must not import the manifest module itself, or
+        # runpy warns that it is already in sys.modules before running it.
+        path = tmp_path / "run.jsonl"
+        TelemetryJSONLWriter(path).finish(self._manifest())
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.telemetry.manifest", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "manifest ok" in proc.stdout
 
 
 def _spec(**overrides):

@@ -30,13 +30,23 @@ def _run_walk(factory, graph, seed):
     return cover, list(walk.first_visit_time), walk.rng.getstate()
 
 
-def _run_fleet(walk_name, graph, K, seed):
+def _run_fleet(walk_name, graph, K, seed, use_native=False, target="vertices"):
     rngs = [random.Random(seed + k) for k in range(K)]
     starts = [random.Random(500 + k).randrange(graph.n) for k in range(K)]
     fleet = FLEET_ENGINES[walk_name]([graph] * K, starts, rngs)
-    # The numpy path is the one instrumented.
-    cover = run_on(False, fleet, "vertices")
+    # The numpy path is the one instrumented by default.
+    cover = run_on(use_native, fleet, target)
     return list(cover), [r.getstate() for r in rngs]
+
+
+#: Both kernels: the numpy path always, the fused kernel when built.
+KERNELS = [
+    False,
+    pytest.param(
+        True,
+        marks=pytest.mark.skipif(not native.available(), reason="native fused kernel not built"),
+    ),
+]
 
 
 @pytest.fixture(scope="module")
@@ -94,10 +104,20 @@ class TestFleetEngines:
             if k.startswith("wordbank.degree[") and k.endswith("].draws")
         )
         assert per_degree == tel.counters["wordbank.draws"]
+
+    @pytest.mark.parametrize("use_native", KERNELS)
+    @pytest.mark.parametrize("target", ["vertices", "edges"])
+    @pytest.mark.parametrize("walk_name", FLEET_WALKS)
+    def test_lane_steps_are_the_summed_covers(self, walk_name, target, use_native, irregular_graph):
         # Lane-steps reconcile with the covers: every lane steps in the
-        # fleet until its cover instant, so the block total is exactly
-        # the summed covers.
-        covers, _ = _run_fleet("eprocess", irregular_graph, 10, 77)
+        # fleet until its cover instant and no further, so the total is
+        # exactly the summed covers.  The fused kernel retires lanes
+        # mid-block and steps the rest on, so a retired lane must count
+        # the steps up to its cover, not the whole block's.
+        tel = Telemetry()
+        with session(tel):
+            covers, _ = _run_fleet(walk_name, irregular_graph, 10, 77, use_native, target)
+        assert len(set(covers)) > 1
         assert tel.counters["fleet.lane_steps"] == sum(covers)
 
     @pytest.mark.skipif(not native.available(), reason="native fused kernel not built")
