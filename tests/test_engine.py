@@ -253,6 +253,21 @@ class TestChunkSemantics:
         assert array.current == reference.current
         assert array.rng.getstate() == reference.rng.getstate()
 
+    def test_rng_with_own_words_never_batches_raw_mt_words(self):
+        class FlippedRandom(random.Random):
+            """Keeps the stock _randbelow, but its words are not MT's."""
+
+            def getrandbits(self, k):
+                return super().getrandbits(k) ^ 1
+
+        graph = GRAPHS["regular"]
+        reference = SimpleRandomWalk(graph, 0, rng=FlippedRandom(21))
+        array = ArraySRW(graph, 0, rng=FlippedRandom(21))
+        reference.run(2000)
+        array.run(2000)
+        assert array.current == reference.current
+        assert list(array.first_visit_time) == list(reference.first_visit_time)
+
 
 class TestMTWordStream:
     def test_supports_plain_random(self):
