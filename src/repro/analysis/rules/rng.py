@@ -4,11 +4,15 @@ The bit-identical replay contract holds because every engine draws its
 randomness from the per-trial ``random.Random`` handed to it: directly,
 batched through ``MTWordStream`` / ``_WordBank``, or — in the native
 kernels — from the generator's own state, handed to C as its
-``getstate()`` words and written back with ``setstate``.  A
-single ``random.random()`` — the *module-level* shared generator — or an
-``os.urandom`` read inside ``engine/``, ``walks/`` or ``graphs/`` silently
-breaks replay: fleet, array, oracle and native runs would stop sharing
-store buckets.
+``getstate()`` words and written back with ``setstate``.  A fleet lane
+may also be the trial's child seed, standing for ``random.Random(seed)``:
+the kernel writes that lane's state row from the seed itself (CPython's
+``init_by_array``), and the numpy path gets the generator from
+:func:`repro.sim.rng.as_generator`, so the seed tree stays the one place
+that constructs seeded generators.  A single ``random.random()`` — the
+*module-level* shared generator — or an ``os.urandom`` read inside
+``engine/``, ``walks/`` or ``graphs/`` silently breaks replay: fleet,
+array, oracle and native runs would stop sharing store buckets.
 
 Flagged in scope:
 

@@ -224,7 +224,8 @@ NAMED_WALK_FACTORIES: Dict[str, Dict[str, Callable]] = {
 #: Lockstep fleet constructors by walk name — what the runner's
 #: ``engine="fleet"`` batches step, and the only record of which walks
 #: can fleet.  Each takes ``(graphs, starts, rngs, labels=None)`` like the
-#: fleet class it builds, which runs the fused C kernel when it is
+#: fleet class it builds (each ``rngs`` entry a generator or an int seed;
+#: the runner passes seeds), which runs the fused C kernel when it is
 #: built (``REPRO_NATIVE=0`` switches it off); construction checks the
 #: batch's eligibility once, raising
 #: :class:`repro.engine.fleet.FleetUnsupported`.  The runner looks entries

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError
 
@@ -60,6 +60,7 @@ __all__ = [
     "ArrayWalkEngine",
     "MTStateRows",
     "MTWordStream",
+    "mt_seed_rows",
     "VisitedSet",
     "mt_state_to_numpy",
     "mt_state_from_numpy",
@@ -116,30 +117,77 @@ def mt_state_from_numpy(mt: Any, base: Tuple[Any, ...]) -> tuple:
 _STOCK_MT_METHODS = ("_randbelow", "getrandbits", "getstate", "setstate")
 
 
-class MTStateRows:
-    """Generators' Mersenne-Twister states, one row each, for the native kernels.
+#: Words in one Mersenne-Twister state row: 624 key words, then the
+#: read position (the layout of ``random.Random.getstate()[1]``).
+MT_ROW_WORDS = 625
 
-    Row ``i`` of :attr:`mt` is ``rngs[i].getstate()[1]`` as ``uint32`` —
-    624 key words, then the read position — the layout the C kernels run
-    MT19937 on in place, counting each row's words in :attr:`drawn`.  A
-    row is therefore always its generator's state at the current
-    instant; :meth:`sync_row` writes it back, keeping that generator's
-    own version and cached ``gauss_next``.
+#: A seeded lane's placeholder in :class:`MTStateRows`' row buffer.
+_BLANK_ROW = array("I", bytes(4 * MT_ROW_WORDS))
+
+
+def mt_seed_rows(seeds: Sequence[int]) -> Any:
+    """``random.Random(seed).getstate()[1]`` for each seed in [0, 2^64),
+    as a ``(len(seeds), 625)`` uint32 array.
+
+    One call of the native kernel's seeded-row writer when it is built;
+    else each seed's own generator (:func:`repro.sim.rng.as_generator`).
+    """
+    import numpy as np
+
+    from repro.engine import native
+
+    write = native.load_mt_seed()
+    if write is None:
+        from repro.sim.rng import as_generator
+
+        rows = [as_generator(seed).getstate()[1] for seed in seeds]
+        return np.array(rows, dtype=np.uint32).reshape(len(seeds), MT_ROW_WORDS)
+    keys = np.array(seeds, dtype=np.uint64)
+    out = np.empty((len(seeds), MT_ROW_WORDS), dtype=np.uint32)
+    write(len(seeds), keys.ctypes.data, out.ctypes.data)
+    return out
+
+
+class MTStateRows:
+    """Fleet lanes' Mersenne-Twister states, one row each, for the native kernels.
+
+    Row ``i`` of :attr:`mt` is lane ``i``'s state as ``uint32`` — 624 key
+    words, then the read position, the layout of
+    ``random.Random.getstate()[1]`` — which the C kernels run MT19937 on
+    in place, counting each row's words in :attr:`drawn`.  A lane is a
+    generator or a seed, and its type says which contract holds:
+
+    * a ``random.Random`` lane's row is its ``getstate()``, and
+      :meth:`sync_row` writes the row back (keeping the generator's own
+      version and cached ``gauss_next``), so the generator can stand at
+      its row's current instant;
+    * an int lane in [0, 2^64) stands for a ``random.Random(seed)`` that
+      nobody else holds: its row is written straight from the seed
+      (:func:`mt_seed_rows`, one call for all seeded lanes), and with no
+      generator to place, :meth:`sync_row` does nothing for it.
     """
 
-    def __init__(self, rngs: Sequence[random.Random]) -> None:
+    def __init__(self, rngs: Sequence[Union[int, random.Random]]) -> None:
         import numpy as np
 
         self.rngs = list(rngs)
-        self.meta = []
+        self.meta: List[Optional[Tuple[Any, Any]]] = []
+        seeded = []
         # One typed buffer, extended row by row, builds faster than
         # ``np.array`` over a list of 625-int tuples.
         words = array("I")
-        for rng in self.rngs:
-            version, internal, gauss = rng.getstate()
-            self.meta.append((version, gauss))
-            words.extend(internal)
+        for row, rng in enumerate(self.rngs):
+            if isinstance(rng, int):
+                seeded.append(row)
+                self.meta.append(None)
+                words.extend(_BLANK_ROW)
+            else:
+                version, internal, gauss = rng.getstate()
+                self.meta.append((version, gauss))
+                words.extend(internal)
         self.mt = np.frombuffer(words, dtype=np.uint32).reshape(len(self.rngs), -1)
+        if seeded:
+            self.mt[seeded] = mt_seed_rows([self.rngs[row] for row in seeded])
         self.drawn = np.zeros(len(self.rngs), dtype=np.int64)
 
     def consumed(self, row: int) -> int:
@@ -147,9 +195,11 @@ class MTStateRows:
         return int(self.drawn[row])
 
     def sync_row(self, row: int) -> None:
-        """Place row ``row``'s generator at its current instant."""
-        version, gauss = self.meta[row]
-        self.rngs[row].setstate((version, tuple(self.mt[row].tolist()), gauss))
+        """Place row ``row``'s generator, if it has one, at its current instant."""
+        meta = self.meta[row]
+        if meta is not None:
+            version, gauss = meta
+            self.rngs[row].setstate((version, tuple(self.mt[row].tolist()), gauss))
 
     def compact(self, keep) -> None:
         """Drop the rows where ``keep`` (bool array) is False."""

@@ -24,8 +24,9 @@ end-state.
 
 Lanes step in lockstep until the last one covers.  A lane stops at the
 instant it covers: its position, first-visit stamps and generator stay
-at that instant, and the driver retires it (RNG synced, state rows
-compacted away) when the block that covered it ends.
+at that instant, and the driver retires it (a ``random.Random`` lane's
+generator synced, state rows compacted away) when the block that
+covered it ends.
 
 The driver pays its numpy dispatches per lockstep step, so it has a
 **native fused path**: when the optional C extension
@@ -38,11 +39,14 @@ The numpy path ends its block at the first cover instant instead; both
 hand the driver the same per-lane cover steps.  Every fleet takes the
 kernel when it loads; ``REPRO_NATIVE=0`` is the one switch that turns it
 off, and an unavailable build falls back to numpy with one warning.  The
-kernel runs each lane's Mersenne Twister itself: the lane's
-``getstate()`` words go in as one state row
-(:class:`~repro.engine.base.MTStateRows`) and come back out through
-``setstate``, so only the numpy path buffers word rows (:class:`_WordBank`,
-one :class:`~repro.engine.base.MTWordStream` per lane).
+kernel runs each lane's Mersenne Twister itself, on one state row per
+lane (:class:`~repro.engine.base.MTStateRows`): a ``random.Random``
+lane's ``getstate()`` words go in and come back out through
+``setstate``, while a lane given as an int seed has its row written
+straight from the seed, with no generator built or written back.  Only
+the numpy path buffers word rows (:class:`_WordBank`, one
+:class:`~repro.engine.base.MTWordStream` per lane, a seeded lane's on a
+generator of its own).
 
 Implicit neighbor-oracle lanes (:mod:`repro.graphs.implicit`) run the
 same driver on their ``materialize()`` twin (:func:`materialized_lanes`):
@@ -64,13 +68,14 @@ inner gathers are identical in both cases.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.base import MTStateRows, MTWordStream
 from repro.engine.oracle import EDGE_TIMES_MAX_DARTS
 from repro.errors import CoverTimeout, GraphError, ReproError
 from repro.graphs.graph import Graph
 from repro.graphs.implicit import is_implicit
+from repro.sim.rng import as_generator
 from repro.telemetry import get_telemetry
 from repro.walks.base import default_step_budget
 
@@ -89,6 +94,14 @@ DEFAULT_BLOCK_STEPS = 2048
 #: Raw Mersenne-Twister words buffered per lane by the numpy path's word
 #: bank; refills are per-lane ``random_raw`` bulk pulls.
 WORD_BANK_WIDTH = 4096
+
+#: One fleet lane's randomness: a generator, or an int seed in [0, 2^64)
+#: standing for a ``random.Random(seed)`` that nobody else holds.
+Lane = Union[int, random.Random]
+
+#: Seeds fit the native seeded-row writer's two 32-bit key words, as
+#: every child seed does (:func:`repro.sim.rng.child_seed`).
+_SEED_LIMIT = 1 << 64
 
 
 def materialized_lanes(graphs: Sequence[Graph]) -> List[Graph]:
@@ -126,7 +139,7 @@ class FleetUnsupported(ReproError):
 
 def _refusal(
     graphs: Sequence[Graph],
-    rngs: Sequence[random.Random],
+    rngs: Sequence[Lane],
     walk: str,
     labels: Optional[Sequence[object]],
 ) -> str:
@@ -134,8 +147,10 @@ def _refusal(
 
     Common requirements: at least one lane, every lane graph of one shared
     ``(n, m)`` shape with no isolated vertices (unless trivial, ``n == 1``,
-    which covers at step 0), and every RNG a distinct plain Mersenne-Twister
-    ``random.Random`` (the word-stream transplant needs its state layout).
+    which covers at step 0), and every lane's randomness either a seed —
+    an ``int`` in [0, 2^64), never a ``bool`` — or a distinct plain
+    Mersenne-Twister ``random.Random`` (the word-stream transplant needs
+    its state layout).
     Regularity is **not** required — irregular lanes run the stepwise
     kernel with per-degree word prefilters.
 
@@ -200,13 +215,19 @@ def _refusal(
                     "the incidence rows on loop-free, parallel-free graphs)"
                 )
     for k, rng in enumerate(rngs):
-        if not MTWordStream.supports(rng):
+        if isinstance(rng, int) and not isinstance(rng, bool):
+            if not 0 <= rng < _SEED_LIMIT:
+                return f"{lane(k)}: seed {rng} is outside [0, 2^64)"
+        elif not MTWordStream.supports(rng):
             return (
-                f"{lane(k)}: rng {type(rng).__name__} is not a plain "
-                "Mersenne Twister random.Random"
+                f"{lane(k)}: rng {type(rng).__name__} is neither a seed (an int in "
+                "[0, 2^64)) nor a plain Mersenne Twister random.Random"
             )
     seen_rngs: Dict[int, int] = {}
     for k, rng in enumerate(rngs):
+        if isinstance(rng, int):
+            # Each seed stands for a generator of its own.
+            continue
         if id(rng) in seen_rngs:
             # One generator shared by two lanes would replay the same draw
             # stream twice (fully correlated "independent" trials) and the
@@ -246,19 +267,20 @@ class _WordBank:
     loop.  Word consumption is tracked exactly per lane, and each lane's
     words come from its own :class:`~repro.engine.base.MTWordStream`, so
     :meth:`sync_row` can place a lane's generator at its current instant
-    at any time.
+    at any time.  A seeded lane gets a generator of its own
+    (:func:`repro.sim.rng.as_generator`), which nobody reads afterwards.
 
     The native kernel draws from the generators' own states instead
     (:class:`~repro.engine.base.MTStateRows`); the bank only serves the
     numpy path, which stays the reference the kernel is tested against.
     """
 
-    def __init__(self, rngs: Sequence[random.Random], width: int = WORD_BANK_WIDTH):
+    def __init__(self, rngs: Sequence[Lane], width: int = WORD_BANK_WIDTH):
         import numpy as np
 
         self.np = np
         self._tel = get_telemetry()
-        self.streams = [MTWordStream(rng) for rng in rngs]
+        self.streams = [MTWordStream(as_generator(rng)) for rng in rngs]
         self.width = width
         A = len(self.streams)
         # Flat row-major storage: lane i's words live at [i*width : (i+1)*width],
@@ -393,9 +415,14 @@ class FleetWalkBase:
         Start vertex per lane; time 0 counts as a visit, as in
         :class:`~repro.walks.base.WalkProcess`.
     rngs:
-        One plain Mersenne-Twister ``random.Random`` per lane.  After
-        :meth:`run_until_cover`, each generator's state equals what the
-        reference walk's would be at that lane's cover instant.
+        One per lane: a plain Mersenne-Twister ``random.Random``, or an
+        ``int`` seed in [0, 2^64) standing for ``random.Random(seed)``
+        that nobody else holds.  After :meth:`run_until_cover`, each
+        generator's state equals what the reference walk's would be at
+        that lane's cover instant (or at the budget); a seeded lane has
+        no generator to leave anywhere, which spares the native path the
+        per-lane ``getstate``/``setstate`` round trip.  The runner passes
+        seeds.
     labels:
         Optional name per lane (the runner passes trial ids), used when an
         error names a lane: :class:`FleetUnsupported` at construction,
@@ -413,7 +440,7 @@ class FleetWalkBase:
         self,
         graphs: Sequence[Graph],
         starts: Sequence[int],
-        rngs: Sequence[random.Random],
+        rngs: Sequence[Lane],
         block_steps: int = DEFAULT_BLOCK_STEPS,
         labels: Optional[Sequence[object]] = None,
     ):
@@ -706,8 +733,8 @@ class _StepwiseFleet(FleetWalkBase):
         by construction, every lane has the same ``(n, m)`` — runs out
         with lanes still uncovered.  :attr:`cover_steps` fills in as lanes
         retire, so after a timeout it still holds the covers of the lanes
-        that made it (None for the rest), and every generator stands at
-        its lane's cover instant or at the budget.
+        that made it (None for the rest), and every ``random.Random`` lane
+        stands at its cover instant or at the budget.
         """
         import numpy as np
 

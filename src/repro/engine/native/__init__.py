@@ -5,8 +5,11 @@ fixed number of numpy dispatches *per lockstep step*; the C extension in
 ``_fused.c`` collapses a whole block of steps into one call.  The same
 extension also runs one Steger–Wormald pass of
 :func:`~repro.graphs.random_regular.random_regular_graph` and emits the
-graph's CSR arrays directly (:func:`load_sw_regular`).  This module owns
-finding and validating that extension:
+graph's CSR arrays directly (:func:`load_sw_regular`), and it writes
+the Mersenne-Twister state rows of lanes handed in as int seeds — each
+row is ``random.Random(seed).getstate()[1]``, built without the
+generator (:func:`load_mt_seed`).  This module owns finding and
+validating that extension:
 
 * built at install time by the optional setuptools ``Extension`` in
   ``setup.py`` (the build is best-effort: no compiler, no extension, no
@@ -19,16 +22,18 @@ finding and validating that extension:
 * opt-out via ``REPRO_NATIVE=0`` (accepted falsey spellings: ``0``,
   ``false``, ``off``, ``no``), checked per probe so tests can flip it;
 * **mandatory fallback**: every caller treats :func:`load` (or
-  :func:`load_sw_regular`) returning ``None`` as "use the numpy path" (for
-  graph builds, the Python Steger–Wormald pass).  The first silent
-  fallback (extension requested by default but not present) emits one
-  :class:`RuntimeWarning` per process; an explicit ``REPRO_NATIVE=0``
-  stays silent.
+  :func:`load_sw_regular`, :func:`load_mt_seed`) returning ``None`` as
+  "use the numpy path" (for graph builds, the Python Steger–Wormald
+  pass; for seeded rows, ``random.Random(seed)`` generators).  The
+  first silent fallback (extension requested by default but not
+  present) emits one :class:`RuntimeWarning` per process; an explicit
+  ``REPRO_NATIVE=0`` stays silent.
 
 The numbers are identical either way — the kernels are bit-identical to
 the numpy stepwise path (same words drawn, same candidates, same cover
 instants) and to the Python graph builder (same words, same edges, same
-generator end state); only throughput changes.
+generator end state) and to ``random.Random`` seeding (same state rows);
+only throughput changes.
 """
 
 from __future__ import annotations
@@ -46,13 +51,14 @@ __all__ = [
     "disabled",
     "kernel_path",
     "load",
+    "load_mt_seed",
     "load_sw_regular",
     "unavailable_reason",
 ]
 
 #: Must match ``REPRO_FUSED_ABI`` in ``_fused.c``; bumped together whenever
-#: the parameter layout or semantics change.
-ABI_VERSION = 6
+#: an export is added or the parameter layout or semantics change.
+ABI_VERSION = 7
 
 _FALSEY = {"0", "false", "off", "no"}
 
@@ -60,6 +66,7 @@ _lock = threading.Lock()
 _probed = False
 _fn = None
 _sw_fn = None
+_seed_fn = None
 _path: Optional[str] = None
 _reason = ""
 _warned = False
@@ -91,13 +98,14 @@ def _find_extension() -> Optional[str]:
 def _probe():
     """One-time (per env change) load attempt.
 
-    Returns ``(block, sw_regular)`` — both entry points or neither.
+    Returns ``(block, sw_regular, mt_seed)`` — every entry point or none.
     """
     global _reason, _path
     _path = None
+    none = (None, None, None)
     if disabled():
         _reason = "disabled via REPRO_NATIVE"
-        return None, None
+        return none
     origin = _find_extension()
     if origin is None:
         _reason = (
@@ -105,7 +113,7 @@ def _probe():
             "with a C compiler, or run `python setup.py build_ext "
             "--inplace` from a source checkout)"
         )
-        return None, None
+        return none
     try:
         lib = ctypes.CDLL(origin)
         abi = lib.repro_fused_abi
@@ -117,17 +125,21 @@ def _probe():
                 f"extension at {origin} has ABI {got}, this build of repro "
                 f"needs {ABI_VERSION}; rebuild it"
             )
-            return None, None
-        fns = (lib.repro_fused_block, lib.repro_sw_regular)
-        for fn in fns:
+            return none
+        block, sw_regular, mt_seed = (
+            lib.repro_fused_block, lib.repro_sw_regular, lib.repro_mt_seed
+        )
+        for fn in (block, sw_regular):
             fn.restype = ctypes.c_longlong
             fn.argtypes = [ctypes.c_void_p, ctypes.POINTER(ctypes.c_void_p)]
+        mt_seed.restype = ctypes.c_longlong
+        mt_seed.argtypes = [ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p]
     except (OSError, AttributeError) as exc:
         _reason = f"extension at {origin} failed to load: {exc}"
-        return None, None
+        return none
     _path = origin
     _reason = ""
-    return fns
+    return block, sw_regular, mt_seed
 
 
 def load():
@@ -138,11 +150,11 @@ def load():
     The first *silent* fallback — kernel wanted by default but missing —
     warns once per process so benchmark numbers are never quietly numpy.
     """
-    global _probed, _fn, _sw_fn, _warned
+    global _probed, _fn, _sw_fn, _seed_fn, _warned
     with _lock:
         key = disabled()
         if not _probed or key != _probe.__dict__.get("last_disabled"):
-            _fn, _sw_fn = _probe()
+            _fn, _sw_fn, _seed_fn = _probe()
             _probe.__dict__["last_disabled"] = key
             _probed = True
             if _fn is None and not key and not _warned:
@@ -174,6 +186,18 @@ def load_sw_regular():
     return _sw_fn
 
 
+def load_mt_seed():
+    """The seeded-row writer (ctypes), or None like :func:`load`.
+
+    ``fn(count, seeds, rows)`` writes row ``i`` of the ``(count, 625)``
+    uint32 array ``rows`` as ``random.Random(seeds[i]).getstate()[1]``
+    for the uint64 ``seeds``.  Shares :func:`load`'s probe, opt-out and
+    one-time fallback warning.
+    """
+    load()
+    return _seed_fn
+
+
 def available() -> bool:
     """Whether the native kernel is loadable right now."""
     return load() is not None
@@ -193,10 +217,11 @@ def kernel_path() -> Optional[str]:
 
 def _reset_probe_for_testing() -> None:
     """Drop the cached probe (tests flip REPRO_NATIVE / monkeypatch)."""
-    global _probed, _fn, _sw_fn, _warned
+    global _probed, _fn, _sw_fn, _seed_fn, _warned
     with _lock:
         _probed = False
         _fn = None
         _sw_fn = None
+        _seed_fn = None
         _warned = False
         _probe.__dict__.pop("last_disabled", None)

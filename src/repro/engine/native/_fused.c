@@ -27,16 +27,23 @@
  * E-process step visits exactly one new edge, so the edge first-visit
  * table already names the blue steps.
  *
- * The randomness is each trial's own generator, transplanted: python
- * hands every lane's `random.Random` state in as a row laid out exactly
- * like `rng.getstate()[1]` (624 key words plus the read position), the
- * kernel runs CPython's MT19937 on that row in place — twist, tempering
- * and all — and python writes the advanced row back with `setstate`.
- * Nothing is buffered, so a block never has to stop for more words.
+ * The randomness is each trial's own generator, transplanted: every lane
+ * is a state row laid out exactly like `rng.getstate()[1]` (624 key
+ * words plus the read position), and the kernel runs CPython's MT19937
+ * on that row in place — twist, tempering and all.  A lane handed in as
+ * a `random.Random` gets its `getstate()` row, and python writes the
+ * advanced row back with `setstate`.  A lane handed in as an int seed
+ * has no generator to write back: `repro_mt_seed` writes its row
+ * straight from the seed, running CPython's `init_by_array` as
+ * `random.Random(seed)` does.  Nothing is buffered, so a block never
+ * has to stop for more words.
  *
  * `repro_sw_regular` (bottom of this file) draws the same way from one
  * state row per build, replaying
  * `repro.graphs.random_regular._steger_wormald_attempt` draw for draw.
+ *
+ * Exports: `repro_fused_abi`, `repro_mt_seed`, `repro_fused_block` and
+ * `repro_sw_regular`.
  *
  * Loaded via ctypes (no Python API on purpose: the .so stays loadable
  * whether or not it matches the running interpreter's ABI); built by the
@@ -45,6 +52,7 @@
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #if defined(_WIN32)
 #define REPRO_EXPORT __declspec(dllexport)
@@ -52,10 +60,10 @@
 #define REPRO_EXPORT __attribute__((visibility("default")))
 #endif
 
-/* Bumped whenever the par[] layout, slot table, or semantics change (of
- * either entry point); the python loader refuses a stale .so instead of
- * mis-reading it. */
-#define REPRO_FUSED_ABI 6
+/* Bumped whenever an export is added or the par[] layout, slot table, or
+ * semantics of one change; the python loader refuses a stale .so instead
+ * of mis-reading it. */
+#define REPRO_FUSED_ABI 7
 
 /* par[] indices (all int64). */
 enum {
@@ -178,6 +186,79 @@ static int64_t mt_randbelow(uint32_t *mt, int64_t q, int64_t *drawn)
 REPRO_EXPORT int64_t repro_fused_abi(void)
 {
     return REPRO_FUSED_ABI;
+}
+
+/* Lanes seeded together by `repro_mt_seed`: their independent
+ * `init_by_array` chains interleave, so the multiply latency of one
+ * lane's chain hides behind the others'. */
+#define MT_SEED_GROUP 8
+
+/* CPython's `init_by_array` (Modules/_randommodule.c) on `count` <=
+ * MT_SEED_GROUP rows at once, each over its seed's one or two key words.
+ * `genrand` is `init_genrand(19650218)`'s state, the same for every row.
+ * With a key this short, the first loop runs MT_N times for every row
+ * and key word j of step k is word k % len, added with j itself. */
+static void mt_seed_group(uint32_t *rows, const uint64_t *seeds, int64_t count,
+                          const uint32_t *genrand)
+{
+    uint32_t *mt[MT_SEED_GROUP];
+    uint32_t add[MT_SEED_GROUP][2];
+    int64_t g, i, k;
+
+    for (g = 0; g < count; g++) {
+        const uint32_t lo = (uint32_t)seeds[g], hi = (uint32_t)(seeds[g] >> 32);
+        mt[g] = rows + (size_t)g * MT_WORDS;
+        memcpy(mt[g], genrand, MT_N * sizeof(uint32_t));
+        /* the key is [lo] when hi is 0 (at least one word), else [lo, hi] */
+        add[g][0] = lo;
+        add[g][1] = hi ? hi + 1U : lo;
+    }
+    i = 1;
+    for (k = 0; k < MT_N; k++) {
+        for (g = 0; g < count; g++) {
+            uint32_t *m = mt[g];
+            m[i] = (m[i] ^ ((m[i - 1] ^ (m[i - 1] >> 30)) * 1664525U)) + add[g][k & 1];
+        }
+        if (++i >= MT_N) {
+            for (g = 0; g < count; g++)
+                mt[g][0] = mt[g][MT_N - 1];
+            i = 1;
+        }
+    }
+    for (k = MT_N - 1; k; k--) {
+        for (g = 0; g < count; g++) {
+            uint32_t *m = mt[g];
+            m[i] = (m[i] ^ ((m[i - 1] ^ (m[i - 1] >> 30)) * 1566083941U)) - (uint32_t)i;
+        }
+        if (++i >= MT_N) {
+            for (g = 0; g < count; g++)
+                mt[g][0] = mt[g][MT_N - 1];
+            i = 1;
+        }
+    }
+    for (g = 0; g < count; g++) {
+        mt[g][0] = MT_UPPER; /* MSB is 1; assuring non-zero initial array */
+        mt[g][MT_N] = MT_N;  /* twist before the first word */
+    }
+}
+
+/* Seeded lanes: row i of `rows` (count x MT_WORDS) becomes the state of
+ * `random.Random(seeds[i])` — its `getstate()[1]` — for seeds in
+ * [0, 2^64).  CPython seeds an int with its little-endian 32-bit words,
+ * at least one, and leaves the read position at MT_N. */
+REPRO_EXPORT int64_t repro_mt_seed(int64_t count, const uint64_t *seeds,
+                                   uint32_t *rows)
+{
+    uint32_t genrand[MT_N];
+    int64_t i;
+
+    genrand[0] = 19650218U;
+    for (i = 1; i < MT_N; i++)
+        genrand[i] = 1812433253U * (genrand[i - 1] ^ (genrand[i - 1] >> 30)) + (uint32_t)i;
+    for (i = 0; i < count; i += MT_SEED_GROUP)
+        mt_seed_group(rows + (size_t)i * MT_WORDS, seeds + i,
+                      count - i < MT_SEED_GROUP ? count - i : MT_SEED_GROUP, genrand);
+    return 0;
 }
 
 REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)

@@ -25,12 +25,14 @@ and ``rng.getstate()`` afterwards are identical, and it hands back an
 array-backed :class:`Graph` whose CSR arrays and connectivity come out of
 the same pass.  In every other case — ``REPRO_NATIVE=0`` included — the
 Python pass below runs; it is the only fallback and the reference the
-native pass is tested against.
+native pass is tested against.  A build the loaded kernel refuses is
+named on stderr, once per process.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import GenerationError
@@ -187,17 +189,46 @@ def _restarts_exhausted(n: int, r: int, max_restarts: int) -> GenerationError:
 _SW_DONE, _SW_DEADEND = 0, 1
 
 
-def _native_kernel(n: int, r: int, rng: random.Random) -> Any:
-    """The native Steger–Wormald pass, or None when the Python one must run."""
+#: Whether this process has said on stderr that the built kernel refused
+#: a graph build (once per process).
+_refusal_noted = False
+
+
+def _native_refusal(n: int, r: int, rng: random.Random) -> str:
+    """Why the native pass cannot replay this build; ``""`` if it can."""
     if n * r >= 1 << 32 or n * (n - 1) // 2 >= 1 << 32:
-        return None  # some modulus would need more than one word per draw
+        return "a draw's modulus (n*r or n*(n-1)/2) would need more than 32 bits"
     from repro.engine.base import MTWordStream
 
     if not MTWordStream.supports(rng):
-        return None
+        return f"rng {type(rng).__name__} is not a plain Mersenne Twister random.Random"
+    return ""
+
+
+def _native_kernel(n: int, r: int, rng: random.Random) -> Any:
+    """The native Steger–Wormald pass, or None when the Python one must run.
+
+    A build the loaded kernel refuses (:func:`_native_refusal`) is no
+    silent fallback: the first such refusal in a process names ``n`` and
+    the reason on stderr, and each one counts as ``graphs.python_builds``.
+    """
     from repro.engine import native
 
-    return native.load_sw_regular()
+    kernel = native.load_sw_regular()
+    if kernel is None:
+        return None
+    reason = _native_refusal(n, r, rng)
+    if not reason:
+        return kernel
+    global _refusal_noted
+    if not _refusal_noted:
+        _refusal_noted = True
+        print(
+            f"repro: random regular graph n={n} runs the Python Steger-Wormald "
+            f"pass although the native kernel is loaded: {reason}",
+            file=sys.stderr,
+        )
+    return None
 
 
 def _native_regular_graph(

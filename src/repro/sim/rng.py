@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List
+from typing import List, Union
 
 __all__ = [
     "DEFAULT_ROOT_SEED",
+    "as_generator",
     "child_seed",
     "fresh_generator",
     "seed_sequence",
@@ -37,6 +38,16 @@ def child_seed(root_seed: int, *labels: object) -> int:
 def spawn(root_seed: int, *labels: object) -> random.Random:
     """A fresh Mersenne-Twister generator for the given label path."""
     return random.Random(child_seed(root_seed, *labels))
+
+
+def as_generator(lane: Union[int, random.Random]) -> random.Random:
+    """The generator a fleet lane stands for.
+
+    An int lane is a seed — ``random.Random(seed)`` that nobody else holds,
+    which the native kernel seeds straight into its state row — so it gets
+    a fresh generator of its own; a generator lane is itself.
+    """
+    return random.Random(lane) if isinstance(lane, int) else lane
 
 
 def seed_sequence(root_seed: int, count: int, *labels: object) -> List[int]:

@@ -73,7 +73,7 @@ from repro.errors import ReproError, TrialTimeout
 from repro.graphs.graph import Graph
 from repro.sim.outcomes import CoverRun, TrialOutcome, aggregate_outcomes
 from repro.sim.policy import ExecutionPolicy
-from repro.sim.rng import spawn
+from repro.sim.rng import as_generator, child_seed, spawn
 from repro.telemetry import get_telemetry, peak_rss_bytes
 from repro.testing import faults
 from repro.walks.base import WalkProcess
@@ -161,12 +161,21 @@ def _wall_clock_limit(seconds: Optional[float], what: str) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
-def _trial_inputs(spec: _TrialSpec) -> Tuple[Graph, int, random.Random]:
-    """Derive one trial's (graph, start, walk rng) from the seed tree."""
-    graph_rng = spawn(spec.root_seed, spec.label, "graph", spec.trial)
-    graph = spec.workload(graph_rng) if callable(spec.workload) else spec.workload
-    start_rng = spawn(spec.root_seed, spec.label, "start", spec.trial)
+def _trial_inputs(spec: _TrialSpec) -> Tuple[Graph, int, int]:
+    """Derive one trial's (graph, start, walk seed) from the seed tree.
+
+    A generator is spawned only where a draw is made: for a graph factory
+    and for a random start.  The walk gets its child seed, which a fleet
+    lane takes as it is (the native kernel seeds its state row from it)
+    and a per-trial walk turns into its generator
+    (:func:`~repro.sim.rng.as_generator`).
+    """
+    if callable(spec.workload):
+        graph = spec.workload(spawn(spec.root_seed, spec.label, "graph", spec.trial))
+    else:
+        graph = spec.workload
     if spec.start is None:
+        start_rng = spawn(spec.root_seed, spec.label, "start", spec.trial)
         start_vertex = start_rng.randrange(graph.n)
     else:
         start_vertex = spec.start
@@ -175,8 +184,7 @@ def _trial_inputs(spec: _TrialSpec) -> Tuple[Graph, int, random.Random]:
                 f"trial {spec.trial}: start vertex {start_vertex} out of "
                 f"range 0..{graph.n - 1} for graph {graph!r}"
             )
-    walk_rng = spawn(spec.root_seed, spec.label, "walk", spec.trial)
-    return graph, start_vertex, walk_rng
+    return graph, start_vertex, child_seed(spec.root_seed, spec.label, "walk", spec.trial)
 
 
 def _run_trial(spec: _TrialSpec) -> TrialOutcome:
@@ -189,8 +197,8 @@ def _run_trial(spec: _TrialSpec) -> TrialOutcome:
         faults.maybe_kill("worker_kill", trial=spec.trial)
     with _wall_clock_limit(spec.trial_timeout, f"trial {spec.trial}"):
         faults.maybe_stall("trial_stall", trial=spec.trial)
-        graph, start_vertex, walk_rng = _trial_inputs(spec)
-        walk = spec.walk_factory(graph, start_vertex, walk_rng)
+        graph, start_vertex, walk_seed = _trial_inputs(spec)
+        walk = spec.walk_factory(graph, start_vertex, as_generator(walk_seed))
         if spec.target == "vertices":
             steps = walk.run_until_vertex_cover(spec.max_steps)
         else:
@@ -246,12 +254,11 @@ def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialO
     """Run a batch of trials as one lockstep fleet.
 
     Fleet eligibility is a property of the *data*, not the request: the
-    lanes must share one graph shape, satisfy the walk's structural
-    requirements, and carry plain MT generators.  An ineligible batch is
-    an explicit :class:`ReproError` carrying the fleet's
-    :class:`~repro.engine.fleet.FleetUnsupported` reason — which names
-    the offending lane and its trial — never a silent
-    change of stepping strategy: the caller asked for fleets and should
+    lanes must share one graph shape and satisfy the walk's structural
+    requirements.  An ineligible batch is an explicit :class:`ReproError`
+    carrying the fleet's :class:`~repro.engine.fleet.FleetUnsupported`
+    reason — which names the offending lane and its trial — never a
+    silent change of stepping strategy: the caller asked for fleets and should
     decide (``engine="array"`` gives identical numbers per trial).  The
     one throughput substitution is :func:`_srw_per_trial`'s, counted as
     ``runner.srw_array_batches``.  ``template.walk_factory`` is the
@@ -259,6 +266,11 @@ def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialO
     constructing the fleet is the batch's one eligibility check, and
     swaps implicit lanes for their ``materialize()`` twins once
     (:func:`repro.engine.fleet.materialized_lanes`).
+
+    The lanes are the trials' walk seeds, not generators: nothing reads a
+    trial's generator after its cover, so the fleet seeds each lane's
+    state row straight from its seed and writes no generator back
+    (:class:`~repro.engine.base.MTStateRows`).
     """
     from repro.engine import NAMED_WALK_FACTORIES
     from repro.engine.fleet import FleetUnsupported
@@ -279,17 +291,17 @@ def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialO
             faults.maybe_stall("trial_stall", trial=trial)
         graphs: List[Graph] = []
         starts: List[int] = []
-        rngs: List[random.Random] = []
+        seeds: List[int] = []
         for trial in trials:
-            graph, start_vertex, walk_rng = _trial_inputs(template._replace(trial=trial))
+            graph, start_vertex, walk_seed = _trial_inputs(template._replace(trial=trial))
             graphs.append(graph)
             starts.append(start_vertex)
-            rngs.append(walk_rng)
+            seeds.append(walk_seed)
         walk = template.walk_name
         # Constructing the fleet is the batch's one eligibility check, also
         # for an SRW batch that then steps trial by trial.
         try:
-            fleet = template.walk_factory(graphs, starts, rngs, labels=list(trials))
+            fleet = template.walk_factory(graphs, starts, seeds, labels=list(trials))
         except FleetUnsupported as exc:
             alternatives = " or ".join(
                 f"engine={e!r}" for e in NAMED_WALK_FACTORIES[walk]
@@ -303,8 +315,8 @@ def _run_fleet_batch(template: _TrialSpec, trials: Sequence[int]) -> List[TrialO
         if per_trial:
             twin = NAMED_WALK_FACTORIES["srw"]["array"]
             cover = []
-            for graph, start_vertex, walk_rng in zip(graphs, starts, rngs):
-                one = twin(graph, start_vertex, walk_rng)
+            for graph, start_vertex, walk_seed in zip(graphs, starts, seeds):
+                one = twin(graph, start_vertex, as_generator(walk_seed))
                 if template.target == "vertices":
                     cover.append(one.run_until_vertex_cover(template.max_steps))
                 else:

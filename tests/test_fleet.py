@@ -200,6 +200,22 @@ class TestFleetEligibility:
         reason = _refusal("srw", [cycle_graph(10)] * 2, [rng, rng])
         assert "share" in reason
 
+    @pytest.mark.parametrize("seed", [True, -1, 2**64])
+    def test_bad_seed_lane_refused_naming_lane_and_trial(self, seed):
+        # An int lane is a seed in [0, 2^64); a bool is no seed at all.
+        reason = _refusal("srw", [cycle_graph(10)] * 2, [5, seed], labels=[40, 41])
+        assert "lane 1 (trial 41)" in reason
+        assert "[0, 2^64)" in reason
+
+    def test_equal_seeds_are_separate_generators(self):
+        # Unlike one shared random.Random, equal seeds stand for two
+        # generators of their own: the lanes replay the same walk.
+        graph = cycle_graph(10)
+        fleet = FleetSRW([graph] * 3, [0, 0, 0], [2**64 - 1, 2**64 - 1, 0])
+        cover = fleet.run_until_cover()
+        walk = SimpleRandomWalk(graph, 0, rng=random.Random(2**64 - 1))
+        assert cover[0] == cover[1] == walk.run_until_vertex_cover()
+
     def test_exotic_rng_unsupported(self):
         class Custom(random.Random):
             def random(self):

@@ -23,6 +23,11 @@ the 624-word state: positions 0, 1, 623 and 624 (a twist before the next
 word), mid-row, and with a cached ``gauss_next`` that must survive the
 round trip.
 
+A lane may also be an int seed, standing for ``random.Random(seed)``:
+the kernel's seeded-row export must write exactly that generator's
+state, and a seeded fleet must run exactly as a fleet of those
+generators would, on both kernels, timeouts included.
+
 The native Steger–Wormald pass is held to the same standard against the
 python builder: same edges in the same order, same CSR arrays, same
 component count and the same generator end state, over dead-end
@@ -47,10 +52,11 @@ from repro.graphs.generators import complete_graph, lollipop_graph
 from repro.graphs.graph import Graph
 from repro.graphs.properties import connected_components
 from repro.graphs.random_regular import random_connected_regular_graph, random_regular_graph
+from repro.sim.rng import child_seed
 from repro.telemetry import Telemetry, session
 from repro.walks.choice import UnvisitedVertexWalk
 from repro.walks.srw import SimpleRandomWalk
-from tests.kernels import run_on
+from tests.kernels import kernel, run_on
 
 FLEET_SIZES = [1, 2, 7, 32]
 
@@ -70,6 +76,12 @@ native_built = pytest.mark.skipif(
     not native.available(),
     reason="native fused kernel not built (no compiler?)",
 )
+
+#: Both kernels, the fused one only where it is built.
+KERNELS = [
+    pytest.param(True, marks=native_built, id="native"),
+    pytest.param(False, id="numpy"),
+]
 
 
 def _graph(shape: str):
@@ -477,6 +489,139 @@ class TestMidBlockRetirement:
         assert counters[False]["fleet.blocks"] == len(set(cover))
 
 
+# ---------------------------------------------------------------------------
+# Seeded lanes: an int lane stands for random.Random(seed)
+# ---------------------------------------------------------------------------
+
+#: Seeds at the edges of CPython's one- and two-word seed keys.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _walk_seeds(count):
+    return [child_seed(26, "cover", "walk", k) for k in range(count)]
+
+
+class TestSeededRows:
+    @native_built
+    def test_kernel_rows_are_random_states(self):
+        # One call writes every row: each is random.Random(seed)'s state,
+        # position included, across whole and partial groups of lanes.
+        import numpy as np
+
+        seeds = EDGE_SEEDS + _walk_seeds(1000)
+        write = native.load_mt_seed()
+        rows = np.empty((len(seeds), 625), dtype=np.uint32)
+        keys = np.array(seeds, dtype=np.uint64)
+        assert write(len(seeds), keys.ctypes.data, rows.ctypes.data) == 0
+        for seed, row in zip(seeds, rows.tolist()):
+            assert tuple(row) == random.Random(seed).getstate()[1], seed
+
+    @pytest.mark.parametrize("use_native", KERNELS)
+    def test_mt_seed_rows_on_either_kernel(self, use_native):
+        from repro.engine.base import mt_seed_rows
+
+        seeds = EDGE_SEEDS + _walk_seeds(12)
+        with kernel(use_native):
+            assert (native.load_mt_seed() is not None) == use_native
+            for count in (1, 7, 8, 9, len(seeds)):
+                rows = mt_seed_rows(seeds[:count])
+                assert rows.shape == (count, 625)
+                assert [tuple(row) for row in rows.tolist()] == [
+                    random.Random(seed).getstate()[1] for seed in seeds[:count]
+                ]
+
+
+def _seeded_and_generator_runs(walk, graphs, starts, seeds, use_native, *args, **kwargs):
+    """One fleet on int lanes, one on ``random.Random(seed)`` lanes: each
+    run's snapshot (after its cover or its timeout) and its word count."""
+    K = len(graphs)
+    results = []
+    for lanes in (list(seeds), [random.Random(seed) for seed in seeds]):
+        fleet = FLEETS[walk](graphs, starts, lanes)
+        tel = Telemetry()
+        with session(tel):
+            try:
+                run_on(use_native, fleet, *args, **kwargs)
+            except CoverTimeout:
+                pass
+        results.append(
+            (_snapshot(walk, fleet, K), tel.counters["fleet.words_consumed"])
+        )
+    return results
+
+
+class TestSeededLanes:
+    """An int lane runs exactly as ``random.Random(seed)`` would, on both
+    kernels, without a generator to write back."""
+
+    @pytest.mark.parametrize("use_native", KERNELS)
+    @pytest.mark.parametrize("target", ["vertices", "edges"])
+    @pytest.mark.parametrize("walk", sorted(FLEETS))
+    def test_seeded_lanes_match_generator_lanes(self, walk, target, use_native):
+        graph = _graph("irregular")
+        K = 16
+        starts = [random.Random(600 + k).randrange(graph.n) for k in range(K)]
+        seeded, generators = _seeded_and_generator_runs(
+            walk, [graph] * K, starts, _walk_seeds(K), use_native, target
+        )
+        assert seeded == generators
+
+    @pytest.mark.parametrize("use_native", KERNELS)
+    @pytest.mark.parametrize("walk", sorted(FLEETS))
+    def test_distinct_graph_lanes(self, walk, use_native):
+        K = 7
+        graphs = [
+            random_connected_regular_graph(40, 4, random.Random(70 + k)) for k in range(K)
+        ]
+        starts = [k % 40 for k in range(K)]
+        seeded, generators = _seeded_and_generator_runs(
+            walk, graphs, starts, EDGE_SEEDS + _walk_seeds(K - len(EDGE_SEEDS)),
+            use_native, "vertices",
+        )
+        assert seeded == generators
+
+    @pytest.mark.parametrize("use_native", KERNELS)
+    @pytest.mark.parametrize("walk", sorted(FLEETS))
+    def test_budget_runs_out_after_some_lanes_retired(self, walk, use_native):
+        # The budget ends inside the block where the early lanes covered:
+        # seeded lanes keep the same covers, tables and word counts.
+        graph = _graph("irregular")
+        K = 16
+        seeds = _walk_seeds(K)
+        starts = [random.Random(700 + k).randrange(graph.n) for k in range(K)]
+        covers = sorted(
+            _reference_lane(walk, graph, starts[k], random.Random(seeds[k]), "edges")[0]
+            for k in range(K)
+        )
+        budget = covers[K // 2]
+        seeded, generators = _seeded_and_generator_runs(
+            walk, [graph] * K, starts, seeds, use_native, "edges", max_steps=budget
+        )
+        assert 0 < seeded[0]["cover"].count(None) < K
+        assert seeded == generators
+
+    @pytest.mark.parametrize("use_native", KERNELS)
+    def test_mixed_lanes_keep_each_contract(self, use_native):
+        # Generator lanes still end at their reference twin's state;
+        # seeded lanes step as their seed's generator would.
+        graph = _graph("regular")
+        K = 6
+        seeds = _walk_seeds(K)
+        starts = [random.Random(800 + k).randrange(graph.n) for k in range(K)]
+        lanes = [seed if k % 2 else random.Random(seed) for k, seed in enumerate(seeds)]
+        fleet = FleetEdgeProcess([graph] * K, starts, lanes)
+        run_on(use_native, fleet, "vertices")
+        for k, seed in enumerate(seeds):
+            twin = random.Random(seed)
+            cover, pos, fv, _ = _reference_lane("eprocess", graph, starts[k], twin, "vertices")
+            assert (fleet.cover_steps[k], fleet.positions[k]) == (cover, pos)
+            assert fleet.first_visit_time(k) == fv
+            if k % 2:
+                assert lanes[k] == seed
+            else:
+                assert lanes[k].getstate() == twin.getstate()
+
+
 class TestNativeLoader:
     def test_env_opt_out_disables_without_warning(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
@@ -554,8 +699,9 @@ class TestNativeLoader:
         # A kernel from before the generator moved into C (ABI 2) reads
         # word rows where this build passes state rows, and one from before
         # the phase-recording slots went (ABI 4) reads the covered flags
-        # from a slot this build no longer fills: each must be refused
-        # with its path in the reason, never called.
+        # from a slot this build no longer fills, and one from before the
+        # seeded-row export (ABI 6) cannot seed int lanes: each must be
+        # refused with its path in the reason, never called.
         cc = shutil.which("cc") or shutil.which("gcc")
         if cc is None:
             pytest.skip("no C compiler to build a stale kernel")
@@ -564,7 +710,7 @@ class TestNativeLoader:
         env = {k: v for k, v in os.environ.items() if k != "LD_PRELOAD"}
         monkeypatch.delenv("REPRO_NATIVE", raising=False)
         try:
-            for abi in (2, 4):
+            for abi in (2, 4, 6):
                 src = tmp_path / f"stale{abi}.c"
                 src.write_text(f"long long repro_fused_abi(void) {{ return {abi}; }}\n")
                 stale = tmp_path / f"_fused_abi{abi}.so"
@@ -728,6 +874,40 @@ class TestNativeStegerWormald:
             random_regular_graph(30, 4, _OwnRandbelow(1))
         assert tel.counters["graphs.native_builds"] == 1
         assert tel.counters["graphs.python_builds"] == 2
+
+    def test_refused_build_is_named_once_on_stderr(self, monkeypatch, capsys):
+        # The kernel is loaded, but this build is refused: the Python pass
+        # runs, and the first refusal in the process says so, naming n.
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        monkeypatch.setattr(rr, "_refusal_noted", False)
+        monkeypatch.setattr(rr, "_native_refusal", lambda n, r, rng: "a stand-in reason")
+        tel = Telemetry()
+        with session(tel):
+            graphs = [random_regular_graph(n, 4, random.Random(1)) for n in (30, 40)]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "n=30" in lines[0] and "a stand-in reason" in lines[0]
+        assert tel.counters["graphs.python_builds"] == 2
+        assert "graphs.native_builds" not in tel.counters
+        with kernel(False):
+            assert graphs[0].edges() == random_regular_graph(30, 4, random.Random(1)).edges()
+
+    def test_refusal_reasons(self):
+        # Decided without building: a modulus past 32 bits (n*(n-1)/2 at
+        # n = 93000), or a generator whose words the kernel cannot replay.
+        assert "32 bits" in rr._native_refusal(93_000, 4, random.Random(1))
+        assert "_OwnRandbelow" in rr._native_refusal(30, 4, _OwnRandbelow(1))
+        assert rr._native_refusal(92_000, 4, random.Random(1)) == ""
+
+    def test_no_note_without_a_kernel(self, monkeypatch, capsys):
+        # Under REPRO_NATIVE=0 the Python pass is the asked-for path.
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        monkeypatch.setattr(rr, "_refusal_noted", False)
+        try:
+            random_regular_graph(30, 4, _OwnRandbelow(1))
+        finally:
+            native._reset_probe_for_testing()
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("use_native", [True, False])
     def test_fleet_never_builds_graph_tuples(self, use_native):

@@ -1,6 +1,8 @@
 """Tests for the deterministic seed tree."""
 
-from repro.sim.rng import DEFAULT_ROOT_SEED, child_seed, seed_sequence, spawn
+import random
+
+from repro.sim.rng import DEFAULT_ROOT_SEED, as_generator, child_seed, seed_sequence, spawn
 
 
 class TestChildSeed:
@@ -39,3 +41,16 @@ class TestSeedSequence:
 
     def test_stable(self):
         assert seed_sequence(3, 5, "x") == seed_sequence(3, 5, "x")
+
+
+class TestAsGenerator:
+    def test_seed_becomes_its_own_generator(self):
+        seed = child_seed(7, "walk", 0)
+        a, b = as_generator(seed), as_generator(seed)
+        assert a is not b
+        assert a.getstate() == b.getstate() == random.Random(seed).getstate()
+        assert a.getstate() == spawn(7, "walk", 0).getstate()
+
+    def test_generator_passes_through(self):
+        rng = spawn(7, "walk", 1)
+        assert as_generator(rng) is rng

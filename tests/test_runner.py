@@ -85,6 +85,56 @@ class TestCoverTimeTrials:
             cover_time_trials(g, _srw_factory, trials=1, root_seed=1, target="faces")
 
 
+class TestTrialInputs:
+    """A trial spawns a generator only where it draws from one."""
+
+    def _inputs(self, monkeypatch, **fields):
+        from repro.sim import runner
+
+        spawned = []
+        real = runner.spawn
+
+        def spy(root_seed, *labels):
+            spawned.append(labels[1])
+            return real(root_seed, *labels)
+
+        monkeypatch.setattr(runner, "spawn", spy)
+        spec = runner._TrialSpec(
+            workload=cycle_graph(12),
+            walk_factory=_srw_factory,
+            trial=3,
+            root_seed=5,
+            label="cover",
+            target="vertices",
+            start=None,
+            max_steps=None,
+            extra_metrics=None,
+        )
+        return runner._trial_inputs(spec._replace(**fields)), spawned
+
+    def test_fixed_graph_and_start_spawn_nothing(self, monkeypatch):
+        from repro.sim.rng import child_seed
+
+        (graph, start, seed), spawned = self._inputs(monkeypatch, start=4)
+        assert spawned == []
+        assert (graph.n, start) == (12, 4)
+        assert seed == child_seed(5, "cover", "walk", 3)
+
+    def test_random_start_spawns_its_generator(self, monkeypatch):
+        from repro.sim.rng import spawn
+
+        (_, start, _), spawned = self._inputs(monkeypatch)
+        assert spawned == ["start"]
+        assert start == spawn(5, "cover", "start", 3).randrange(12)
+
+    def test_graph_factory_spawns_its_generator(self, monkeypatch):
+        (graph, _, _), spawned = self._inputs(
+            monkeypatch, workload=_regular_workload, start=0
+        )
+        assert spawned == ["graph"]
+        assert graph.n == 24
+
+
 class TestSweep:
     def test_runs_in_order(self):
         g = cycle_graph(8)
