@@ -31,10 +31,13 @@ covered it ends.
 The driver pays its numpy dispatches per lockstep step, so it has a
 **native fused path**: when the optional C extension
 (:mod:`repro.engine.native`) is built, whole blocks of lockstep steps run
-as one C call over the same CSR tiles and visitation masks —
-bit-identical to the numpy path by contract.  The kernel retires lanes
-itself: a covered lane stops drawing while the rest step on, so a fleet
-costs one C call per block rather than one per distinct cover instant.
+as one C call over the same visitation masks — bit-identical to the numpy
+path by contract.  The kernel reads every lane's own int32 CSR arrays
+(:meth:`~repro.graphs.graph.Graph.csr_arrays`) in place, through one row
+of pointers per lane, so a native fleet holds no copy of any graph.  The
+kernel retires lanes itself: a covered lane stops drawing while the rest
+step on, so a fleet costs one C call per block rather than one per
+distinct cover instant.
 The numpy path ends its block at the first cover instant instead; both
 hand the driver the same per-lane cover steps.  Every fleet takes the
 kernel when it loads; ``REPRO_NATIVE=0`` is the one switch that turns it
@@ -57,12 +60,13 @@ implicit lane whose dart space ``n·d`` exceeds
 per-trial oracle engines (``engine='array'``) serve giant graphs.
 
 Graphs may be one shared :class:`~repro.graphs.graph.Graph` (fixed
-workloads; the padded incidence arrays are cached in ``scratch_cache()``)
-or K structurally distinct graphs of one shared ``(n, m)`` shape (factory
-workloads, e.g. a fresh random graph per trial): the per-lane incidence
-arrays are concatenated lane-major, and lane k's vertex ``v`` / edge
-``e`` keep their visitation state at ``k*n + v`` / ``k*m + e``, so the
-inner gathers are identical in both cases.
+workloads) or K structurally distinct graphs of one shared ``(n, m)``
+shape (factory workloads, e.g. a fresh random graph per trial).  Either
+way lane k's vertex ``v`` / edge ``e`` keep their visitation state at
+``k*n + v`` / ``k*m + e``.  Only the numpy path copies incidence arrays,
+into int64 tiles for its fixed-width gathers: a shared graph's padded
+arrays are cached in its ``scratch_cache()``, and distinct graphs'
+arrays are concatenated lane-major.
 """
 
 from __future__ import annotations
@@ -400,8 +404,9 @@ class FleetWalkBase:
     """Shared lane machinery for the lockstep fleet engines.
 
     Handles lane validation (:func:`_refusal`'s rules for the subclass's
-    :attr:`walk_name`), start-vertex checks, the stepwise kernels'
-    incidence arrays (cached per shared graph), and the post-run
+    :attr:`walk_name`), start-vertex checks, the stepwise kernels' view of
+    the lanes' graphs (pointer rows into each lane's own CSR arrays for
+    the native kernel, int64 tiles for the numpy path), and the post-run
     introspection surface (:attr:`cover_steps`, :attr:`positions`).
 
     Parameters
@@ -491,17 +496,44 @@ class FleetWalkBase:
                 return 0
         return d0
 
-    def _incidence_context(self, dmax: int) -> None:
-        """Build the stepwise kernels' incidence arrays (*local* values).
+    def _csr_rows(self, act: List[int]):
+        """The native kernel's view of the graphs: pointer rows (one per
+        active lane) to each lane's own ``csr_edge_ids``,
+        ``csr_neighbors`` and ``csr_offsets``, read in place.
 
-        Shared-graph fleets use the graph's own flat CSR arrays directly —
-        cache-resident however wide the fleet — padded with ``dmax``
-        trailing zeros so fixed-width ``(A, dmax)`` row gathers stay in
-        bounds.  Distinct-graph fleets concatenate the per-lane arrays
+        Addresses are taken once per *distinct* graph, so lanes sharing a
+        graph cost one list entry each; the three uintp rows compact with
+        the other per-row state.  :attr:`graphs` keeps the arrays alive,
+        and a graph builds them once even under racing threads
+        (:meth:`~repro.graphs.graph.Graph.csr_arrays`), so the addresses
+        hold for the whole run.
+        """
+        import numpy as np
+
+        index: Dict[int, int] = {}
+        table: List[Tuple[int, int, int]] = []
+        rows = []
+        for k in act:
+            g = self.graphs[k]
+            j = index.get(id(g))
+            if j is None:
+                j = index[id(g)] = len(table)
+                offsets, eids, nbrs = g.csr_arrays()
+                table.append((eids.ctypes.data, nbrs.ctypes.data, offsets.ctypes.data))
+            rows.append(j)
+        return tuple(col[rows] for col in np.array(table, dtype=np.uintp).T)
+
+    def _incidence_context(self, dmax: int) -> None:
+        """Build the numpy path's int64 incidence tiles (*local* values).
+
+        Shared-graph fleets use the graph's own flat CSR arrays, widened to
+        int64 and padded with ``dmax`` trailing zeros so fixed-width
+        ``(A, dmax)`` row gathers stay in bounds; the tiles are cached on
+        the graph.  Distinct-graph fleets concatenate the per-lane arrays
         (``self._tiled``); positions are then lane-major (lane k's row of
         vertex v starts at ``k*2m + csr_offsets[v]``) but the *values*
-        stay local — per-lane visitation offsets are applied separately,
-        which keeps the hot arrays as small as the workload allows.
+        stay local — per-lane visitation offsets are applied separately.
+        The native kernel reads none of these (:meth:`_csr_rows`).
         """
         import numpy as np
 
@@ -514,7 +546,7 @@ class FleetWalkBase:
             if hit is None:
                 eids = np.concatenate([g.csr_edge_ids, pad])
                 nbrs = np.concatenate([g.csr_neighbors, pad])
-                rowstart = g.csr_offsets[:-1]
+                rowstart = g.csr_offsets[:-1].astype(np.int64)
                 degs = np.asarray(g.degrees(), dtype=np.int64)
                 # Frozen at creation: every fleet (and, post-GIL-release,
                 # every thread) over this graph reads the same tuple.
@@ -531,8 +563,13 @@ class FleetWalkBase:
             self._nbrs_t = np.concatenate(
                 [g.csr_neighbors for g in self.graphs] + [pad]
             )
+            # Widened before the add: lane-major row starts pass 2^31
+            # long before any one lane's do.
             self._rowstart_t = np.concatenate(
-                [g.csr_offsets[:-1] + k * 2 * self.m for k, g in enumerate(self.graphs)]
+                [
+                    g.csr_offsets[:-1].astype(np.int64) + k * 2 * self.m
+                    for k, g in enumerate(self.graphs)
+                ]
             )
             self._degs_t = np.concatenate(
                 [np.asarray(g.degrees(), dtype=np.int64) for g in self.graphs]
@@ -589,18 +626,25 @@ class _StepwiseFleet(FleetWalkBase):
     def _init_rows(self, act: List[int]) -> None:
         """Build the compact per-active-lane state (one row per lane).
 
-        The base provides the per-row visitation offsets: lane k's local
+        The base provides the per-row visitation offsets (lane k's local
         vertex ``v`` / edge ``e`` live at ``k*n + v`` / ``k*m + e`` of the
-        full-fleet visitation arrays.
+        full-fleet visitation arrays) and the kernel's view of the graphs:
+        pointer rows on the native path, the incidence tiles on the numpy
+        path (``self._dmax`` wide, set by :meth:`_prepare`).
         """
         import numpy as np
 
         lanes = np.asarray(act, dtype=np.int64)
         self._voff = lanes * self.n
         self._eoff = lanes * self.m
+        if self._native is not None:
+            self._csr_ptrs = self._csr_rows(act)
+        else:
+            self._incidence_context(self._dmax)
 
     def _row_base(self):
-        """Per-active-lane incidence-row start and degree (local ids)."""
+        """Per-active-lane incidence-row start and degree in the numpy
+        path's tiles (local ids)."""
         cur = self._cur
         gcur = cur + self._voff if self._tiled else cur
         d = self._d
@@ -618,6 +662,8 @@ class _StepwiseFleet(FleetWalkBase):
     def _compact_state(self, keep) -> None:
         self._voff = self._voff[keep]
         self._eoff = self._eoff[keep]
+        if self._native is not None:
+            self._csr_ptrs = tuple(p[keep] for p in self._csr_ptrs)
 
     def _on_lane_exit(self, row: int, lane: int) -> None:
         pass
@@ -660,7 +706,8 @@ class _StepwiseFleet(FleetWalkBase):
         is live.  ``cover_steps`` is an int64 row per lane, 0 for lanes
         still live, or None when no lane retired.  The kernel draws every
         lane's words from its state row in ``self._bank``
-        (:class:`~repro.engine.base.MTStateRows`).
+        (:class:`~repro.engine.base.MTStateRows`) and steps on the lane's
+        own CSR arrays through its pointer row (:meth:`_csr_rows`).
         """
         import ctypes
 
@@ -675,7 +722,6 @@ class _StepwiseFleet(FleetWalkBase):
             [
                 self._NATIVE_WALK,
                 int(self._by_edges),
-                int(self._tiled),
                 A,
                 T,
                 steps,
@@ -689,7 +735,7 @@ class _StepwiseFleet(FleetWalkBase):
         )
         arrays = (
             self._cur, self._voff, self._eoff, states.mt, states.drawn,
-            self._eids_t, self._nbrs_t, self._rowstart_t, self._degs_t,
+            *self._csr_ptrs,
             maskA, fvA, cntA, maskB, fvB, cntB,
             cover_steps, out,
         )
@@ -750,9 +796,9 @@ class _StepwiseFleet(FleetWalkBase):
         for k in self._prepare(target, budget):
             cover[k] = 0
         act = [k for k in range(K) if cover[k] is None]
+        self._native = self._native_setup() if act else None
         self._cur = np.array([self.starts[k] for k in act], dtype=np.int64)
         self._init_rows(act)
-        self._native = self._native_setup() if act else None
         lane_rngs = [self.rngs[k] for k in act]
         # Both expose sync_row / consumed / compact: all this loop calls.
         self._bank = MTStateRows(lane_rngs) if self._native is not None else _WordBank(lane_rngs)
@@ -857,8 +903,7 @@ class FleetSRW(_StepwiseFleet):
         self._stride = stride
         # Per-lane degree rows for every graph, regular or not.
         self._d = 0
-        dmax = max(g.max_degree for g in self.graphs)
-        self._incidence_context(dmax)
+        self._dmax = dmax = max(g.max_degree for g in self.graphs)
         self._shift = self._shift_table(dmax)
         self._visited = np.zeros(K * stride, dtype=np.uint8)
         self._fvn = np.full(K * stride, -1, dtype=np.int64)

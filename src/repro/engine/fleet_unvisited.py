@@ -113,9 +113,8 @@ class _UnvisitedFleet(_StepwiseFleet):
 
         K, n, m = self.K, self.n, self.m
         self._by_edges = target == "edges"
-        dmax = max(g.max_degree for g in self.graphs)
+        self._dmax = dmax = max(g.max_degree for g in self.graphs)
         self._d = self._common_degree()
-        self._incidence_context(dmax)
         self._packed = bool(self._d) and self._d <= PACKED_DEGREE_MAX
         if self._packed:
             self._pw, self._tqs, self._tsh, self._tsel = _packed_tables(self._d)

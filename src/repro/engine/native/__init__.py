@@ -2,10 +2,12 @@
 
 The stepwise fleet kernels (SRW, E-process, V-process) pay a
 fixed number of numpy dispatches *per lockstep step*; the C extension in
-``_fused.c`` collapses a whole block of steps into one call.  The same
+``_fused.c`` collapses a whole block of steps into one call, reading
+each lane's own int32 CSR arrays (:meth:`~repro.graphs.graph.Graph.csr_arrays`)
+in place through per-lane pointer rows.  The same
 extension also runs one Steger–Wormald pass of
 :func:`~repro.graphs.random_regular.random_regular_graph` and emits the
-graph's CSR arrays directly (:func:`load_sw_regular`), and it writes
+graph's int32 edge and CSR arrays directly (:func:`load_sw_regular`), and it writes
 the Mersenne-Twister state rows of lanes handed in as int seeds — each
 row is ``random.Random(seed).getstate()[1]``, built without the
 generator (:func:`load_mt_seed`).  This module owns finding and
@@ -58,7 +60,7 @@ __all__ = [
 
 #: Must match ``REPRO_FUSED_ABI`` in ``_fused.c``; bumped together whenever
 #: an export is added or the parameter layout or semantics change.
-ABI_VERSION = 7
+ABI_VERSION = 8
 
 _FALSEY = {"0", "false", "off", "no"}
 

@@ -21,6 +21,12 @@
  * path below.  The numpy path's 2^d bitmask tables pay off only there,
  * where they save dispatches; in C the row scan costs the same.
  *
+ * Each lane steps on its own graph in place: the kernel reads the
+ * lane's `Graph.csr_arrays()` triple (int32) through one pointer row per
+ * lane, so no incidence array is copied or tiled for it.  Lanes that
+ * share a graph share its arrays; visitation state is per lane (lane k
+ * at offsets k*n / k*m of the fleet's tables).
+ *
  * The kernel writes only what the driver reads back: positions,
  * visitation masks, first-visit tables, counts, generator states and the
  * per-lane cover steps.  Nothing records per-step colours: every blue
@@ -63,44 +69,45 @@
 /* Bumped whenever an export is added or the par[] layout, slot table, or
  * semantics of one change; the python loader refuses a stale .so instead
  * of mis-reading it. */
-#define REPRO_FUSED_ABI 7
+#define REPRO_FUSED_ABI 8
 
 /* par[] indices (all int64). */
 enum {
     P_WALK = 0,      /* 0 srw, 1 eprocess, 2 vprocess */
     P_BY_EDGES = 1,  /* cover target is edges */
-    P_TILED = 2,     /* distinct-graph fleet: incidence rows lane-major */
-    P_A = 3,         /* active lanes */
-    P_T = 4,         /* max lockstep steps this call */
-    P_STEP0 = 5,     /* global step count before the first step here */
-    P_N = 6,
-    P_M = 7,
-    P_D = 8,         /* common regular degree; 0 = irregular lanes */
-    P_FULL = 9,      /* target ids per lane (n or m) */
-    P_ALL_V = 10,    /* eprocess: every lane's vertex set complete */
-    P_COUNT = 11
+    P_A = 2,         /* active lanes */
+    P_T = 3,         /* max lockstep steps this call */
+    P_STEP0 = 4,     /* global step count before the first step here */
+    P_N = 5,
+    P_M = 6,
+    P_D = 7,         /* common regular degree; 0 = irregular lanes */
+    P_FULL = 8,      /* target ids per lane (n or m) */
+    P_ALL_V = 9,     /* eprocess: every lane's vertex set complete */
+    P_COUNT = 10
 };
 
-/* arr[] slot indices (void pointers; unused slots NULL). */
+/* arr[] slot indices (void pointers; unused slots NULL).  The three CSR
+ * slots are per-row tables of pointers into each lane's own graph (the
+ * `Graph.csr_arrays()` triple, int32, read in place): rows of lanes that
+ * share a graph hold the same pointers. */
 enum {
     S_CUR = 0,       /* i64[A]  rw  current vertex (local id) */
     S_VOFF = 1,      /* i64[A]      lane vertex offset (k*n) */
     S_EOFF = 2,      /* i64[A]      lane edge offset (k*m) */
     S_MT = 3,        /* u32[A*625] rw per-lane generator states */
     S_DRAWN = 4,     /* i64[A]  rw  words drawn per lane */
-    S_EIDS = 5,      /* i64         incidence edge ids (padded) */
-    S_NBRS = 6,      /* i64         incidence neighbours (padded) */
-    S_ROWSTART = 7,  /* i64         CSR row starts (irregular) */
-    S_DEGS = 8,      /* i64         degrees (irregular) */
-    S_MASKA = 9,     /* u8      rw  srw: visited; e: edge-unvisited; v: vertex-unvisited */
-    S_FVA = 10,      /* i64     rw  srw: target first-visits; e: edge fv; v: vertex fv */
-    S_CNTA = 11,     /* i64[A]  rw  srw: target counts; e: ne; v: nv */
-    S_MASKB = 12,    /* u8      rw  e: vertex-unvisited */
-    S_FVB = 13,      /* i64     rw  e: vertex fv; v: edge fv */
-    S_CNTB = 14,     /* i64[A]  rw  e: nv; v: ne */
-    S_COVERED = 15,  /* i64[A]  rw  cover step per lane; 0 = live (all 0 on entry) */
-    S_OUT = 16,      /* i64[2]  w   0: steps done, 1: all_v */
-    S_COUNT = 17
+    S_EIDS = 5,      /* i32*[A]     the lane's csr_edge_ids */
+    S_NBRS = 6,      /* i32*[A]     the lane's csr_neighbors */
+    S_ROWSTART = 7,  /* i32*[A]     the lane's csr_offsets (n + 1 entries) */
+    S_MASKA = 8,     /* u8      rw  srw: visited; e: edge-unvisited; v: vertex-unvisited */
+    S_FVA = 9,       /* i64     rw  srw: target first-visits; e: edge fv; v: vertex fv */
+    S_CNTA = 10,     /* i64[A]  rw  srw: target counts; e: ne; v: nv */
+    S_MASKB = 11,    /* u8      rw  e: vertex-unvisited */
+    S_FVB = 12,      /* i64     rw  e: vertex fv; v: edge fv */
+    S_CNTB = 13,     /* i64[A]  rw  e: nv; v: ne */
+    S_COVERED = 14,  /* i64[A]  rw  cover step per lane; 0 = live (all 0 on entry) */
+    S_OUT = 15,      /* i64[2]  w   0: steps done, 1: all_v */
+    S_COUNT = 16
 };
 
 /* Return status. */
@@ -265,7 +272,6 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
 {
     const int64_t walk = par[P_WALK];
     const int64_t by_edges = par[P_BY_EDGES];
-    const int64_t tiled = par[P_TILED];
     const int64_t A = par[P_A];
     const int64_t T = par[P_T];
     const int64_t step0 = par[P_STEP0];
@@ -280,10 +286,9 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
     const int64_t *eoff = (const int64_t *)arr[S_EOFF];
     uint32_t *mts = (uint32_t *)arr[S_MT];
     int64_t *drawn = (int64_t *)arr[S_DRAWN];
-    const int64_t *eids = (const int64_t *)arr[S_EIDS];
-    const int64_t *nbrs = (const int64_t *)arr[S_NBRS];
-    const int64_t *rowstart = (const int64_t *)arr[S_ROWSTART];
-    const int64_t *degs = (const int64_t *)arr[S_DEGS];
+    const int32_t *const *eids_rows = (const int32_t *const *)arr[S_EIDS];
+    const int32_t *const *nbrs_rows = (const int32_t *const *)arr[S_NBRS];
+    const int32_t *const *rowstart_rows = (const int32_t *const *)arr[S_ROWSTART];
     unsigned char *maskA = (unsigned char *)arr[S_MASKA];
     int64_t *fvA = (int64_t *)arr[S_FVA];
     int64_t *cntA = (int64_t *)arr[S_CNTA];
@@ -322,15 +327,18 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
     for (t = 0; t < T && live; t++) {
         const int64_t step_no = step0 + t + 1;
         for (i = 0; i < A; i++) {
-            int64_t c, gc, base, dg, q, r, jsel, nxt;
+            const int32_t *eids, *nbrs, *rowstart;
+            int64_t c, base, dg, q, r, jsel, nxt;
             int isb = 0;
 
             if (covered[i])
                 continue;
+            eids = eids_rows[i];
+            nbrs = nbrs_rows[i];
+            rowstart = rowstart_rows[i];
             c = cur[i];
-            gc = tiled ? c + voff[i] : c;
-            base = d ? gc * d : rowstart[gc];
-            dg = d ? d : degs[gc];
+            base = d ? c * d : rowstart[c];
+            dg = d ? d : rowstart[c + 1] - rowstart[c];
 
             /* ---- the draw: modulus, one accepted word, winner slot ----
              * E-/V-process: the modulus is the row's count of unvisited
@@ -464,7 +472,8 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
  * the advanced state row.  On success the kernel also writes the CSR
  * incidence arrays in `Graph.incidence()` order (edge id order, first
  * endpoint's entry before the second's) and counts the connected
- * components with a union-find.
+ * components with a union-find.  Every array but the component count is
+ * int32, the dtype of `Graph`'s arrays (python gates on n*r < 2^31).
  */
 
 /* par[] indices (int64). */
@@ -478,14 +487,14 @@ enum {
 enum {
     SW_MT = 0,      /* u32[625] rw generator state */
     SW_COMPS = 1,   /* i64[1]   w  connected components */
-    SW_POOL = 2,    /* i64[n*r] rw stub pool (vertex per stub) */
-    SW_POS = 3,     /* i64[n*r] rw pos[v*r + j], j < free[v]: v's pool slots */
-    SW_FREE = 4,    /* i64[n]   rw free stubs per vertex */
-    SW_ADJ = 5,     /* i64[n*r] rw adj[v*r + j], j < r - free[v] */
-    SW_EDGES = 6,   /* i64[n*r] rw placed edges as (u, v) pairs */
-    SW_OFFSETS = 7, /* i64[n+1] w  CSR row starts */
-    SW_EIDS = 8,    /* i64[n*r] w  CSR edge ids */
-    SW_NBRS = 9,    /* i64[n*r] w  CSR neighbours */
+    SW_POOL = 2,    /* i32[n*r] rw stub pool (vertex per stub) */
+    SW_POS = 3,     /* i32[n*r] rw pos[v*r + j], j < free[v]: v's pool slots */
+    SW_FREE = 4,    /* i32[n]   rw free stubs per vertex */
+    SW_ADJ = 5,     /* i32[n*r] rw adj[v*r + j], j < r - free[v] */
+    SW_EDGES = 6,   /* i32[n*r] rw placed edges as (u, v) pairs */
+    SW_OFFSETS = 7, /* i32[n+1] w  CSR row starts */
+    SW_EIDS = 8,    /* i32[n*r] w  CSR edge ids */
+    SW_NBRS = 9,    /* i32[n*r] w  CSR neighbours */
     SW_SLOT_COUNT = 10
 };
 
@@ -496,10 +505,10 @@ enum {
     SW_NOMEM = -2
 };
 
-static int sw_adjacent(const int64_t *adj, const int64_t *freec, int64_t r,
+static int sw_adjacent(const int32_t *adj, const int32_t *freec, int64_t r,
                        int64_t u, int64_t v)
 {
-    const int64_t *row = adj + u * r;
+    const int32_t *row = adj + u * r;
     const int64_t deg = r - freec[u];
     int64_t j;
     for (j = 0; j < deg; j++)
@@ -510,14 +519,14 @@ static int sw_adjacent(const int64_t *adj, const int64_t *freec, int64_t r,
 
 /* `remove_stub`: pop x's last pool slot, move the pool's last stub into
  * it and fix that stub's entry in its owner's position list. */
-static void sw_remove_stub(int64_t *pool, int64_t *pos, int64_t *freec,
+static void sw_remove_stub(int32_t *pool, int32_t *pos, int32_t *freec,
                            int64_t r, int64_t *len, int64_t x)
 {
-    const int64_t idx = pos[x * r + --freec[x]];
-    const int64_t last = --*len;
+    const int32_t idx = pos[x * r + --freec[x]];
+    const int32_t last = (int32_t)--*len;
     if (idx != last) {
-        const int64_t lv = pool[last];
-        int64_t *plist = pos + lv * r;
+        const int32_t lv = pool[last];
+        int32_t *plist = pos + (int64_t)lv * r;
         int64_t j = 0;
         pool[idx] = lv;
         while (plist[j] != last)
@@ -526,7 +535,7 @@ static void sw_remove_stub(int64_t *pool, int64_t *pos, int64_t *freec,
     }
 }
 
-static int64_t sw_find(int64_t *parent, int64_t v)
+static int32_t sw_find(int32_t *parent, int32_t v)
 {
     while (parent[v] != v) {
         parent[v] = parent[parent[v]];
@@ -541,21 +550,21 @@ REPRO_EXPORT int64_t repro_sw_regular(const int64_t *par, void **arr)
     const int64_t r = par[SW_R];
     uint32_t *mt = (uint32_t *)arr[SW_MT];
     int64_t *comps_out = (int64_t *)arr[SW_COMPS];
-    int64_t *pool = (int64_t *)arr[SW_POOL];
-    int64_t *pos = (int64_t *)arr[SW_POS];
-    int64_t *freec = (int64_t *)arr[SW_FREE];
-    int64_t *adj = (int64_t *)arr[SW_ADJ];
-    int64_t *edges = (int64_t *)arr[SW_EDGES];
-    int64_t *offsets = (int64_t *)arr[SW_OFFSETS];
-    int64_t *eids = (int64_t *)arr[SW_EIDS];
-    int64_t *nbrs = (int64_t *)arr[SW_NBRS];
+    int32_t *pool = (int32_t *)arr[SW_POOL];
+    int32_t *pos = (int32_t *)arr[SW_POS];
+    int32_t *freec = (int32_t *)arr[SW_FREE];
+    int32_t *adj = (int32_t *)arr[SW_ADJ];
+    int32_t *edges = (int32_t *)arr[SW_EDGES];
+    int32_t *offsets = (int32_t *)arr[SW_OFFSETS];
+    int32_t *eids = (int32_t *)arr[SW_EIDS];
+    int32_t *nbrs = (int32_t *)arr[SW_NBRS];
     int64_t len = 0, placed = 0, drawn = 0, v, j, e;
 
     for (v = 0; v < n; v++) {
-        freec[v] = r;
+        freec[v] = (int32_t)r;
         for (j = 0; j < r; j++) {
-            pos[v * r + j] = len;
-            pool[len++] = v;
+            pos[v * r + j] = (int32_t)len;
+            pool[len++] = (int32_t)v;
         }
     }
 
@@ -600,35 +609,35 @@ REPRO_EXPORT int64_t repro_sw_regular(const int64_t *par, void **arr)
             free(rem);
         }
         /* place(u, w) */
-        edges[2 * placed] = u;
-        edges[2 * placed + 1] = w;
+        edges[2 * placed] = (int32_t)u;
+        edges[2 * placed + 1] = (int32_t)w;
         placed++;
-        adj[u * r + r - freec[u]] = w;
-        adj[w * r + r - freec[w]] = u;
+        adj[u * r + r - freec[u]] = (int32_t)w;
+        adj[w * r + r - freec[w]] = (int32_t)u;
         sw_remove_stub(pool, pos, freec, r, &len, u);
         sw_remove_stub(pool, pos, freec, r, &len, w);
     }
 
     /* CSR in incidence() order; free[] (all zero now) is the fill cursor. */
     for (v = 0; v <= n; v++)
-        offsets[v] = v * r;
+        offsets[v] = (int32_t)(v * r);
     for (e = 0; e < placed; e++) {
         const int64_t a = edges[2 * e], b = edges[2 * e + 1];
         j = a * r + freec[a]++;
-        eids[j] = e;
-        nbrs[j] = b;
+        eids[j] = (int32_t)e;
+        nbrs[j] = (int32_t)b;
         j = b * r + freec[b]++;
-        eids[j] = e;
-        nbrs[j] = a;
+        eids[j] = (int32_t)e;
+        nbrs[j] = (int32_t)a;
     }
     /* Components by union-find; pos[] (spent) holds the parents. */
     {
         int64_t comps = n;
         for (v = 0; v < n; v++)
-            pos[v] = v;
+            pos[v] = (int32_t)v;
         for (e = 0; e < placed; e++) {
-            const int64_t a = sw_find(pos, edges[2 * e]);
-            const int64_t b = sw_find(pos, edges[2 * e + 1]);
+            const int32_t a = sw_find(pos, edges[2 * e]);
+            const int32_t b = sw_find(pos, edges[2 * e + 1]);
             if (a != b) {
                 pos[a] = b;
                 comps--;

@@ -20,13 +20,17 @@ in order:
    generators and transforms build new graphs through :class:`GraphBuilder`.
    Walk processes can therefore share one graph across thousands of trials.
 
-4. *Array-backed graphs.*  Builders that already hold the flat arrays (the
-   native random regular graph builder) construct through
-   :meth:`Graph._from_arrays`: the edge list and the CSR incidence arrays
-   are frozen numpy arrays, and the Python tuples behind :meth:`edges` and
-   :meth:`incidence_table` are built only on first access.  The array
-   engines and fleets read only the arrays, so such a graph never pays for
-   the tuples.
+4. *Array-backed graphs, one int32 copy.*  Builders that already hold
+   the flat arrays (the native random regular graph builder) construct
+   through :meth:`Graph._from_arrays`: the edge list and the CSR incidence
+   arrays are frozen int32 numpy arrays, and the Python tuples behind
+   :meth:`edges` and :meth:`incidence_table` are built only on first
+   access.  The array engines and fleets read only the arrays — the
+   native fleet kernel reads a lane's CSR arrays in place, with no copy —
+   so such a graph never pays for the tuples.  Every graph's CSR arrays
+   are int32; a graph with ``2m`` or ``n`` at :data:`INDEX_LIMIT` or
+   beyond has no CSR arrays (:class:`~repro.errors.GraphError`), so an
+   index never wraps.
 
 Conventions
 -----------
@@ -37,6 +41,7 @@ Conventions
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,7 +49,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.errors import GraphError
 
-__all__ = ["Graph", "GraphBuilder"]
+__all__ = ["Graph", "GraphBuilder", "INDEX_LIMIT"]
+
+#: Exclusive bound on ``2m`` and ``n`` for a graph's int32 CSR and edge
+#: arrays (:meth:`Graph.csr_arrays`).
+INDEX_LIMIT = 1 << 31
+
+#: Serializes the lazy CSR builds: threads sharing a graph must share one
+#: copy, because the native fleet kernel reads it by address.
+_CSR_BUILD = threading.Lock()
 
 Edge = Tuple[int, int]
 IncidenceEntry = Tuple[int, int]  # (edge_id, neighbour)
@@ -117,15 +130,18 @@ class Graph:
     ) -> "Graph":
         """An array-backed graph (internal: inputs are trusted, not checked).
 
-        ``edge_array`` is the ``(m, 2)`` int64 edge list, in edge-id order;
-        ``csr`` the :meth:`csr_arrays` triple in :meth:`incidence` order,
-        derived from the edges when omitted.  The arrays are frozen here.
-        The result equals ``Graph(num_vertices, edges)`` in every respect;
-        only its :meth:`edges` and :meth:`incidence_table` tuples wait for
-        first access.
+        ``edge_array`` is the ``(m, 2)`` edge list, in edge-id order, kept
+        as contiguous int32 (converted if handed in otherwise); ``csr`` the
+        int32 :meth:`csr_arrays` triple in :meth:`incidence` order, derived
+        from the edges when omitted.  The arrays are frozen here.  The
+        result equals ``Graph(num_vertices, edges)`` in every respect; only
+        its :meth:`edges` and :meth:`incidence_table` tuples wait for first
+        access.
         """
         import numpy as np
 
+        _check_index_range(num_vertices, int(edge_array.shape[0]))
+        edge_array = np.ascontiguousarray(edge_array, dtype=np.int32)
         if csr is None:
             csr = _csr_from_edge_array(num_vertices, edge_array)
         for arr in (edge_array, *csr):
@@ -303,7 +319,8 @@ class Graph:
         if ends is not None:
             import numpy as np
 
-            keys = ends.min(axis=1) * self._n + ends.max(axis=1)
+            # int64 keys: n * n overflows the int32 ends past n = 46341.
+            keys = ends.min(axis=1).astype(np.int64) * self._n + ends.max(axis=1)
             return int(np.unique(keys).size) < self._m
         seen = set()
         for u, v in self.edges():
@@ -347,20 +364,28 @@ class Graph:
         engines replay the reference engines' random choices bit for bit.
 
         ``csr_offsets`` has length ``n + 1`` with ``csr_offsets[n] == 2m``;
-        loops contribute two entries, like :meth:`incidence`.  The arrays
-        are built lazily on first access, cached on the graph (sharing one
-        graph across thousands of trials amortizes the build), and marked
+        loops contribute two entries, like :meth:`incidence`.  All three are
+        contiguous int32: a graph with ``2m`` or ``n`` at
+        :data:`INDEX_LIMIT` or beyond raises
+        :class:`~repro.errors.GraphError` here instead of wrapping.  The
+        arrays are built lazily on first access, once per graph even when
+        threads race for them, cached on the graph (sharing one graph
+        across thousands of trials amortizes the build), and marked
         read-only to preserve the immutability contract.
         """
-        if self._csr is None:
-            import numpy as np
+        csr = self._csr
+        if csr is None:
+            with _CSR_BUILD:
+                csr = self._csr
+                if csr is None:
+                    import numpy as np
 
-            ends = np.array(self.edges(), dtype=np.int64).reshape(self._m, 2)
-            csr = _csr_from_edge_array(self._n, ends)
-            for arr in csr:
-                arr.setflags(write=False)
-            self._csr = csr
-        return self._csr
+                    ends = np.array(self.edges(), dtype=np.int32).reshape(self._m, 2)
+                    csr = _csr_from_edge_array(self._n, ends)
+                    for arr in csr:
+                        arr.setflags(write=False)
+                    self._csr = csr
+        return csr
 
     @property
     def csr_offsets(self) -> "np.ndarray":
@@ -449,7 +474,7 @@ class Graph:
 def _csr_from_edge_array(
     n: int, ends: "np.ndarray"
 ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """The :meth:`Graph.csr_arrays` triple of an ``(m, 2)`` edge array.
+    """The int32 :meth:`Graph.csr_arrays` triple of an ``(m, 2)`` edge array.
 
     Edge ``e`` has two darts, ``2e`` at its first endpoint and ``2e + 1``
     at its second; a stable sort of the darts by vertex lists each vertex's
@@ -458,12 +483,23 @@ def _csr_from_edge_array(
     """
     import numpy as np
 
+    _check_index_range(n, int(ends.shape[0]))
+    ends = ends.astype(np.int32, copy=False)
     tails = ends.reshape(-1)
     heads = ends[:, ::-1].reshape(-1)
     order = np.argsort(tails, kind="stable")
-    offsets = np.zeros(n + 1, dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(tails, minlength=n), out=offsets[1:])
-    return offsets, order >> 1, heads[order]
+    return offsets, (order >> 1).astype(np.int32), heads[order]
+
+
+def _check_index_range(n: int, m: int) -> None:
+    """Refuse a graph whose ids or darts do not fit the int32 arrays."""
+    if 2 * m >= INDEX_LIMIT or n >= INDEX_LIMIT:
+        raise GraphError(
+            f"graph with n={n}, m={m} is too large for int32 incidence arrays "
+            f"(2m and n must stay below {INDEX_LIMIT})"
+        )
 
 
 def _graph_from_edge_array(n: int, edge_array: "np.ndarray", name: str) -> Graph:

@@ -16,7 +16,8 @@ experimental setup (Section 5).
 Steger–Wormald runs natively when it can.  With the optional C extension
 built (:mod:`repro.engine.native`), a plain Mersenne-Twister ``rng``
 (:meth:`~repro.engine.base.MTWordStream.supports`) and every draw's
-modulus within 32 bits (``n*r`` and ``n*(n-1)/2`` below ``2**32``), each
+modulus within 32 bits (``n*(n-1)/2`` below ``2**32``) and ``n*r`` below
+``2**31`` (the int32 index range of :class:`Graph`'s arrays), each
 pass runs as one C call that draws from the generator's own
 Mersenne-Twister state, handed in and written back through
 ``getstate``/``setstate``.  It replays
@@ -36,7 +37,7 @@ import sys
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import GenerationError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import INDEX_LIMIT, Graph
 from repro.graphs.properties import is_connected
 
 __all__ = [
@@ -196,8 +197,10 @@ _refusal_noted = False
 
 def _native_refusal(n: int, r: int, rng: random.Random) -> str:
     """Why the native pass cannot replay this build; ``""`` if it can."""
-    if n * r >= 1 << 32 or n * (n - 1) // 2 >= 1 << 32:
-        return "a draw's modulus (n*r or n*(n-1)/2) would need more than 32 bits"
+    if n * r >= INDEX_LIMIT:
+        return f"its n*r = {n * r} darts exceed the int32 index range of graph arrays"
+    if n * (n - 1) // 2 >= 1 << 32:
+        return "a draw's modulus (n*(n-1)/2) would need more than 32 bits"
     from repro.engine.base import MTWordStream
 
     if not MTWordStream.supports(rng):
@@ -249,13 +252,14 @@ def _native_regular_graph(
     stubs = n * r
     states = MTStateRows([rng])
     components = np.zeros(1, dtype=np.int64)
-    pool, positions, adjacent = (np.empty(stubs, dtype=np.int64) for _ in range(3))
-    free = np.empty(n, dtype=np.int64)
-    edges = np.empty((stubs // 2, 2), dtype=np.int64)
+    # int32 throughout, as Graph keeps them (the refusal bounds n*r).
+    pool, positions, adjacent = (np.empty(stubs, dtype=np.int32) for _ in range(3))
+    free = np.empty(n, dtype=np.int32)
+    edges = np.empty((stubs // 2, 2), dtype=np.int32)
     csr = (
-        np.empty(n + 1, dtype=np.int64),
-        np.empty(stubs, dtype=np.int64),
-        np.empty(stubs, dtype=np.int64),
+        np.empty(n + 1, dtype=np.int32),
+        np.empty(stubs, dtype=np.int32),
+        np.empty(stubs, dtype=np.int32),
     )
     par = np.array([n, r], dtype=np.int64)
     arrays = (states.mt, components, pool, positions, free, adjacent, edges, *csr)

@@ -368,3 +368,80 @@ class TestArrayBacked:
         assert lazy == eager and lazy.m == 0
         assert lazy.csr_offsets.tolist() == [0, 0, 0, 0]
         assert lazy.incidence_table() == ((), (), ())
+
+
+class TestInt32Arrays:
+    """One int32 copy of each graph: the edge and CSR arrays are int32, and
+    a graph past their index range is refused, never wrapped.  The range
+    checks patch :data:`~repro.graphs.graph.INDEX_LIMIT` down instead of
+    allocating 2^31 entries."""
+
+    def test_arrays_are_contiguous_int32(self):
+        import numpy as np
+
+        eager = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 0)])
+        lazy = Graph._from_arrays(4, np.array(eager.edges(), dtype=np.int64))
+        for g in (eager, lazy):
+            for arr in g.csr_arrays():
+                assert arr.dtype == np.int32 and arr.flags.c_contiguous
+        assert lazy._edge_array.dtype == np.int32
+        assert lazy == eager
+
+    def test_csr_refused_at_the_dart_limit(self, monkeypatch):
+        from repro.graphs import graph as graph_mod
+
+        monkeypatch.setattr(graph_mod, "INDEX_LIMIT", 8)
+        assert Graph(4, [(0, 1), (1, 2), (2, 3)]).csr_offsets.tolist() == [0, 1, 3, 5, 6]
+        square = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])  # 2m = 8
+        with pytest.raises(GraphError, match="int32"):
+            square.csr_arrays()
+
+    def test_csr_refused_at_the_vertex_limit(self, monkeypatch):
+        from repro.graphs import graph as graph_mod
+
+        monkeypatch.setattr(graph_mod, "INDEX_LIMIT", 8)
+        with pytest.raises(GraphError, match="int32"):
+            Graph(8, [(0, 7)]).csr_arrays()
+
+    def test_array_backed_refused_at_the_limit(self, monkeypatch):
+        import numpy as np
+
+        from repro.graphs import graph as graph_mod
+
+        monkeypatch.setattr(graph_mod, "INDEX_LIMIT", 8)
+        edges = np.array([(0, 1), (1, 2), (2, 3), (3, 0)], dtype=np.int32)
+        with pytest.raises(GraphError, match="int32"):
+            Graph._from_arrays(4, edges)
+
+    def test_native_builder_refuses_past_the_limit(self, monkeypatch):
+        import random
+
+        from repro.graphs import random_regular as rr
+
+        assert rr._native_refusal(64, 4, random.Random(1)) == ""
+        monkeypatch.setattr(rr, "INDEX_LIMIT", 256)
+        assert "int32" in rr._native_refusal(64, 4, random.Random(1))
+
+    def test_parallel_edge_keys_do_not_wrap(self):
+        # min * n + max of these two edges agree modulo 2^32 at n = 100000:
+        # int32 keys would collide and report a parallel pair.
+        import numpy as np
+
+        n = 100_000
+        edges = np.array([(0, 1), (42_949, 67_297)], dtype=np.int32)
+        assert 42_949 * n + 67_297 == 1 + (1 << 32)
+        g = Graph._from_arrays(n, edges)
+        assert not g.has_parallel_edges()
+        assert Graph._from_arrays(n, np.array([(0, 1), (1, 0)], dtype=np.int32)).has_parallel_edges()
+
+    def test_native_built_graph_past_int32_keys_is_simple(self):
+        # A fresh 4-regular graph with n = 50000 (min * n reaches 2.5e9,
+        # past int32) built by the native pass when it loads.
+        import random
+
+        from repro.engine import native
+        from repro.graphs.random_regular import random_regular_graph
+
+        g = random_regular_graph(50_000, 4, random.Random(3))
+        assert (g._edge_array is not None) == native.available()
+        assert g.is_simple()

@@ -12,8 +12,9 @@ The suite covers every fleet walk (srw / eprocess / vprocess), regular
 and irregular lanes (the kernel takes its one cumulative-rank path on
 all of them; the numpy side it is checked against takes its packed
 bitmask tables, its general path, and its >16-degree regular path),
-shared and distinct-graph
-(tiled) fleets, K in {1, 2, 7, 32}, both cover targets, budget timeouts,
+shared and distinct-graph fleets (the kernel reads each lane's own
+int32 CSR arrays in place; the numpy path tiles them), K in
+{1, 2, 7, 32}, both cover targets, budget timeouts,
 and the loader's fallback behaviour (numpy path + one RuntimeWarning)
 when the extension is missing.
 
@@ -176,7 +177,8 @@ class TestNativeVsNumpyParity:
 
     @pytest.mark.parametrize("walk", sorted(FLEETS))
     def test_distinct_graphs_per_lane(self, walk):
-        # Tiled incidence rows: lane-major row bases in the kernel.
+        # One pointer row per lane into its own graph's CSR arrays in the
+        # kernel; lane-major tiles on the numpy side.
         K = 7
         graphs = [
             random_connected_regular_graph(40, 4, random.Random(50 + k))
@@ -495,6 +497,117 @@ class TestMidBlockRetirement:
 
 #: Seeds at the edges of CPython's one- and two-word seed keys.
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _irregular_lanes(K, n=24, m=40, seed=40_000):
+    """K distinct connected simple graphs of one ``(n, m)``, irregular:
+    the kernel takes the ``rowstart[c + 1]`` path on each lane's rows."""
+    graphs = []
+    for k in range(K):
+        rng = random.Random(seed + k)
+        edges = [(i, i + 1) for i in range(n - 1)]
+        seen = {frozenset(e) for e in edges}
+        while len(edges) < m:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v and frozenset((u, v)) not in seen:
+                seen.add(frozenset((u, v)))
+                edges.append((u, v))
+        graphs.append(Graph(n, edges, name=f"irregular-{k}"))
+    return graphs
+
+
+class TestLanesOwnCSR:
+    """A native fleet steps on its lanes' own int32 CSR arrays, in place.
+
+    The kernel gets one row of pointers per lane, taken once per distinct
+    graph, and no incidence tile: a fleet allocates less than its lanes'
+    graphs hold.  Only the numpy path copies the arrays, into int64 tiles.
+    """
+
+    @pytest.mark.parametrize("use_native", KERNELS)
+    @pytest.mark.parametrize("target", ["vertices", "edges"])
+    @pytest.mark.parametrize("walk", sorted(FLEETS))
+    def test_irregular_distinct_lanes_match_reference(self, walk, target, use_native):
+        K = 7
+        graphs = _irregular_lanes(K)
+        assert not any(g.is_regular() for g in graphs)
+        starts = [random.Random(800 + k).randrange(24) for k in range(K)]
+        rngs = [random.Random(41_000 + k) for k in range(K)]
+        twins = [random.Random(41_000 + k) for k in range(K)]
+        fleet = FLEETS[walk](graphs, starts, rngs)
+        run_on(use_native, fleet, target)
+        _assert_lanes_match_reference(walk, fleet, twins, graphs, starts, rngs, target)
+
+    @native_built
+    @pytest.mark.parametrize("walk", sorted(FLEETS))
+    def test_pointer_rows_address_each_lanes_arrays(self, walk):
+        # Shared and distinct graphs mixed; rows compact as lanes retire.
+        g0, g1, g2 = _irregular_lanes(3)
+        lanes = [g0, g1, g0, g2, g1, g0]
+        K = len(lanes)
+        starts = [k % 24 for k in range(K)]
+        fleet = FLEETS[walk](lanes, starts, _walk_seeds(K), block_steps=16)
+        seen = []
+        native_block = fleet._native_block
+
+        def checked(T, steps):
+            live = [k for k in range(K) if fleet.cover_steps[k] is None]
+            seen.append(len(live))
+            names = ("csr_edge_ids", "csr_neighbors", "csr_offsets")
+            for ptrs, name in zip(fleet._csr_ptrs, names):
+                assert ptrs.tolist() == [getattr(lanes[k], name).ctypes.data for k in live]
+            return native_block(T, steps)
+
+        fleet._native_block = checked
+        run_on(True, fleet, "edges")
+        assert seen[0] == K and len(set(seen)) > 1, seen
+        for g in (g0, g1, g2):
+            assert all(a.dtype.name == "int32" for a in g.csr_arrays())
+            assert not g.scratch_cache(), "the native path caches no tile"
+
+    @native_built
+    def test_native_fleet_allocates_less_than_its_lanes_csr(self):
+        # The graphs' own CSR arrays are all a native fleet reads of them:
+        # a copy of any lane's arrays would show in the traced peak.
+        import tracemalloc
+
+        K, n = 16, 8000
+        graphs = [
+            random_connected_regular_graph(n, 4, random.Random(50_000 + k))
+            for k in range(K)
+        ]
+        csr_bytes = sum(a.nbytes for g in graphs for a in g.csr_arrays())
+        fleet = FleetEdgeProcess(graphs, [0] * K, _walk_seeds(K))
+        tracemalloc.start()
+        try:
+            run_on(True, fleet, "vertices")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c > 0 for c in fleet.cover_steps)
+        assert peak < csr_bytes, (peak, csr_bytes)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_numpy_tiles_are_int64(self, shared):
+        import numpy as np
+
+        graphs = _irregular_lanes(1 if shared else 4)
+        lanes = graphs * 4 if shared else graphs
+        fleet = FleetSRW(lanes, [0] * 4, _walk_seeds(4))
+        run_on(False, fleet, "vertices")
+        tiles = (fleet._eids_t, fleet._nbrs_t, fleet._rowstart_t, fleet._degs_t)
+        assert all(t.dtype == np.int64 for t in tiles)
+        assert fleet._tiled is not shared
+        starts = fleet._rowstart_t.tolist()
+        if shared:
+            assert starts == graphs[0].csr_offsets[:-1].tolist()
+        else:
+            # Lane-major row starts: lane k's rows begin k * 2m in.
+            assert starts == [
+                int(o) + k * 2 * fleet.m
+                for k, g in enumerate(graphs)
+                for o in g.csr_offsets[:-1]
+            ]
 
 
 def _walk_seeds(count):

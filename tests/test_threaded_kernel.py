@@ -1,14 +1,16 @@
-"""Free-threaded stress harness: concurrent fleets over shared frozen tiles.
+"""Free-threaded stress harness: concurrent fleets over shared frozen arrays.
 
 The fused kernel is called through ctypes, which releases the GIL for the
 duration of each ``repro_fused_block`` call — so several fleets stepping
 from a :class:`~concurrent.futures.ThreadPoolExecutor` may run the C
-kernel at the same time, all reading the same cached CSR tiles
-(``Graph.scratch_cache()``) and incidence tables.
+kernel at the same time, all reading the shared graph's own CSR arrays
+(``Graph.csr_arrays()``, in place).  On the numpy path the fleets read
+the int64 tiles cached on the graph (``Graph.scratch_cache()``) instead.
 Each fleet here steps its lanes to their cover instants in the kernel
 when it is built; :func:`_drive` asserts that every fleet took at least
-one native block, so the harness cannot silently stop reaching C.
-Sharing the tiles is safe only because every tile is frozen at creation
+one native block, and that each block read only the graph's frozen CSR
+arrays, so the harness cannot silently stop reaching C.
+Sharing those arrays is safe only because every one is frozen at creation
 (``setflags(write=False)`` — lint rule R6); this suite is the runtime
 counterpart of that static contract:
 
@@ -25,8 +27,11 @@ counterpart of that static contract:
 
 Thread count deliberately exceeds the fleet count on some tests so the
 pool reuses threads across fleets, and the cold-cache tests make several
-threads *build* the shared tiles at once (last write wins; contents are
-identical and frozen, so the race is benign by construction).
+threads first read a fresh graph's CSR arrays at once: the graph builds
+them once, under a lock, because the kernel holds their addresses.  On
+the numpy path the threads also *build* the shared tiles at once (last
+write wins; each fleet holds the tiles it built, whose contents are
+identical and frozen, so that race is benign by construction).
 """
 
 import random
@@ -84,6 +89,7 @@ def _drive(cls, graph, fleet_idx, target):
 
     def counted(T, steps):
         blocks.append(T)
+        _assert_reads_graph_csr(fleet, graph)
         return native_block(T, steps)
 
     fleet._native_block = counted
@@ -119,8 +125,8 @@ def _serial_vs_threaded(cls, graph_factory, target):
     return serial, threaded, threaded_graph
 
 
-def _assert_frozen_tiles(graph):
-    """Every array tile cached on the shared graph must be read-only."""
+def _cached_tiles(graph):
+    """``(key, array)`` for every array cached on the graph."""
     import numpy as np
 
     def _flat(obj):
@@ -130,12 +136,38 @@ def _assert_frozen_tiles(graph):
             for item in obj:
                 yield from _flat(item)
 
-    frozen = 0
     for key, value in graph.scratch_cache().items():
         for arr in _flat(value):
-            assert not arr.flags.writeable, f"writable shared tile under {key!r}"
-            frozen += 1
-    assert frozen > 0, "expected the run to cache shared tiles"
+            yield key, arr
+
+
+def _assert_reads_graph_csr(fleet, graph):
+    """The native block about to run reads only ``graph``'s own, frozen
+    CSR arrays: every lane's pointer row holds their addresses."""
+    offsets, eids, nbrs = graph.csr_arrays()
+    for ptrs, arr in zip(fleet._csr_ptrs, (eids, nbrs, offsets)):
+        assert set(ptrs.tolist()) == {arr.ctypes.data}
+        assert not arr.flags.writeable
+
+
+def _kernel_arrays(graph):
+    """``(name, array)`` for every shared array the fleets' kernel reads:
+    the graph's CSR arrays on the native path (each native block checks
+    that it reads exactly these), the tiles cached on the graph on the
+    numpy path."""
+    if native.available():
+        names = ("csr_offsets", "csr_edge_ids", "csr_neighbors")
+        return list(zip(names, graph.csr_arrays()))
+    return list(_cached_tiles(graph))
+
+
+def _assert_frozen_reads(graph):
+    """Every shared array a kernel read from the graph must be read-only."""
+    checked = 0
+    for key, arr in _kernel_arrays(graph):
+        assert not arr.flags.writeable, f"writable shared array {key!r}"
+        checked += 1
+    assert checked > 0, "expected the run to read shared arrays"
 
 
 class TestThreadedFleets:
@@ -143,21 +175,21 @@ class TestThreadedFleets:
     def test_regular_graph_bit_identical(self, cls):
         serial, threaded, graph = _serial_vs_threaded(cls, _regular, "vertices")
         assert threaded == serial
-        _assert_frozen_tiles(graph)
+        _assert_frozen_reads(graph)
 
     def test_edge_cover_bit_identical(self):
         serial, threaded, graph = _serial_vs_threaded(
             FleetSRW, _regular, "edges"
         )
         assert threaded == serial
-        _assert_frozen_tiles(graph)
+        _assert_frozen_reads(graph)
 
     def test_irregular_graph_bit_identical(self):
         serial, threaded, graph = _serial_vs_threaded(
             FleetSRW, _irregular, "vertices"
         )
         assert threaded == serial
-        _assert_frozen_tiles(graph)
+        _assert_frozen_reads(graph)
 
     def test_threaded_matches_numpy_reference(self, monkeypatch):
         """Threaded native end-states equal the single-threaded numpy path.
@@ -204,27 +236,47 @@ class TestThreadedFleets:
                 ]
                 results.append([f.result() for f in futures])
         assert results[0] == results[1]
-        _assert_frozen_tiles(graph)
+        _assert_frozen_reads(graph)
 
 
 class TestSharedTileContract:
     def test_shared_tiles_reject_writes(self):
-        """Frozen tiles raise on mutation — the R6 contract at runtime."""
-        import numpy as np
-
+        """Every shared array the kernel reads raises on mutation — the R6
+        contract at runtime."""
         graph = _regular(seed=5)
         fleet, _ = _build(FleetSRW, graph, 0)
         fleet.run_until_cover(target="vertices")
-        arrays = [
-            arr
-            for value in graph.scratch_cache().values()
-            for arr in (value if isinstance(value, tuple) else (value,))
-            if isinstance(arr, np.ndarray)
-        ]
+        arrays = _kernel_arrays(graph)
         assert arrays
-        for arr in arrays:
+        for _, arr in arrays:
             with pytest.raises((ValueError, RuntimeError)):
                 arr[...] = 0
+
+    def test_racing_csr_builds_share_one_copy(self):
+        """Threads that first read a graph's CSR arrays at once all get the
+        same arrays: the kernel reads them by address, so a racing build
+        that replaced a copy another fleet points at would free it under
+        that fleet."""
+        import sys
+        import threading
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(10):
+                graph = _irregular(n=2000, seed=seed)
+                barrier = threading.Barrier(THREADS * 2)
+
+                def first_read():
+                    barrier.wait(timeout=10)
+                    return graph.csr_arrays()
+
+                with ThreadPoolExecutor(max_workers=THREADS * 2) as pool:
+                    futures = [pool.submit(first_read) for _ in range(THREADS * 2)]
+                    triples = [f.result(timeout=30) for f in futures]
+                assert all(t is triples[0] for t in triples), f"seed {seed}"
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.skipif(not native.available(), reason="native kernel not built")
     def test_native_kernel_in_use(self):
