@@ -125,22 +125,6 @@ def _serial_vs_threaded(cls, graph_factory, target):
     return serial, threaded, threaded_graph
 
 
-def _cached_tiles(graph):
-    """``(key, array)`` for every array cached on the graph."""
-    import numpy as np
-
-    def _flat(obj):
-        if isinstance(obj, np.ndarray):
-            yield obj
-        elif isinstance(obj, (tuple, list)):
-            for item in obj:
-                yield from _flat(item)
-
-    for key, value in graph.scratch_cache().items():
-        for arr in _flat(value):
-            yield key, arr
-
-
 def _assert_reads_graph_csr(fleet, graph):
     """The native block about to run reads only ``graph``'s own, frozen
     CSR arrays: every lane's pointer row holds their addresses."""
@@ -155,19 +139,32 @@ def _kernel_arrays(graph):
     the graph's CSR arrays on the native path (each native block checks
     that it reads exactly these), the tiles cached on the graph on the
     numpy path."""
+    import numpy as np
+
     if native.available():
         names = ("csr_offsets", "csr_edge_ids", "csr_neighbors")
         return list(zip(names, graph.csr_arrays()))
-    return list(_cached_tiles(graph))
+
+    def _flat(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                yield from _flat(item)
+
+    return [
+        (key, arr)
+        for key, value in graph.scratch_cache().items()
+        for arr in _flat(value)
+    ]
 
 
 def _assert_frozen_reads(graph):
     """Every shared array a kernel read from the graph must be read-only."""
-    checked = 0
-    for key, arr in _kernel_arrays(graph):
+    arrays = _kernel_arrays(graph)
+    assert arrays, "expected the run to read shared arrays"
+    for key, arr in arrays:
         assert not arr.flags.writeable, f"writable shared array {key!r}"
-        checked += 1
-    assert checked > 0, "expected the run to read shared arrays"
 
 
 class TestThreadedFleets:
